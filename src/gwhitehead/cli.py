@@ -17,7 +17,7 @@ A `gen` line permutes the edge pairs (unlisted pairs are fixed, `~e`
 reverses orientation); the group is the closure of the generators and the
 vertex permutation is inferred from the edge action.  Exit codes:
 0 ok, 1 validation/parse, 2 indeterminate at horizon, 3 hypothesis not
-met, 4 property violation.
+met, 4 property violation, 5 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import freegroup as fg
-from .errors import (GWError, HypothesisNotMet, IndeterminateAtHorizon,
-                     ParseError, PropertyViolation, ValidationError)
+from .errors import (HypothesisNotMet, IndeterminateAtHorizon,
+                     InternalInconsistency, ParseError, PropertyViolation,
+                     ValidationError)
 from .ggraph import GGraph, Group, rev
 from .idealedges import (IdealEdge, d_set, enumerate_ideal_edges,
                          is_invertible, stab_set)
@@ -549,6 +549,9 @@ def main(argv=None):
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 4
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -63,8 +63,8 @@ def all_fixtures():
     }
 
 
-def _cyclic_edge_action(k, pair_orbit_sizes, flips):
-    """Edge action of the generator of Z/k on pairs grouped into orbits."""
+def _cyclic_edge_action(pair_orbit_sizes):
+    """Edge action of a cyclic generator on pairs grouped into orbits."""
     # pair p in an orbit block of size s: generator sends block index i to i+1 mod s
     perm = []
     base = 0
@@ -115,7 +115,7 @@ def _shape_rose(rng, group_order):
         sizes.append(d)
     n_pairs = sum(sizes)
     term = tuple(0 for _ in range(2 * n_pairs))
-    gen = _cyclic_edge_action(group_order, sizes, None)
+    gen = _cyclic_edge_action(sizes)
     return 1, 0, term, sizes, gen, n_pairs
 
 
@@ -128,7 +128,7 @@ def _shape_theta(rng, group_order):
         sizes.append(d)
     n_pairs = sum(sizes)
     term = tuple(v for _ in range(n_pairs) for v in (1, 0))
-    gen = _cyclic_edge_action(group_order, sizes, None)
+    gen = _cyclic_edge_action(sizes)
     return 2, 0, term, sizes, gen, n_pairs
 
 

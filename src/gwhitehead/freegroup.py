@@ -9,7 +9,6 @@ is reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -138,10 +137,6 @@ class FreeAutomorphism:
 
     def is_identity(self) -> bool:
         return all(im == (i + 1,) for i, im in enumerate(self.images))
-
-
-def apply_aut(phi: FreeAutomorphism, word) -> Word:
-    return phi.apply(word)
 
 
 def is_inverse_pair(phi: FreeAutomorphism, psi: FreeAutomorphism) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .ggraph import GGraph, rev
 from .marking import MarkedGGraph
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import GGraph, rev
 from .idealedges import (IdealEdge, IdealPair, d_set, enumerate_ideal_edges,
-                         stab_set, translates)
+                         is_ideal_edge, stab_set, translates)
 from .marking import MarkedGGraph, collapse_marked, reduce_path
 from .norms import NormVector, Order, calculator, compare
 from . import ggraph
@@ -56,7 +56,6 @@ def blow_up(m: MarkedGGraph, alpha: IdealEdge):
     pairs recovers the input exactly.
     """
     g = m.graph
-    from .idealedges import is_ideal_edge
     if not is_ideal_edge(g, alpha.vertex, alpha.edges):
         raise ValidationError("not an ideal edge")
 
@@ -153,6 +152,19 @@ def edge_reductivity(m, alpha, kind, horizon):
         if best is None or compare(r.value, best[0].value) == Order.GREATER:
             best = (r, a)
     return best
+
+
+def is_reductive_edge(m, edges, vertex, kind, horizon):
+    """Is (vertex, edges) an ideal edge with some reductive collapse target?
+
+    Agrees with edge_reductivity's maximum being reductive: a value whose
+    first nonzero coordinate is positive makes the lexicographic maximum so.
+    """
+    if not is_ideal_edge(m.graph, vertex, edges):
+        return False
+    alpha = IdealEdge(vertex, frozenset(edges))
+    return any(reductivity(m, alpha, a, kind, horizon).is_reductive
+               for a in d_set(m, alpha))
 
 
 def candidate_pairs(m: MarkedGGraph):

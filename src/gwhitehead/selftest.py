@@ -11,17 +11,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import HypothesisNotMet, PropertyViolation
+from .errors import PropertyViolation
 from .fixtures import all_fixtures, random_instance
-from .ggraph import is_reduced, maximal_invariant_forest, rev
-from .idealedges import (IdealEdge, canonical_rep, crossing, d_set,
-                         enumerate_ideal_edges, is_ideal_edge, is_invertible,
-                         orbit_union, stab_set, translates)
+from .ggraph import is_reduced, maximal_invariant_forest
+from .idealedges import (canonical_rep, crossing, d_set, enumerate_ideal_edges,
+                         is_invertible, orbit_union, stab_set, translates)
 from .marking import collapse_marked
-from .moves import (blow_up, greedy_reduce, max_reductive_pair, reductivity,
-                    whitehead)
+from .moves import blow_up, is_reductive_edge, max_reductive_pair, whitehead
 from .norms import calculator
-from .starcomplex import (family, gamma_edge, reduced_homology,
+from .starcomplex import (gamma_edge, nested_families, reduced_homology,
                           reductive_orbits, run_retractions, star_complex)
 
 
@@ -227,18 +225,6 @@ def check_crossing_inequalities(m, horizon):
     return checked
 
 
-def _is_reductive_set(m, edges, vertex, kind, horizon):
-    g = m.graph
-    edges = frozenset(edges)
-    if not is_ideal_edge(g, vertex, edges):
-        return False
-    alpha = IdealEdge(vertex, edges)
-    for a in d_set(m, alpha):
-        if reductivity(m, alpha, a, kind, horizon).is_reductive:
-            return True
-    return False
-
-
 def check_pushing_lemma(m, horizon, kind="aut"):
     """Either both mu-alpha and alpha-mu, or both alpha u Pmu and
     alpha n mu, are reductive (for reductive alpha containing m crossing
@@ -261,16 +247,15 @@ def check_pushing_lemma(m, horizon, kind="aut"):
             continue
         if crossing(g, canonical_rep(g, t), mu).number != 1:
             continue
-        if not any(reductivity(m, t, a, kind, horizon).is_reductive
-                   for a in d_set(m, t)):
+        if not is_reductive_edge(m, t.edges, t.vertex, kind, horizon):
             continue
         P = stab_set(g, t.edges)
         Pmu = frozenset().union(*(g.act_edge_set(x, mu.edges) for x in P))
-        first = (_is_reductive_set(m, mu.edges - t.edges, mu.vertex, kind, horizon)
-                 and _is_reductive_set(m, t.edges - mu.edges, mu.vertex, kind,
+        first = (is_reductive_edge(m, mu.edges - t.edges, mu.vertex, kind, horizon)
+                 and is_reductive_edge(m, t.edges - mu.edges, mu.vertex, kind,
                                        horizon))
-        second = (_is_reductive_set(m, t.edges | Pmu, mu.vertex, kind, horizon)
-                  and _is_reductive_set(m, t.edges & mu.edges, mu.vertex, kind,
+        second = (is_reductive_edge(m, t.edges | Pmu, mu.vertex, kind, horizon)
+                  and is_reductive_edge(m, t.edges & mu.edges, mu.vertex, kind,
                                         horizon))
         if not (first or second):
             raise PropertyViolation(
@@ -302,12 +287,12 @@ def check_shrinking_lemma(m, horizon, kind="aut"):
             continue
         rep = canonical_rep(g, t)
         # the source proof assumes alpha itself is reductive
-        if not _is_reductive_set(m, rep.edges, rep.vertex, kind, horizon):
+        if not is_reductive_edge(m, rep.edges, rep.vertex, kind, horizon):
             continue
         no_m = [c for c in cr.components if not (c & m_orbit)]
         beta = rep.edges - (frozenset().union(*no_m) if no_m else frozenset())
         candidates = list(no_m) + [beta]
-        if not any(_is_reductive_set(m, c, rep.vertex, kind, horizon)
+        if not any(is_reductive_edge(m, c, rep.vertex, kind, horizon)
                    for c in candidates if c):
             raise PropertyViolation(
                 f"shrinking lemma fails ({kind}): mu={mu.key()} "
@@ -328,9 +313,9 @@ def check_invertible_reductive(m, horizon):
         inv, ainv = is_invertible(g, alpha)
         if not inv:
             continue
-        if not _is_reductive_set(m, alpha.edges, alpha.vertex, "tot", horizon):
+        if not is_reductive_edge(m, alpha.edges, alpha.vertex, "tot", horizon):
             continue
-        if not _is_reductive_set(m, ainv.edges, ainv.vertex, "tot", horizon):
+        if not is_reductive_edge(m, ainv.edges, ainv.vertex, "tot", horizon):
             raise PropertyViolation(
                 f"invertible reductive edge {alpha.key()} has "
                 "non-reductive inverse")
@@ -344,7 +329,7 @@ def check_conjugation_edge(m, horizon):
     if not is_reduced(m.graph):
         return 0
     R = reductive_orbits(m, "tot", horizon)
-    gamma = gamma_edge(m, R, horizon)  # raises when two exist
+    gamma = gamma_edge(m, R)  # raises when two exist
     if gamma is None:
         return 0
     calc = calculator(m, horizon)
@@ -424,9 +409,9 @@ def suite_star(seed, horizon, random_count=10):
             red = reduce_to_forest_free(m)
             R = reductive_orbits(red, "tot", horizon)
             if R:
-                C0 = family(red, "C0", horizon)
-                C0p = family(red, "C0p", horizon)
-                C1 = family(red, "C1", horizon)
+                pair = max_reductive_pair(red, horizon)
+                C0, C0p, C1 = nested_families(red.graph, R, pair.edge,
+                                              pair.collapse_target)
                 if not (C0 <= C0p <= C1 <= R):
                     raise PropertyViolation(
                         "family nesting C0 <= C0' <= C1 <= R fails")

@@ -14,14 +14,14 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HypothesisNotMet, PropertyViolation, ValidationError
-from .ggraph import is_reduced, rev
+from .errors import (HypothesisNotMet, InternalInconsistency,
+                     PropertyViolation, ValidationError)
+from .ggraph import is_reduced
 from .idealedges import (IdealEdge, canonical_rep, compatible, crossing,
-                         d_set, enumerate_ideal_edges, is_ideal_edge,
-                         is_invertible, orbit_key, orbit_union,
-                         pre_compatible, stab_set, translates)
+                         enumerate_ideal_edges, is_invertible, orbit_key,
+                         orbit_union, pre_compatible, stab_set, translates)
 from .marking import MarkedGGraph
-from .moves import edge_reductivity, max_reductive_pair, reductivity
+from .moves import is_reductive_edge, max_reductive_pair
 
 MAX_FORESTS = 20000
 
@@ -222,14 +222,9 @@ def reduced_homology(K: SimplicialComplex):
 # reductive families
 
 
-def _is_reductive_edge(m, alpha, kind, horizon):
-    best = edge_reductivity(m, alpha, kind, horizon)
-    return best is not None and best[0].is_reductive
-
-
 def reductive_orbits(m, kind, horizon):
     return frozenset(a for a in enumerate_ideal_edges(m)
-                     if _is_reductive_edge(m, a, kind, horizon))
+                     if is_reductive_edge(m, a.edges, a.vertex, kind, horizon))
 
 
 def closure_pm(m, C):
@@ -245,11 +240,7 @@ def closure_pm(m, C):
     return frozenset(out)
 
 
-def maximal_pair(m, horizon, kind="tot"):
-    return max_reductive_pair(m, horizon, kind)
-
-
-def gamma_edge(m, R, horizon, kind="tot"):
+def gamma_edge(m, R):
     """The unique non-invertible full-stabilizer reductive edge at *, if any.
 
     More than one such edge contradicts uniqueness and is a hard error.
@@ -270,32 +261,32 @@ def gamma_edge(m, R, horizon, kind="tot"):
     return found[0] if found else None
 
 
+def nested_families(g, R, mu, mhat):
+    """(C0, C0p, C1) cut out of R by the maximal pair (mu, mhat)."""
+    C0 = frozenset(a for a in R if compatible(g, a, mu))
+    C0p = C0 | frozenset(
+        a for a in R
+        if stab_set(g, a.edges) == tuple(
+            x for x in g.group.elements if g.act_vertex(x, a.vertex) == a.vertex))
+    C1 = C0p | frozenset(
+        a for a in R
+        if mhat in orbit_union(g, a) and crossing(g, a, mu).number == 1)
+    return C0, C0p, C1
+
+
 def family(m, which, horizon, kind="tot"):
     """R, C0, C0p (C0'), or C1, as a frozenset of canonical orbit reps."""
     R = reductive_orbits(m, kind, horizon)
     if which == "R":
         return R
-    pair = maximal_pair(m, horizon, kind)
+    pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
         raise HypothesisNotMet("no maximally reductive pair exists")
-    mu, mhat = pair.edge, pair.collapse_target
-    g = m.graph
-    C0 = frozenset(a for a in R if compatible(g, a, mu))
-    if which == "C0":
-        return C0
-    C0p = C0 | frozenset(
-        a for a in R
-        if stab_set(g, a.edges) == tuple(
-            x for x in g.group.elements if g.act_vertex(x, a.vertex) == a.vertex))
-    if which == "C0p":
-        return C0p
-    if which == "C1":
-        out = set(C0p)
-        for a in R:
-            if mhat in orbit_union(g, a) and crossing(g, a, mu).number == 1:
-                out.add(a)
-        return frozenset(out)
-    raise ValidationError(f"unknown family {which!r}")
+    families = dict(zip(("C0", "C0p", "C1"), nested_families(
+        m.graph, R, pair.edge, pair.collapse_target)))
+    if which not in families:
+        raise ValidationError(f"unknown family {which!r}")
+    return families[which]
 
 
 def star_complex(m, C) -> SimplicialComplex:
@@ -313,7 +304,6 @@ class RetractionStep:
     stage: str
     alpha: tuple
     alpha0: tuple
-    removed: tuple
     n_before: int
     n_after: int
     betti: tuple = None
@@ -350,14 +340,6 @@ class _Engine:
             return None
         K = order_complex(forests, lambda a, b: a <= b)
         return reduced_homology(K)
-
-    def reductive(self, edges, vertex):
-        """Is (vertex, edges) a reductive ideal edge?"""
-        g = self.g
-        if not is_ideal_edge(g, vertex, edges):
-            return False
-        return _is_reductive_edge(self.m, IdealEdge(vertex, frozenset(edges)),
-                                  self.kind, self.horizon)
 
     def rep_with(self, alpha, e):
         """The translate of alpha containing directed edge e (or None)."""
@@ -446,7 +428,6 @@ class _Engine:
             stage,
             tuple(sorted(tset)),
             tuple(sorted(aset)),
-            tuple(sorted(tset)),
             len(before), len(after),
             self.betti_of(after)))
         return newC
@@ -498,7 +479,8 @@ class _Engine:
             for cand, _ in candidates:
                 if len(cand) < 2 or cand == alpha.edges:
                     continue
-                if not self.reductive(cand, alpha.vertex):
+                if not is_reductive_edge(self.m, cand, alpha.vertex,
+                                         self.kind, self.horizon):
                     continue
                 a0 = canonical_rep(g, IdealEdge(alpha.vertex, frozenset(cand)))
                 if compatible(g, a0, mu):
@@ -546,7 +528,8 @@ class _Engine:
             for cand in candidates:
                 if len(cand) < 2 or cand == alpha.edges:
                     continue
-                if not self.reductive(cand, alpha.vertex):
+                if not is_reductive_edge(self.m, cand, alpha.vertex,
+                                         self.kind, self.horizon):
                     continue
                 a0 = canonical_rep(g, IdealEdge(alpha.vertex, frozenset(cand)))
                 if compatible(g, a0, mu):
@@ -604,7 +587,8 @@ class _Engine:
 
             if compatible(g, a_inv_can, mu):
                 # replace alpha by its inverse, which lies in C0
-                if not self.reductive(a_inv.edges, a_inv.vertex):
+                if not is_reductive_edge(self.m, a_inv.edges, a_inv.vertex,
+                                         self.kind, self.horizon):
                     raise PropertyViolation(
                         f"[{stage}] the inverse of {alpha.key()} is compatible "
                         "with the maximal edge but not reductive")
@@ -631,15 +615,17 @@ class _Engine:
             alpha0 = None
             subcase = None
             for cand in sub_candidates:
-                if len(cand) >= 2 and self.reductive(cand, alpha.vertex):
+                if len(cand) >= 2 and is_reductive_edge(
+                        self.m, cand, alpha.vertex, self.kind, self.horizon):
                     a0 = canonical_rep(g, IdealEdge(alpha.vertex, frozenset(cand)))
                     if compatible(g, a0, mu):
                         alpha0, subcase = a0, "difference"
                         break
             if alpha0 is None:
                 for cand in union_candidates:
-                    if (cand != alpha.edges and
-                            self.reductive(cand, alpha.vertex)):
+                    if cand != alpha.edges and is_reductive_edge(
+                            self.m, cand, alpha.vertex, self.kind,
+                            self.horizon):
                         a0 = canonical_rep(
                             g, IdealEdge(alpha.vertex, frozenset(cand)))
                         if compatible(g, a0, mu):
@@ -664,7 +650,9 @@ class _Engine:
                         f"[{stage}] the union edge {alpha0.key()} is not "
                         "invertible")
                 alpha0_inv_can = canonical_rep(g, alpha0_inv)
-                if not self.reductive(alpha0_inv.edges, alpha0_inv.vertex):
+                if not is_reductive_edge(self.m, alpha0_inv.edges,
+                                         alpha0_inv.vertex, self.kind,
+                                         self.horizon):
                     raise PropertyViolation(
                         f"[{stage}] the inverse of the union edge "
                         f"{alpha0.key()} is not reductive")
@@ -678,7 +666,8 @@ class _Engine:
         if not gamma_ok:
             # replace the leftover full-stabilizer edge with the inverse of mu
             mu_inv_can = canonical_rep(g, mu_inv)
-            if not self.reductive(mu_inv.edges, mu_inv.vertex):
+            if not is_reductive_edge(self.m, mu_inv.edges, mu_inv.vertex,
+                                     self.kind, self.horizon):
                 raise PropertyViolation(
                     "the inverse of the maximal edge is not reductive")
             self.check_claim(C, [gamma], [mu_inv_can], stage=stage + "/gamma")
@@ -714,10 +703,8 @@ class _Engine:
                     f"[{stage}] image forest misses the maximal edge")
             # g is the constant map to {mu}; g(Psi) <= Psi needs mu in Psi
         self.steps.append(RetractionStep(
-            stage, (mu.key(),), (mu.key(),), tuple(
-                sorted({a.key() for f in before for a in f.orbits}
-                       - {mu.key()})),
-            len(before), 1, self.betti_of([mu_forest])))
+            stage, (mu.key(),), (mu.key(),), len(before), 1,
+            self.betti_of([mu_forest])))
         return [mu_forest]
 
 
@@ -738,17 +725,16 @@ def run_retractions(m: MarkedGGraph, horizon, kind="tot",
     if not R:
         return RetractionTrace("degenerate", "no reductive ideal edges",
                                [], ())
-    pair = maximal_pair(m, horizon, kind)
+    pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
-        return RetractionTrace("degenerate",
-                               "no reductive pair despite reductive edges",
-                               [], ())
+        raise InternalInconsistency(
+            "reductive ideal edges exist but no reductive pair was found")
     mu, mhat = pair.edge, pair.collapse_target
     if mu.vertex != g.basepoint:
         return RetractionTrace(
             "out-of-scope",
             "the maximally reductive pair is not at the basepoint", [], ())
-    gamma = gamma_edge(m, R, horizon, kind)
+    gamma = gamma_edge(m, R)
     if gamma is not None and mu.key() == gamma.key():
         forests = eng.forests(R)
         if [f.key() for f in forests] != [IdealForest((mu,)).key()]:
@@ -759,9 +745,7 @@ def run_retractions(m: MarkedGGraph, horizon, kind="tot",
                                "degenerate case: R = C0 = {mu}",
                                [], (forests[0],))
 
-    C0 = family(m, "C0", horizon, kind)
-    C0p = family(m, "C0p", horizon, kind)
-    C1 = family(m, "C1", horizon, kind)
+    C0, C0p, C1 = nested_families(g, R, mu, mhat)
     C = closure_pm(m, R)
     C = eng.stage_shrink(C, closure_pm(m, C1), mu, mhat, "R->C1")
     C = eng.stage_push(C, closure_pm(m, C0p), mu, mhat, "C1->C0p")

@@ -3,7 +3,7 @@
 import pytest
 
 from gwhitehead import cli
-from gwhitehead.errors import ParseError
+from gwhitehead.errors import InternalInconsistency, ParseError
 from gwhitehead.fixtures import all_fixtures, fix_r2w, fix_theta
 
 from conftest import FIXTURE_NAMES
@@ -132,6 +132,17 @@ def test_reduce_command_writes_log(tmp_path, capsys):
     # both loops are single distinct petals: the minimal marked rose
     assert sorted(len(p) for p in m2.basis_paths) == [1, 1]
     assert len({p[0] // 2 for p in m2.basis_paths}) == 2
+
+
+def test_internal_inconsistency_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("two computations disagree")
+
+    monkeypatch.setattr(cli, "greedy_reduce", broken)
+    path = _write(tmp_path, cli.serialize(fix_r2w()))
+    assert cli.main(["reduce", path]) == 5
+    assert "internal inconsistency: two computations disagree" in (
+        capsys.readouterr().err)
 
 
 def test_star_command_with_retraction(tmp_path, capsys):

@@ -49,7 +49,7 @@ def _auts(n=3):
 
 @given(st.sampled_from(_auts()), st.sampled_from(_auts()), small_word)
 def test_apply_aut_composition(phi, psi, w):
-    assert fg.apply_aut(phi.compose(psi), w) == fg.apply_aut(phi, fg.apply_aut(psi, w))
+    assert phi.compose(psi).apply(w) == phi.apply(psi.apply(w))
 
 
 @pytest.mark.parametrize("n,h", [(1, 4), (2, 3), (3, 2)])

@@ -10,11 +10,13 @@ import itertools
 
 import pytest
 
+from gwhitehead import starcomplex
 from gwhitehead.errors import HypothesisNotMet, ValidationError
-from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w
-from gwhitehead.idealedges import IdealEdge, enumerate_ideal_edges, orbit_union
+from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
+from gwhitehead.idealedges import (IdealEdge, enumerate_ideal_edges,
+                                   is_ideal_edge, orbit_union)
 from gwhitehead.marking import collapse_marked, marked_isomorphic
-from gwhitehead.moves import blow_up
+from gwhitehead.moves import blow_up, edge_reductivity, is_reductive_edge
 from gwhitehead.selftest import reduce_to_forest_free
 from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
                                     closure_pm, enumerate_ideal_forests,
@@ -178,7 +180,7 @@ def test_r2w_reductive_family_frozen():
     m = fix_r2w()
     R = reductive_orbits(m, "tot", HORIZON)
     assert sorted(a.key() for a in R) == [(0, (0, 3)), (0, (1, 2))]
-    assert gamma_edge(m, R, HORIZON) is None
+    assert gamma_edge(m, R) is None
     for which in ("C0", "C0p", "C1"):
         assert family(m, which, HORIZON) == R
     assert closure_pm(m, R) == R
@@ -238,3 +240,34 @@ def test_r2w_retraction_trace_frozen():
     assert [(s.stage, s.n_before, s.n_after) for s in trace.steps] == [
         ("C0->point", 3, 1)]
     assert trace.final_forests[0].key() == (((0, (1, 2))),)
+
+
+def test_run_retractions_computes_reductive_data_once(monkeypatch):
+    calls = {"reductive_orbits": 0, "max_reductive_pair": 0}
+    for name in calls:
+        fn = getattr(starcomplex, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(starcomplex, name, counted)
+    trace = run_retractions(fix_r2w(), HORIZON)
+    assert trace.status == "done"
+    assert calls == {"reductive_orbits": 1, "max_reductive_pair": 1}
+
+
+def test_is_reductive_edge_matches_edge_reductivity():
+    instances = list(all_fixtures().values()) + [
+        random_instance(s) for s in range(7000, 7020)]
+    for m in instances:
+        for alpha in enumerate_ideal_edges(m):
+            for kind in ("tot", "aut"):
+                best = edge_reductivity(m, alpha, kind, HORIZON)
+                want = best is not None and best[0].is_reductive
+                assert is_reductive_edge(m, alpha.edges, alpha.vertex, kind,
+                                         HORIZON) == want
+    m = fix_r2w()
+    edges = frozenset(m.graph.edges_at(m.graph.basepoint))
+    assert not is_ideal_edge(m.graph, m.graph.basepoint, edges)
+    assert not is_reductive_edge(m, edges, m.graph.basepoint, "tot", HORIZON)
