@@ -74,10 +74,6 @@ def is_cyclically_reduced(word) -> bool:
     return is_reduced(word) and (len(word) < 2 or word[0] != -word[-1])
 
 
-def _rotations(word):
-    return [word[i:] + word[:i] for i in range(max(len(word), 1))]
-
-
 def conj_class_rep(word) -> Word:
     """Canonical conjugacy-class representative.
 
@@ -87,7 +83,10 @@ def conj_class_rep(word) -> Word:
     core, _ = cyclic_reduce(word)
     if not core:
         return ()
-    return min(_rotations(core), key=word_key)
+    # rotations share a length, so shortlex order is the order of their keys
+    keys = [letter_key(l) for l in core]
+    i = min(range(len(core)), key=lambda i: keys[i:] + keys[:i])
+    return core[i:] + core[:i]
 
 
 @dataclass(frozen=True)
@@ -162,14 +161,26 @@ def enumerate_words(n, horizon):
     return out
 
 
+def is_class_rep(word) -> bool:
+    """Whether a word is the canonical representative of its conjugacy class.
+
+    Equivalent to ``word == conj_class_rep(word)`` for a cyclically reduced
+    word, but stops at the first rotation that sorts before it.
+    """
+    if not is_cyclically_reduced(word):
+        return False
+    keys = [letter_key(l) for l in word]
+    doubled = keys + keys
+    return all(keys <= doubled[i:i + len(keys)] for i in range(1, len(keys)))
+
+
 def enumerate_classes(n, horizon):
     """Canonical representatives of nontrivial conjugacy classes.
 
     All classes whose cyclically reduced length is <= horizon, shortlex
     ordered on the canonical representative.
     """
-    return [w for w in enumerate_words(n, horizon)
-            if is_cyclically_reduced(w) and w == conj_class_rep(w)]
+    return [w for w in enumerate_words(n, horizon) if is_class_rep(w)]
 
 
 def generates_free_group(words, k) -> bool:

@@ -220,8 +220,7 @@ def greedy_reduce(m: MarkedGGraph, horizon, max_steps=500):
     step = 0
 
     def norms_of(mm):
-        calc = calculator(mm, horizon)
-        return calc.norm("out"), calc.norm("aut"), calc.norm("tot")
+        return calculator(mm, horizon).all_norms()
 
     _, _, tot_before = norms_of(m)
     while True:

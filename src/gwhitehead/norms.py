@@ -4,12 +4,25 @@ All vectors are finite prefixes of the infinite lexicographic products:
 coordinates are indexed by the shortlex enumeration of conjugacy classes
 (out) or words (aut), truncated at a horizon.  Identities are exact per
 coordinate; only order comparisons can be indeterminate at the horizon.
+
+Packed layout.  A NormCalculator builds, once per kind (out and aut), the
+G-orbit sums of the occurrence vector of each directed edge and of the
+turn vector of each occurring turn, each packed into one Python int with
+one fixed-width lane per coordinate: lane i holds item i of
+``items[kind]``, the lowest lane first, in the width of the narrowest
+``array`` code that holds every value a kernel can produce.  edge_abs,
+set_abs and dot are then a few big-int sums over those ints, and one
+``int.to_bytes`` plus ``memoryview.cast`` unpacks the result into the
+coordinate tuple.  tot is the out coordinates followed by the aut ones.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import sys
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import freegroup as fg
@@ -73,94 +86,51 @@ def compare(u: NormVector, v: NormVector) -> Order:
 
 
 class NormCalculator:
-    """Caches loops, paths and occurrence counters for one marked graph."""
+    """Packed orbit-summed occurrence and turn vectors for one marked graph."""
 
     def __init__(self, m: MarkedGGraph, horizon: int):
         self.m = m
         self.horizon = horizon
         self.words = fg.enumerate_words(m.n, horizon)
-        self.classes = fg.enumerate_classes(m.n, horizon)
+        self.classes = [w for w in self.words if fg.is_class_rep(w)]
         self.items = {
-            "aut": [self._item(path_of_word(m, w), cyclic=False) for w in self.words],
-            "out": [self._item(loop_of_class(m, fg.ConjClass(c)), cyclic=True)
-                    for c in self.classes],
+            "aut": [path_of_word(m, w) for w in self.words],
+            "out": [loop_of_class(m, fg.ConjClass(c)) for c in self.classes],
         }
-        g = m.graph
-        self._inv_actions = [g.edge_action[g.group.inv(x)] for x in g.group.elements]
+        self._lanes = {kind: _Lanes(self.items[kind], kind == "out", m.graph.edge_action)
+                       for kind in ("out", "aut")}
 
-    @staticmethod
-    def _item(steps, cyclic):
-        cnt = {}
-        for e in steps:
-            cnt[e] = cnt.get(e, 0) + 1
-        if cyclic and steps:
-            idx = [(i, (i + 1) % len(steps)) for i in range(len(steps))]
-        else:
-            idx = [(i, i + 1) for i in range(len(steps) - 1)]
-        pairs = [(steps[i], rev(steps[j])) for i, j in idx]
-        for u, w in pairs:
-            if u == w:
-                raise InternalInconsistency("unreduced path reached the norm layer")
-        return steps, cnt, pairs
-
-    def _per_kind(self, kind, coord_fn):
-        if kind == "tot":
-            return self._per_kind("out", coord_fn) + self._per_kind("aut", coord_fn)
-        return tuple(coord_fn(kind, item) for item in self.items[kind])
-
-    def _vec(self, kind, coords):
+    def _vec(self, kind, packed_fn):
+        """Apply packed_fn to the lanes of each part of kind and unpack."""
+        coords = ()
+        for part in _parts(kind):
+            lanes = self._lanes[part]
+            coords += lanes.unpack(packed_fn(lanes))
         return NormVector(kind, self.m.n, self.horizon, coords)
 
     def edge_abs(self, e, kind) -> NormVector:
-        def coord(_, item):
-            _, cnt, _ = item
-            return sum(cnt.get(act[e], 0) + cnt.get(act[rev(e)], 0)
-                       for act in self._inv_actions)
-
-        return self._vec(kind, self._per_kind(kind, coord))
+        return self._vec(kind, lambda lanes: lanes.edge[e])
 
     def dot(self, A, B, kind) -> NormVector:
         A, B = frozenset(A), frozenset(B)
-        translated = [(frozenset(act[a] for a in A), frozenset(act[b] for b in B))
-                      for act in self._inv_actions]
-
-        def coord(_, item):
-            _, _, pairs = item
-            c = 0
-            for Ax, Bx in translated:
-                for u, w in pairs:
-                    if u in Ax and w in Bx:
-                        c += 1
-                    if u in Bx and w in Ax:
-                        c += 1
-            return c
-
-        return self._vec(kind, self._per_kind(kind, coord))
+        return self._vec(kind, lambda lanes: lanes.turns_between(A, B)
+                         + lanes.turns_between(B, A))
 
     def set_abs(self, C, kind) -> NormVector:
-        """|C|: equals the inclusion-exclusion closed form, computed by one scan."""
+        """|C|: edge occurrences of the translates of C minus twice their turns."""
         C = frozenset(C)
-        translated = [frozenset(act[c] for c in C) for act in self._inv_actions]
 
-        def coord(_, item):
-            _, cnt, pairs = item
-            total = 0
-            for Cx in translated:
-                total += sum(cnt.get(c, 0) + cnt.get(rev(c), 0) for c in Cx)
-                total -= 2 * sum(1 for u, w in pairs if u in Cx and w in Cx)
-            return total
+        def packed(lanes):
+            edge = lanes.edge
+            return sum(edge[c] for c in C) - 2 * lanes.turns_between(C, C)
 
-        return self._vec(kind, self._per_kind(kind, coord))
+        return self._vec(kind, packed)
 
     def norm(self, kind) -> NormVector:
         """Norm, computed both directly and as half the edge_abs sum."""
         order = self.m.graph.group.order
-
-        def direct_coord(_, item):
-            steps, _, _ = item
-            return order * len(steps)
-
-        direct = self._per_kind(kind, direct_coord)
+        direct = tuple(order * len(steps)
+                       for part in _parts(kind) for steps in self.items[part])
         total = None
         for e in range(self.m.graph.n_edges):
             v = self.edge_abs(e, kind)
@@ -173,7 +143,96 @@ class NormCalculator:
         if tuple(halved) != direct:
             raise InternalInconsistency(
                 f"direct norm {direct} != half edge_abs sum {tuple(halved)} ({kind})")
-        return self._vec(kind, direct)
+        return NormVector(kind, self.m.n, self.horizon, direct)
+
+    def all_norms(self):
+        """The out and aut norms, each cross-checked by norm(), and tot.
+
+        tot is the out coordinates followed by the aut ones, so it needs no
+        third cross-check.
+        """
+        out = self.norm("out")
+        aut = self.norm("aut")
+        return out, aut, NormVector("tot", out.n, out.horizon, out.coords + aut.coords)
+
+
+def _parts(kind):
+    """The kinds whose lanes make up kind: tot is out followed by aut."""
+    return ("out", "aut") if kind == "tot" else (kind,)
+
+
+def _pack(counts):
+    """One Python int with a fixed-width lane per item, lane i holding counts[i].
+
+    Lanes are as wide as the array code, which _Lanes chooses to hold
+    2 |G| L, L the longest item.  No lane of an Osym or Tsym vector, nor
+    of a set_abs or dot result, exceeds that bound: per g and item, each
+    step is counted at most twice (as an edge of gC and as the reverse of
+    one) and each turn at most twice.  So sums of packed ints never carry
+    from one lane into the next.  set_abs subtracts twice the turn sum from
+    the occurrence sum, and that never borrows: every set_abs coordinate is
+    a count, so it is >= 0 lane by lane (each turn inside gC uses up two
+    distinct occurrences counted in the sum).
+    """
+    return int.from_bytes(counts.tobytes(), sys.byteorder)
+
+
+def _lane_code(bound):
+    """The narrowest array code whose unsigned range holds bound."""
+    for code in "BHIQ":
+        if bound < 1 << (8 * array(code).itemsize):
+            return code
+    raise InternalInconsistency(f"norm coordinates up to {bound} exceed 64 bits")
+
+
+class _Lanes:
+    """One kind's orbit-summed vectors, each packed into an int by _pack.
+
+    ``edge[e]`` is Osym[e] + Osym[rev e], where Osym[e] = sum over x in G of
+    O[x e] and O[e] counts the occurrences of e in each item.
+    ``turns[a][b]`` is Tsym[a][b] = sum over x of T[(x a, x b)], where
+    T[(u, w)] counts the positions of each item at which the path crosses
+    u then rev w (a cyclic item also wraps around).  Only occurring turns
+    are stored.
+    """
+
+    def __init__(self, items, cyclic, actions):
+        longest = max((len(steps) for steps in items), default=0)
+        self.code = _lane_code(2 * len(actions) * longest)
+        self._n_bytes = len(items) * array(self.code).itemsize
+        zeros = bytes(self._n_bytes)
+        occ = defaultdict(lambda: array(self.code, zeros))
+        turn = defaultdict(lambda: array(self.code, zeros))
+        for i, steps in enumerate(items):
+            for e in steps:
+                occ[e][i] += 1
+            following = steps[1:] + steps[:1] if cyclic else steps[1:]
+            for u, w in zip(steps, following):
+                turn[u, rev(w)][i] += 1
+        if any(u == w for u, w in turn):
+            raise InternalInconsistency("unreduced path reached the norm layer")
+        O = {e: _pack(counts) for e, counts in occ.items()}
+        osym = [sum(O.get(act[e], 0) for act in actions) for e in range(len(actions[0]))]
+        self.edge = [osym[e] + osym[rev(e)] for e in range(len(osym))]
+        self.turns = {}
+        for (u, w), counts in turn.items():
+            t = _pack(counts)
+            for act in actions:
+                row = self.turns.setdefault(act[u], {})
+                row[act[w]] = row.get(act[w], 0) + t
+
+    def turns_between(self, A, B):
+        """Packed sum of Tsym[a][b] over a in A and b in B."""
+        total = 0
+        for a in A:
+            row = self.turns.get(a)
+            if row:
+                total += sum(row[b] for b in B & row.keys())
+        return total
+
+    def unpack(self, packed):
+        return tuple(memoryview(packed.to_bytes(self._n_bytes, sys.byteorder))
+                     .cast(self.code))
 
 
 @functools.lru_cache(maxsize=128)

@@ -18,7 +18,7 @@ from .idealedges import (canonical_rep, crossing, d_set, enumerate_ideal_edges,
                          is_invertible, orbit_union, stab_set, translates)
 from .marking import collapse_marked
 from .moves import blow_up, is_reductive_edge, max_reductive_pair, whitehead
-from .norms import calculator
+from .norms import KINDS, calculator
 from .starcomplex import (gamma_edge, nested_families, reduced_homology,
                           reductive_orbits, run_retractions, star_complex)
 
@@ -124,23 +124,13 @@ def check_norm_change(m, alpha, a, horizon):
     m2 = whitehead(m, alpha, a)
     calc2 = calculator(m2, horizon)
     idx = m.graph.group.order // len(stab_set(m.graph, alpha.edges))
-    for kind in ("out", "aut", "tot"):
-        before = calc.norm(kind) if kind != "tot" else _tot_norm(calc)
-        after = calc2.norm(kind) if kind != "tot" else _tot_norm(calc2)
+    for kind, before, after in zip(KINDS, calc.all_norms(), calc2.all_norms()):
         delta = (calc.set_abs(alpha.edges, kind)
                  - calc.edge_abs(a, kind)).scale(idx)
         if after.coords != (before + delta).coords:
             raise PropertyViolation(
                 f"norm-change law fails ({kind}) for alpha={alpha.key()} "
                 f"a={a}: after={after.coords} expected={(before + delta).coords}")
-
-
-def _tot_norm(calc):
-    # norm() validates out and aut separately; tot is their concatenation
-    from .norms import NormVector
-    out = calc.norm("out")
-    aut = calc.norm("aut")
-    return NormVector("tot", out.n, out.horizon, out.coords + aut.coords)
 
 
 def check_blowup_correspondence(m, alpha, horizon):

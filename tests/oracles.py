@@ -4,6 +4,7 @@ Everything here is deliberately naive and written from the definitions,
 not by calling back into the package's optimized code paths.
 """
 
+import functools
 import itertools
 
 
@@ -78,3 +79,82 @@ def all_subgroups(group):
 
 def path_occurrences(steps, e):
     return sum(1 for s in steps if s == e)
+
+
+def _letter_key(letter):
+    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+
+
+def naive_is_class_rep(word):
+    """Cyclically reduced and the least of its rotations in letter order."""
+    if len(word) >= 2 and word[0] == -word[-1]:
+        return False
+    return min(rotations(word), key=lambda r: [_letter_key(l) for l in r]) == word
+
+
+@functools.lru_cache(maxsize=None)
+def scan_items(m, kind, horizon):
+    """(steps, turns) of each path (aut) or cyclically reduced loop (out).
+
+    Paths are built from the basis paths by concatenation and naive
+    cancellation of (e, ~e) backtracks, in coordinate order: shortlex words
+    for aut, shortlex class representatives for out.  A turn (u, ~w) is
+    recorded for each pair of consecutive steps u, w; loops wrap around.
+    """
+    words = brute_reduced_words(m.n, horizon)
+    if kind == "out":
+        words = [w for w in words if naive_is_class_rep(w)]
+    items = []
+    for w in words:
+        steps = []
+        for l in w:
+            p = m.basis_paths[abs(l) - 1]
+            steps.extend(p if l > 0 else [e ^ 1 for e in reversed(p)])
+        while True:
+            for i in range(len(steps) - 1):
+                if steps[i] == steps[i + 1] ^ 1:
+                    del steps[i:i + 2]
+                    break
+            else:
+                break
+        if kind == "out":
+            while len(steps) >= 2 and steps[0] == steps[-1] ^ 1:
+                steps = steps[1:-1]
+        k = len(steps)
+        ends = range(k) if kind == "out" else range(k - 1)
+        items.append((tuple(steps), [(steps[i], steps[(i + 1) % k] ^ 1) for i in ends]))
+    return tuple(items)
+
+
+def _scan(m, kind, horizon, count, translate):
+    """Per item, the sum over g in G of count(steps, turns, translate(g))."""
+    if kind == "tot":
+        return (_scan(m, "out", horizon, count, translate)
+                + _scan(m, "aut", horizon, count, translate))
+    moved = [translate(act) for act in m.graph.edge_action]
+    return tuple(sum(count(steps, turns, t) for t in moved)
+                 for steps, turns in scan_items(m, kind, horizon))
+
+
+def scan_edge_abs(m, e, kind, horizon):
+    """Per g and item: the occurrences of ge and of ~ge."""
+    return _scan(m, kind, horizon,
+                 lambda steps, turns, ge: sum((s == ge) + (s == ge ^ 1) for s in steps),
+                 lambda act: act[e])
+
+
+def scan_set_abs(m, C, kind, horizon):
+    """Per g and item: occurrences of edges of gC either way, minus twice the turns inside gC."""
+    def count(steps, turns, gC):
+        return (sum((s in gC) + (s ^ 1 in gC) for s in steps)
+                - 2 * sum(1 for u, w in turns if u in gC and w in gC))
+    return _scan(m, kind, horizon, count, lambda act: {act[c] for c in C})
+
+
+def scan_dot(m, A, B, kind, horizon):
+    """Per g and item: the turns from gA into gB plus those from gB into gA."""
+    def count(steps, turns, gAB):
+        gA, gB = gAB
+        return sum((u in gA and w in gB) + (u in gB and w in gA) for u, w in turns)
+    return _scan(m, kind, horizon, count,
+                 lambda act: ({act[a] for a in A}, {act[b] for b in B}))

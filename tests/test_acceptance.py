@@ -13,8 +13,6 @@ import pathlib
 import random
 import time
 
-import pytest
-
 from gwhitehead.fixtures import all_fixtures, random_instance
 from gwhitehead.idealedges import enumerate_ideal_edges
 from gwhitehead.moves import candidate_pairs, greedy_reduce

@@ -78,6 +78,13 @@ def test_enumerate_classes_are_canonical(n, h):
         assert c == fg.conj_class_rep(c)
 
 
+def test_is_class_rep_matches_rotation_oracle():
+    for w in oracles.brute_reduced_words(3, 5):
+        assert fg.is_class_rep(w) == oracles.naive_is_class_rep(w)
+        assert fg.is_class_rep(w) == (fg.is_cyclically_reduced(w)
+                                      and w == fg.conj_class_rep(w))
+
+
 @settings(max_examples=200)
 @given(small_word, small_word)
 def test_conj_class_matches_rotation_oracle(u, v):

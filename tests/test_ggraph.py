@@ -1,10 +1,7 @@
 """Groups, graph actions, orbits/stabilizers, forests and collapses."""
 
-import itertools
-
 import pytest
 
-from gwhitehead.errors import ValidationError
 from gwhitehead.fixtures import fix_r2_swap, fix_theta
 from gwhitehead.ggraph import (GGraph, Group, collapse, invariant_forests,
                                is_reduced, maximal_invariant_forest,

@@ -2,11 +2,8 @@
 
 import random
 
-import pytest
-
 from gwhitehead import freegroup as fg
-from gwhitehead.errors import ValidationError
-from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, fix_theta
+from gwhitehead.fixtures import fix_r2, fix_r2w, fix_theta
 from gwhitehead.ggraph import maximal_invariant_forest
 from gwhitehead.marking import (MarkedGGraph, collapse_marked, loop_of_class,
                                 lyndon_length, marked_isomorphic,

@@ -8,10 +8,10 @@ pair, and one step reaches the identity-marked rose.
 
 import pytest
 
-from gwhitehead.errors import HypothesisNotMet, PropertyViolation
+from gwhitehead.errors import HypothesisNotMet
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, fix_r2w
 from gwhitehead.idealedges import IdealEdge, d_set, enumerate_ideal_edges
-from gwhitehead.marking import collapse_marked, marked_isomorphic
+from gwhitehead.marking import marked_isomorphic
 from gwhitehead.moves import (blow_up, candidate_pairs, greedy_reduce,
                               max_reductive_pair, reductivity, whitehead)
 from gwhitehead.norms import calculator

@@ -12,9 +12,9 @@ import random
 import pytest
 
 from gwhitehead.errors import ValidationError
-from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, fix_theta
-from gwhitehead.ggraph import rev
-from gwhitehead.norms import NormVector, Order, calculator, compare
+from gwhitehead.fixtures import all_fixtures, fix_r2_swap, random_instance
+from gwhitehead.marking import MarkedGGraph
+from gwhitehead.norms import KINDS, NormCalculator, NormVector, Order, calculator, compare
 from gwhitehead.selftest import (aut_identity_counterexample,
                                  check_coset_identity,
                                  check_inclusion_exclusion,
@@ -22,6 +22,7 @@ from gwhitehead.selftest import (aut_identity_counterexample,
                                  out_identity_holds)
 
 from conftest import HORIZON
+from oracles import scan_dot, scan_edge_abs, scan_set_abs
 
 FROZEN_NORMS = {
     # (fixture, kind, horizon) -> expected coordinates
@@ -146,3 +147,34 @@ def test_tot_is_out_then_aut(named_instance):
     tot = calc.set_abs({0}, "tot")
     assert tot.coords == (calc.set_abs({0}, "out").coords
                           + calc.set_abs({0}, "aut").coords)
+
+
+def _assert_matches_scan_oracle(m, horizon, draws):
+    calc = NormCalculator(m, horizon)
+    edges = list(range(m.graph.n_edges))
+    for kind in KINDS:
+        for e in edges:
+            assert calc.edge_abs(e, kind).coords == scan_edge_abs(m, e, kind, horizon)
+        rng = random.Random(17)
+        for _ in range(draws):
+            A = frozenset(rng.sample(edges, rng.randrange(1, len(edges) + 1)))
+            B = frozenset(rng.sample(edges, rng.randrange(1, len(edges) + 1)))
+            assert calc.set_abs(A, kind).coords == scan_set_abs(m, A, kind, horizon)
+            assert calc.dot(A, B, kind).coords == scan_dot(m, A, B, kind, horizon)
+    return calc
+
+
+def test_packed_kernel_matches_scan_oracle():
+    instances = (list(all_fixtures().values())
+                 + [random_instance(s) for s in range(7000, 7050)])
+    for m in instances:
+        for horizon in (2, 3):
+            _assert_matches_scan_oracle(m, horizon, draws=30)
+
+
+def test_wide_lanes_match_scan_oracle():
+    # x2 -> b a^150: the aut item x2 x2 crosses a 300 times, so lanes need 16 bits
+    m = MarkedGGraph(fix_r2_swap().graph, ((0,), (2,) + (0,) * 150))
+    calc = _assert_matches_scan_oracle(m, 2, draws=10)
+    assert calc._lanes["aut"].code == "H"
+    assert max(calc.edge_abs(0, "aut").coords) > 255
