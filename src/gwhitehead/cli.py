@@ -436,9 +436,11 @@ def cmd_star(args):
     print(f"forests ({len(forests)}):")
     for f in forests:
         print("  [" + "; ".join(_edge_label(g, a) for a in f.orbits) + "]")
-    maximal = [frozenset(f) for f in K.faces
-               if not any(frozenset(f) < frozenset(h) for h in K.faces)]
-    print(f"maximal faces: {len(maximal)}, dimension {K.dim}")
+    # K.faces is downward closed, so f is maximal iff no f | {v} is a face
+    maximal = sum(1 for f in K.faces
+                  if not any(f | {v} in K.faces
+                             for v in range(len(forests)) if v not in f))
+    print(f"maximal faces: {maximal}, dimension {K.dim}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(poset_dot(list(forests)))

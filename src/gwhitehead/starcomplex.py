@@ -136,19 +136,12 @@ class SimplicialComplex:
         for f in self.faces:
             if not f:
                 raise ValidationError("empty face is excluded")
-            for v in f:
-                if not (f - {v}) and len(f) == 1:
-                    continue
-                if len(f) > 1 and (f - {v}) not in self.faces:
-                    raise ValidationError("faces are not downward closed")
+            if len(f) > 1 and any(f - {v} not in self.faces for v in f):
+                raise ValidationError("faces are not downward closed")
 
     @property
     def dim(self):
         return max((len(f) - 1 for f in self.faces), default=-1)
-
-    def faces_of_dim(self, k):
-        return sorted((f for f in self.faces if len(f) == k + 1),
-                      key=lambda f: tuple(sorted(f)))
 
 
 def order_complex(elements, leq) -> SimplicialComplex:
@@ -168,54 +161,48 @@ def order_complex(elements, leq) -> SimplicialComplex:
     return SimplicialComplex(tuple(elements), frozenset(faces))
 
 
-def _rank(rows):
-    """Rank of a matrix given as a list of rows of Fractions/ints."""
-    rows = [list(map(Fraction, r)) for r in rows if any(r)]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col] / pr[col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def reduced_homology(K: SimplicialComplex):
-    """Reduced Betti numbers over the rationals, degrees 0..dim."""
+    """Reduced Betti numbers over the rationals, degrees 0..dim.
+
+    Exact sparse elimination over Q: each boundary map is a list of sparse
+    columns {row: +-1}, one per face, and each column is reduced against
+    the pivot columns kept by their highest row.  A new pivot column is
+    scaled so that its pivot entry is 1, through Fraction only when that
+    entry is not +-1, so an integer pivot such as the 2 of RP^2 is divided
+    out exactly rather than treated as zero the way mod-2 arithmetic would.
+    """
     if not K.faces:
         return ()
-    dim = K.dim
-    layers = [K.faces_of_dim(k) for k in range(dim + 1)]
-    index = [{f: i for i, f in enumerate(layer)} for layer in layers]
-    ranks = []
-    # augmentation: every vertex maps to the formal empty simplex
-    ranks.append(1 if layers[0] else 0)
-    for k in range(1, dim + 1):
-        rows = []
-        for lower in layers[k - 1]:
-            row = [0] * len(layers[k])
-            rows.append(row)
-        for j, f in enumerate(layers[k]):
-            verts = sorted(f)
-            for i, v in enumerate(verts):
-                sub = frozenset(verts[:i] + verts[i + 1:])
-                rows[index[k - 1][sub]][j] = (-1) ** i
-        ranks.append(_rank(rows) if layers[k] else 0)
+    by_dim = {}
+    for f in K.faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    layers = [sorted(by_dim[k]) for k in range(max(by_dim) + 1)]
+    # the augmentation maps every vertex to the formal empty simplex
+    ranks = [1]
+    for lower, layer in zip(layers, layers[1:]):
+        index = {f: i for i, f in enumerate(lower)}
+        pivots = {}
+        for f in layer:
+            col = {index[f[:i] + f[i + 1:]]: (-1) ** i for i in range(len(f))}
+            while col and (p := max(col)) in pivots:
+                c = col[p]
+                for r, x in pivots[p].items():
+                    y = col.get(r, 0) - c * x
+                    if y:
+                        col[r] = y
+                    else:
+                        del col[r]
+            if col:
+                c = col[p]
+                if c == -1:
+                    col = {r: -x for r, x in col.items()}
+                elif c != 1:
+                    col = {r: x / Fraction(c) for r, x in col.items()}
+                pivots[p] = col
+        ranks.append(len(pivots))
     ranks.append(0)
-    betti = []
-    for k in range(dim + 1):
-        betti.append(len(layers[k]) - ranks[k] - ranks[k + 1])
-    return tuple(betti)
+    return tuple(len(layer) - ranks[k] - ranks[k + 1]
+                 for k, layer in enumerate(layers))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ not by calling back into the package's optimized code paths.
 
 import functools
 import itertools
+from fractions import Fraction
 
 
 def naive_reduce(letters):
@@ -158,3 +159,45 @@ def scan_dot(m, A, B, kind, horizon):
         return sum((u in gA and w in gB) + (u in gB and w in gA) for u, w in turns)
     return _scan(m, kind, horizon, count,
                  lambda act: ({act[a] for a in A}, {act[b] for b in B}))
+
+
+def dense_rank(rows):
+    """Rank over Q by dense Gauss-Jordan elimination on Fraction rows."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / pr[col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
+        rank += 1
+    return rank
+
+
+def dense_reduced_homology(faces):
+    """Reduced Betti numbers over Q of a downward-closed set of faces.
+
+    b_k = (number of k-faces) - rank d_k - rank d_(k+1), where d_0 is the
+    augmentation onto the empty simplex (rank 1) and d_k, k >= 1, is the
+    dense matrix with entry (-1)^i from each k-face to its i-th facet.
+    """
+    if not faces:
+        return ()
+    dim = max(len(f) for f in faces) - 1
+    layers = [sorted(tuple(sorted(f)) for f in faces if len(f) == k + 1)
+              for k in range(dim + 1)]
+    ranks = [1]
+    for k in range(1, dim + 1):
+        rows = [[0] * len(layers[k]) for _ in layers[k - 1]]
+        row_of = {f: i for i, f in enumerate(layers[k - 1])}
+        for j, f in enumerate(layers[k]):
+            for i in range(len(f)):
+                rows[row_of[f[:i] + f[i + 1:]]][j] = (-1) ** i
+        ranks.append(dense_rank(rows))
+    ranks.append(0)
+    return tuple(len(layers[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))

@@ -5,6 +5,7 @@ import pytest
 from gwhitehead import cli
 from gwhitehead.errors import InternalInconsistency, ParseError
 from gwhitehead.fixtures import all_fixtures, fix_r2w, fix_theta
+from gwhitehead.starcomplex import family, star_complex
 
 from conftest import FIXTURE_NAMES
 
@@ -22,6 +23,23 @@ gen t : e2->e3, e3->e2
 [marking]
 x1 = e1 ~e2
 x2 = e1 ~e3
+"""
+
+# a trivial-group rose with three petals, marked x1 -> p2 p1 p3: S(R) at
+# horizon 2 has 31 forests and a few hundred faces
+HEAVY_ROSE_TEXT = """\
+[graph]
+basepoint = *
+vertex *
+edge p1 : * -> *
+edge p2 : * -> *
+edge p3 : * -> *
+[group]
+order = 1
+[marking]
+x1 = p2 p1 p3
+x2 = p2
+x3 = p3
 """
 
 
@@ -154,6 +172,21 @@ def test_star_command_with_retraction(tmp_path, capsys):
     assert "reduced Betti numbers: [0, 0]" in out
     assert "retraction: done" in out
     assert "digraph P" in open(dot).read()
+
+
+def test_star_command_on_a_heavy_rose(tmp_path, capsys):
+    path = _write(tmp_path, HEAVY_ROSE_TEXT)
+    assert cli.main(["star", path, "--family", "R", "--homology",
+                     "--retract", "--horizon", "2"]) == 0
+    out = capsys.readouterr().out
+    m = cli.parse(HEAVY_ROSE_TEXT)
+    K = star_complex(m, family(m, "R", 2))
+    assert len(K.vertices) == 31
+    brute = sum(1 for f in K.faces if not any(f < h for h in K.faces))
+    assert f"maximal faces: {brute}, dimension {K.dim}" in out
+    betti = out.split("reduced Betti numbers: [")[1].split("]")[0].split(", ")
+    assert len(betti) == K.dim + 1 and set(betti) == {"0"}
+    assert "retraction: done" in out
 
 
 def test_star_command_without_reductive_edges(tmp_path):

@@ -7,10 +7,12 @@ the maximal edge, so the star of the reductive family is three forests
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from gwhitehead import starcomplex
+from gwhitehead import cli, starcomplex
 from gwhitehead.errors import HypothesisNotMet, ValidationError
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
 from gwhitehead.idealedges import (IdealEdge, enumerate_ideal_edges,
@@ -26,6 +28,7 @@ from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
                                     run_retractions, star_complex)
 
 from conftest import HORIZON
+from oracles import dense_reduced_homology
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +68,68 @@ def test_homology_disk():
 def test_homology_sphere():
     K = _complex([f for f in itertools.combinations("abcd", 3)])
     assert reduced_homology(K) == (0, 0, 1)
+
+
+def _rose3(images):
+    """Trivial-group rose with petals p1, p2, p3 and x_i -> images[i]."""
+    return cli.parse("\n".join(
+        ["[graph]", "basepoint = *", "vertex *"]
+        + [f"edge p{i} : * -> *" for i in (1, 2, 3)]
+        + ["[group]", "order = 1", "[marking]"]
+        + [f"x{i} = {w}" for i, w in enumerate(images, 1)]) + "\n")
+
+
+# 6-vertex RP^2: H_1 over Z is Z/2, so some pivot of d_2 is 2 in any
+# elimination order; over Q the complex is acyclic, mod 2 it is (0, 1, 1)
+RP2_TRIANGLES = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+                 (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+
+
+def test_homology_rp2_over_q_divides_out_a_non_unit_pivot(monkeypatch):
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction.__new__(cls, *args)
+
+    monkeypatch.setattr(starcomplex, "Fraction", CountedFraction)
+    K = _complex(RP2_TRIANGLES)
+    assert len(K.faces) == 6 + 15 + 10
+    assert reduced_homology(K) == (0, 0, 0)
+    assert made
+
+
+def test_homology_seven_vertex_torus():
+    K = _complex([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+                 + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+    assert len(K.faces) == 7 + 21 + 14
+    assert reduced_homology(K) == (0, 2, 1)
+
+
+def test_reduced_homology_matches_dense_oracle():
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        faces = [rng.sample(range(n), rng.randint(1, min(n, 5)))
+                 for _ in range(rng.randint(1, 10))]
+        K = _complex(faces)
+        assert reduced_homology(K) == dense_reduced_homology(K.faces), faces
+    instances = list(all_fixtures().values())
+    instances += [random_instance(s) for s in range(7000, 7020)]
+    for m in instances:
+        m = reduce_to_forest_free(m)
+        K = star_complex(m, reductive_orbits(m, "tot", HORIZON))
+        assert reduced_homology(K) == dense_reduced_homology(K.faces)
+    # the corpus above is mostly reduced (empty R); these three-petal roses
+    # have S(R) of 11, 19 and 31 forests at horizon 2
+    for images, forests in ((["p1", "p2 p3", "p3"], 11),
+                            (["p1", "p2", "p2 p1 p3"], 19),
+                            (["p2 p1 p3", "p2", "p3"], 31)):
+        m = _rose3(images)
+        K = star_complex(m, reductive_orbits(m, "tot", 2))
+        assert len(K.vertices) == forests
+        assert reduced_homology(K) == dense_reduced_homology(K.faces)
 
 
 def test_complex_rejects_non_closed_face_sets():
