@@ -290,21 +290,20 @@ def graph_dot(m: MarkedGGraph) -> str:
 def poset_dot(forests) -> str:
     """Hasse diagram of a forest poset."""
     lines = ["digraph P {", "  rankdir=BT;"]
-    idx = {f.key(): i for i, f in enumerate(forests)}
+    idx = {f: i for i, f in enumerate(forests)}
 
     def label(f):
         return "{" + "; ".join(str(k) for k in f.key()) + "}"
 
     for f in forests:
-        lines.append(f'  n{idx[f.key()]} [shape=box label="{label(f)}"];')
+        lines.append(f'  n{idx[f]} [shape=box label="{label(f)}"];')
     for f1 in forests:
         for f2 in forests:
-            if f1.key() == f2.key() or not (f1 <= f2):
+            if f1 == f2 or not (f1 <= f2):
                 continue
-            if any(f1 <= h and h <= f2 and h.key() not in (f1.key(), f2.key())
-                   for h in forests):
+            if any(f1 <= h and h <= f2 and h not in (f1, f2) for h in forests):
                 continue
-            lines.append(f"  n{idx[f1.key()]} -> n{idx[f2.key()]};")
+            lines.append(f"  n{idx[f1]} -> n{idx[f2]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -96,7 +96,7 @@ def canonical_rep(g: GGraph, alpha: IdealEdge) -> IdealEdge:
 
 def enumerate_ideal_edges(m: MarkedGGraph):
     """All ideal edge orbits, one canonical representative each."""
-    g = m.graph if isinstance(m, MarkedGGraph) else m
+    g = m.graph
     reps = {}
     for v in range(g.n_vertices):
         ev = g.edges_at(v)
@@ -108,9 +108,9 @@ def enumerate_ideal_edges(m: MarkedGGraph):
     return [reps[k] for k in sorted(reps)]
 
 
-def d_set(m, alpha: IdealEdge):
+def d_set(m: MarkedGGraph, alpha: IdealEdge):
     """D(alpha): collapse candidates with full stabilizer and reverse outside the orbit."""
-    g = m.graph if isinstance(m, MarkedGGraph) else m
+    g = m.graph
     stab_a = stab_set(g, alpha.edges)
     union = orbit_union(g, alpha)
     return frozenset(
@@ -119,12 +119,11 @@ def d_set(m, alpha: IdealEdge):
     )
 
 
-def is_invertible(m, alpha: IdealEdge):
+def is_invertible(g: GGraph, alpha: IdealEdge):
     """Whether E_v - alpha is an ideal edge not inside the orbit of alpha.
 
     Returns (flag, inverse IdealEdge or None).
     """
-    g = m.graph if isinstance(m, MarkedGGraph) else m
     comp = frozenset(g.edges_at(alpha.vertex)) - alpha.edges
     if not is_ideal_edge(g, alpha.vertex, comp):
         return False, None
@@ -151,13 +150,12 @@ def _is_inverse_orbit(g, alpha, beta):
     return inv_b and orbit_key(g, binv) == orbit_key(g, alpha)
 
 
-def compatible(m, alpha: IdealEdge, beta: IdealEdge) -> bool:
+def compatible(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> bool:
     """Orbit compatibility: nesting, or disjointness away from the inverse pair.
 
     Disjoint inverse pairs are still compatible when both live at the
     basepoint.
     """
-    g = m.graph if isinstance(m, MarkedGGraph) else m
     if _orbit_contained(g, alpha, beta) or _orbit_contained(g, beta, alpha):
         return True
     if orbit_union(g, alpha) & orbit_union(g, beta):
@@ -167,9 +165,8 @@ def compatible(m, alpha: IdealEdge, beta: IdealEdge) -> bool:
     return not _is_inverse_orbit(g, alpha, beta)
 
 
-def pre_compatible(m, alpha: IdealEdge, beta: IdealEdge) -> bool:
+def pre_compatible(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> bool:
     """Compatible, or one is invertible with its inverse inside the other."""
-    g = m.graph if isinstance(m, MarkedGGraph) else m
     if compatible(g, alpha, beta):
         return True
     inv_a, ainv = is_invertible(g, alpha)
@@ -189,18 +186,13 @@ class Crossing:
     components: tuple        # nonempty gamma_i, as frozensets
     dual_components: tuple   # matching gamma_i'
 
-    @property
-    def simple(self):
-        return self.number == 1
 
-
-def crossing(m, alpha: IdealEdge, beta: IdealEdge) -> Crossing:
+def crossing(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> Crossing:
     """Intersection components of alpha with the orbit of beta.
 
     beta is first translated to the vertex of alpha; if no translate lives
     there the edges never cross (N = 0).
     """
-    g = m.graph if isinstance(m, MarkedGGraph) else m
     beta_t = None
     for t in translates(g, beta):
         if t.vertex == alpha.vertex:

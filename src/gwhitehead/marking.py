@@ -145,11 +145,6 @@ def lyndon_length(m: MarkedGGraph, word) -> int:
     return len(path_of_word(m, word))
 
 
-def induced_images(m: MarkedGGraph, x):
-    """Image paths of the basis loops under group element x."""
-    return tuple(reduce_path(act_path(m.graph, x, p)) for p in m.basis_paths)
-
-
 def verify_realization(m: MarkedGGraph):
     """Check the claimed realization against the graph action.
 

@@ -262,7 +262,7 @@ def check_shrinking_lemma(m, horizon, kind="aut"):
     if pair is None:
         return 0
     mu, mhat = pair.edge, pair.collapse_target
-    m_orbit = frozenset(g.edge_action[x][mhat] for x in g.group.elements)
+    m_orbit = g.orbit_edge(mhat)
     checked = 0
     for alpha in enumerate_ideal_edges(m):
         for t in translates(g, alpha):
@@ -332,6 +332,28 @@ def check_conjugation_edge(m, horizon):
     return 1
 
 
+def check_star_retraction(m, horizon):
+    """On a reduced instance: C0 <= C0' <= C1 <= R, S(R) is acyclic, and a
+    finished retraction ends at a single forest.  Returns the trace."""
+    R = reductive_orbits(m, "tot", horizon)
+    if R:
+        pair = max_reductive_pair(m, horizon)
+        C0, C0p, C1 = nested_families(m.graph, R, pair.edge,
+                                      pair.collapse_target)
+        if not (C0 <= C0p <= C1 <= R):
+            raise PropertyViolation(
+                "family nesting C0 <= C0' <= C1 <= R fails")
+        betti = reduced_homology(star_complex(m, R))
+        if any(b != 0 for b in betti):
+            raise PropertyViolation(
+                f"S(R) has nonzero reduced homology {betti}")
+    trace = run_retractions(m, horizon)
+    if trace.status == "done" and len(trace.final_forests) != 1:
+        raise PropertyViolation(
+            "retraction finished without a single final forest")
+    return trace
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -396,23 +418,7 @@ def suite_star(seed, horizon, random_count=10):
     results = []
     for name, m in _corpus(seed, random_count):
         try:
-            red = reduce_to_forest_free(m)
-            R = reductive_orbits(red, "tot", horizon)
-            if R:
-                pair = max_reductive_pair(red, horizon)
-                C0, C0p, C1 = nested_families(red.graph, R, pair.edge,
-                                              pair.collapse_target)
-                if not (C0 <= C0p <= C1 <= R):
-                    raise PropertyViolation(
-                        "family nesting C0 <= C0' <= C1 <= R fails")
-                betti = reduced_homology(star_complex(red, R))
-                if any(b != 0 for b in betti):
-                    raise PropertyViolation(
-                        f"S(R) has nonzero reduced homology {betti}")
-            trace = run_retractions(red, horizon)
-            if trace.status == "done" and len(trace.final_forests) != 1:
-                raise PropertyViolation(
-                    "retraction finished without a single final forest")
+            trace = check_star_retraction(reduce_to_forest_free(m), horizon)
             results.append(CheckResult("star", name, True, trace.status))
         except PropertyViolation as exc:
             results.append(CheckResult("star", name, False, str(exc)))

@@ -3,9 +3,13 @@
 The poset of ideal forests of a reduced marked G-graph is isomorphic to
 the star of that graph in the complex of reduced marked graphs; its order
 complex is the star complex S(C) for a family C of ideal edge orbits.
-run_retractions collapses S(R) step by step to a single forest, verifying
-the poset-map side conditions exhaustively at every step and raising a
-hard error with a witness whenever a claimed property fails.
+run_retractions collapses S(R) step by step to a single forest.  Each
+step is a Poset-Lemma double step S(C) -f-> S(C) -g-> S(C'), and every
+step, an elimination or the final contraction to {mu}, is checked by the
+one verifier _Engine.verify: the pointwise conditions on every forest,
+monotonicity of f and g on all comparable pairs (not only covering
+pairs), and g(f(S(C))) = S(C').  A failed claim raises a hard error with
+a witness.
 """
 
 from __future__ import annotations
@@ -33,36 +37,26 @@ MAX_FORESTS = 20000
 @dataclass(frozen=True)
 class IdealForest:
     """A set of ideal edge orbits: compatible at *, pre-compatible and
-    inverse-closed elsewhere."""
+    inverse-closed elsewhere.  Forests compare and hash by their orbits."""
 
     orbits: tuple  # canonical IdealEdge reps, sorted by key
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "orbits",
                            tuple(sorted(self.orbits, key=lambda a: a.key())))
+        object.__setattr__(self, "_members", frozenset(self.orbits))
 
     def key(self):
         return tuple(a.key() for a in self.orbits)
 
-    def orbit_set(self):
-        return frozenset(self.orbits)
-
-    def phi1(self, g):
-        return tuple(a for a in self.orbits if a.vertex == g.basepoint)
-
-    def phi2(self, g):
-        return tuple(a for a in self.orbits if a.vertex != g.basepoint)
-
     def __le__(self, other):
-        return set(self.orbits) <= set(other.orbits)
-
-    def __len__(self):
-        return len(self.orbits)
+        return self._members <= other._members
 
 
 def forest_violations(m, orbits):
     """Why a set of orbit reps fails to be an ideal forest (empty = OK)."""
-    g = m.graph if isinstance(m, MarkedGGraph) else m
+    g = m.graph
     orbits = list(orbits)
     if not orbits:
         return ["the empty forest is excluded"]
@@ -92,14 +86,14 @@ def is_ideal_forest(m, orbits) -> bool:
 
 def enumerate_ideal_forests(m, restrict_to):
     """All nonempty ideal forests over the given orbit reps, sorted."""
-    g = m.graph if isinstance(m, MarkedGGraph) else m
+    g = m.graph
     pool = sorted(restrict_to, key=lambda a: a.key())
     out = []
 
     def walk(i, chosen):
         if len(out) > MAX_FORESTS:
             raise HypothesisNotMet("ideal forest count exceeds the search cap")
-        if chosen and not forest_violations(g, chosen):
+        if chosen and not forest_violations(m, chosen):
             out.append(IdealForest(tuple(chosen)))
         for j in range(i, len(pool)):
             a = pool[j]
@@ -304,10 +298,6 @@ class RetractionTrace:
     final_forests: tuple = ()
 
 
-def _orbit_of_edge(g, e):
-    return frozenset(g.edge_action[x][e] for x in g.group.elements)
-
-
 class _Engine:
     def __init__(self, m, horizon, kind, homology):
         self.m = m
@@ -335,103 +325,99 @@ class _Engine:
                 return t
         return None
 
+    def choose(self, alpha, candidates, mu):
+        """The canonical rep of the first candidate edge set at alpha's vertex
+        that differs from alpha, is reductive and is compatible with mu."""
+        for cand in candidates:
+            if cand == alpha.edges or not is_reductive_edge(
+                    self.m, cand, alpha.vertex, self.kind, self.horizon):
+                continue
+            a0 = canonical_rep(self.g, IdealEdge(alpha.vertex, frozenset(cand)))
+            if compatible(self.g, a0, mu):
+                return a0
+        return None
+
     def check_claim(self, C, alphas, alpha0s, pre=False, stage=""):
         """Compatibility transfer: beta ~ alpha implies beta ~ alpha0."""
         g = self.g
         rel = pre_compatible if pre else compatible
-        for beta in sorted(C, key=lambda b: b.key()):
-            if all(beta.key() != a.key() for a in alphas):
-                if any(rel(g, beta, a) for a in alphas):
-                    for a0 in alpha0s:
-                        if beta.key() != a0.key() and not compatible(g, beta, a0):
-                            raise PropertyViolation(
-                                f"[{stage}] {beta.key()} is compatible with the "
-                                f"eliminated edge but not with {a0.key()}")
+        for beta in sorted(C.difference(alphas), key=lambda b: b.key()):
+            if any(rel(g, beta, a) for a in alphas):
+                for a0 in alpha0s:
+                    if beta != a0 and not compatible(g, beta, a0):
+                        raise PropertyViolation(
+                            f"[{stage}] {beta.key()} is compatible with the "
+                            f"eliminated edge but not with {a0.key()}")
 
-    def eliminate(self, C, targets, alpha0s, stage):
-        """One Poset-Lemma double step: f adds alpha0s to forests meeting
-        targets, g strips targets; every side condition is checked on every
-        forest.  Returns the new family."""
-        g = self.g
-        tset = {a.key() for a in targets}
-        aset = {a.key() for a in alpha0s}
-        before = self.forests(C)
-        keys_before = {f.key() for f in before}
+    def verify(self, stage, before, f, g, after):
+        """Check one Poset-Lemma double step S(C) -f-> S(C) -g-> S(C').
 
-        def f_map(phi):
-            if any(a.key() in tset for a in phi.orbits):
-                extra = [a for a in alpha0s
-                         if a.key() not in {b.key() for b in phi.orbits}]
-                return IdealForest(phi.orbits + tuple(extra))
-            return phi
-
-        def g_map(psi):
-            kept = tuple(a for a in psi.orbits if a.key() not in tset)
-            return IdealForest(kept)
-
-        image = []
-        for phi in before:
-            fi = f_map(phi)
-            if not (set(phi.orbits) <= set(fi.orbits)):
+        On every forest: Phi <= f(Phi) with f(Phi) in S(C), and g(Psi) <= Psi
+        a nonempty ideal forest.  f is monotone on every comparable pair of
+        S(C) and g on every comparable pair of f(S(C)); no transitivity
+        shortcut is taken.  Finally g(f(S(C))) is exactly S(C').  Each forest
+        is mapped once.
+        """
+        members = set(before)
+        image = [f(phi) for phi in before]
+        for phi, fi in zip(before, image):
+            if not phi <= fi:
                 raise PropertyViolation(f"[{stage}] f does not satisfy Phi <= f(Phi)")
-            if fi.key() not in keys_before:
+            if fi not in members:
                 bad = forest_violations(self.m, fi.orbits)
                 raise PropertyViolation(
                     f"[{stage}] f(Phi) is not an ideal forest over the family "
                     f"for Phi={phi.key()}: {'; '.join(bad) or 'not enumerated'}")
-            image.append(fi)
-        # monotonicity of f and g on every comparable pair
-        for p1 in before:
-            for p2 in before:
-                if p1 <= p2 and not (f_map(p1) <= f_map(p2)):
-                    raise PropertyViolation(f"[{stage}] f is not monotone")
-        image_keys = {fi.key() for fi in image}
-        for psi in image:
-            gi = g_map(psi)
+
+        def monotone(name, xs, ys):
+            for (x1, y1), (x2, y2) in itertools.product(zip(xs, ys), repeat=2):
+                if x1 <= x2 and not y1 <= y2:
+                    raise PropertyViolation(f"[{stage}] {name} is not monotone")
+
+        monotone("f", before, image)
+        back = [g(psi) for psi in image]
+        for psi, gi in zip(image, back):
             if not gi.orbits:
                 raise PropertyViolation(
                     f"[{stage}] g empties the forest {psi.key()}")
-            if not (set(gi.orbits) <= set(psi.orbits)):
+            if not gi <= psi:
                 raise PropertyViolation(f"[{stage}] g does not satisfy g(Psi) <= Psi")
             bad = forest_violations(self.m, gi.orbits)
             if bad:
                 raise PropertyViolation(
                     f"[{stage}] g(Psi) is not an ideal forest for "
                     f"Psi={psi.key()}: {'; '.join(bad)}")
-        for p1 in image:
-            for p2 in image:
-                if p1 <= p2 and not (g_map(p1) <= g_map(p2)):
-                    raise PropertyViolation(f"[{stage}] g is not monotone")
-
-        newC = frozenset(a for a in C if a.key() not in tset)
-        after = self.forests(newC)
-        got = {g_map(fi).key() for fi in image}
-        want = {f.key() for f in after}
+        monotone("g", image, back)
+        got, want = set(back), set(after)
         if got != want:
             raise PropertyViolation(
                 f"[{stage}] g(f(S(C))) != S(C - eliminated): "
-                f"{sorted(got ^ want)[:3]} ...")
+                f"{sorted(x.key() for x in got ^ want)[:3]} ...")
+
+    def eliminate(self, C, targets, alpha0s, stage):
+        """One Poset-Lemma double step: f adds alpha0s to forests meeting
+        targets, g strips targets.  Returns the new family."""
+        targets, alpha0s = frozenset(targets), frozenset(alpha0s)
+        before = self.forests(C)
+        newC = C - targets
+        after = self.forests(newC)
+
+        def f_map(phi):
+            if targets.isdisjoint(phi.orbits):
+                return phi
+            return IdealForest(phi.orbits + tuple(alpha0s.difference(phi.orbits)))
+
+        def g_map(psi):
+            return IdealForest(tuple(a for a in psi.orbits if a not in targets))
+
+        self.verify(stage, before, f_map, g_map, after)
         self.steps.append(RetractionStep(
             stage,
-            tuple(sorted(tset)),
-            tuple(sorted(aset)),
+            tuple(sorted(a.key() for a in targets)),
+            tuple(sorted(a.key() for a in alpha0s)),
             len(before), len(after),
             self.betti_of(after)))
         return newC
-
-    def elimination_targets(self, C, alpha):
-        """alpha plus its inverse when the forest closure rule ties them."""
-        g = self.g
-        targets = [alpha]
-        if alpha.vertex != g.basepoint:
-            inv, ainv = is_invertible(g, alpha)
-            if inv:
-                ak = orbit_key(g, ainv)
-                for b in C:
-                    if b.key() == ak:
-                        targets.append(b)
-                        break
-        return targets
 
     # -- stage A: S(R) -> S(C1) -----------------------------------------
 
@@ -448,11 +434,8 @@ class _Engine:
     def stage_shrink(self, C, target, mu, mhat, stage):
         g = self.g
         Gmu = orbit_union(g, mu)
-        m_orbit = _orbit_of_edge(g, mhat)
-        while True:
-            pool = [a for a in C if a.key() not in {b.key() for b in target}]
-            if not pool:
-                break
+        m_orbit = g.orbit_edge(mhat)
+        while pool := C - target:
             alpha = self.select_min(pool, Gmu)
             cr = crossing(g, alpha, mu)
             if cr.number == 0:
@@ -460,28 +443,14 @@ class _Engine:
                     f"[{stage}] {alpha.key()} does not meet the orbit of the "
                     "maximal edge yet is not compatible with it")
             no_m = [c for c in cr.components if not (c & m_orbit)]
-            beta = alpha.edges - frozenset().union(*no_m) if no_m else alpha.edges
-            candidates = [(c, "component") for c in no_m] + [(beta, "complement")]
-            alpha0 = None
-            for cand, _ in candidates:
-                if len(cand) < 2 or cand == alpha.edges:
-                    continue
-                if not is_reductive_edge(self.m, cand, alpha.vertex,
-                                         self.kind, self.horizon):
-                    continue
-                a0 = canonical_rep(g, IdealEdge(alpha.vertex, frozenset(cand)))
-                if compatible(g, a0, mu):
-                    alpha0 = a0
-                    break
+            beta = alpha.edges - frozenset().union(*no_m)
+            alpha0 = self.choose(alpha, no_m + [beta], mu)
             if alpha0 is None:
                 raise PropertyViolation(
                     f"[{stage}] no reductive sub-edge of {alpha.key()} from the "
                     "Shrinking Lemma is compatible with the maximal edge")
-            targets = self.elimination_targets(C, alpha)
-            alpha0s = [alpha0] + (
-                [canonical_rep(g, is_invertible(g, alpha0)[1])]
-                if alpha0.vertex != g.basepoint and is_invertible(g, alpha0)[0]
-                else [])
+            targets = closure_pm(self.m, {alpha}) & C
+            alpha0s = closure_pm(self.m, {alpha0})
             self.check_claim(C, targets, alpha0s, stage=stage)
             C = self.eliminate(C, targets, alpha0s, stage)
         return C
@@ -491,44 +460,28 @@ class _Engine:
     def stage_push(self, C, target, mu, mhat, stage):
         g = self.g
         Gmu = orbit_union(g, mu)
-        while True:
-            tkeys = {b.key() for b in target}
+        while rest := C - target:
             pool = []
-            for a in C:
-                if a.key() in tkeys:
-                    continue
+            for a in rest:
                 t = self.rep_with(a, mhat)
                 if t is None:
                     raise PropertyViolation(
                         f"[{stage}] {a.key()} does not contain the maximal "
                         "collapse edge in any translate")
                 pool.append(t)
-            if not pool:
-                break
             alpha = self.select_min(pool, Gmu)
             mu_t = next((t for t in translates(g, mu)
                          if t.vertex == alpha.vertex), None)
             candidates = []
             if mu_t is not None:
                 candidates = [alpha.edges & mu_t.edges, alpha.edges - mu_t.edges]
-            alpha0 = None
-            for cand in candidates:
-                if len(cand) < 2 or cand == alpha.edges:
-                    continue
-                if not is_reductive_edge(self.m, cand, alpha.vertex,
-                                         self.kind, self.horizon):
-                    continue
-                a0 = canonical_rep(g, IdealEdge(alpha.vertex, frozenset(cand)))
-                if compatible(g, a0, mu):
-                    alpha0 = a0
-                    break
+            alpha0 = self.choose(alpha, candidates, mu)
             if alpha0 is None:
                 raise PropertyViolation(
                     f"[{stage}] the Pushing Lemma produced no reductive "
                     f"ideal edge inside {alpha.key()} compatible with the "
                     "maximal edge")
-            acan = canonical_rep(g, alpha)
-            targets = self.elimination_targets(C, acan)
+            targets = closure_pm(self.m, {canonical_rep(g, alpha)}) & C
             self.check_claim(C, targets, [alpha0], stage=stage)
             C = self.eliminate(C, targets, [alpha0], stage)
         return C
@@ -540,7 +493,7 @@ class _Engine:
         Gmu = orbit_union(g, mu)
         mu_inv_flag, mu_inv = is_invertible(g, mu)
         gamma_ok = gamma is None or compatible(g, gamma, mu)
-        target = set(C0pm)
+        target = C0pm
         if not gamma_ok:
             # the incompatible non-invertible edge must be E_* - {mhat}
             comp = frozenset(g.edges_at(g.basepoint)) - gamma.edges
@@ -553,17 +506,9 @@ class _Engine:
                 raise PropertyViolation(
                     "incompatible full-stabilizer edge with a non-invertible "
                     "maximal edge")
-            target.add(gamma)
-        while True:
-            tkeys = {b.key() for b in target}
-            pool = []
-            for a in C:
-                if a.key() in tkeys:
-                    continue
-                t = self.rep_with(a, mhat)
-                pool.append(t if t is not None else a)
-            if not pool:
-                break
+            target = C0pm | {gamma}
+        while rest := C - target:
+            pool = [self.rep_with(a, mhat) or a for a in rest]
             alpha = self.select_max(pool, Gmu)
             acan = canonical_rep(g, alpha)
             inv_a, a_inv = is_invertible(g, alpha)
@@ -588,67 +533,40 @@ class _Engine:
                     "maximal collapse edge and its inverse is incompatible "
                     "with the maximal edge")
 
-            # Pushing Lemma alternatives
-            sub_candidates = []
-            for mu_t in translates(g, mu):
-                if mu_t.vertex == alpha.vertex:
-                    sub_candidates.append(mu_t.edges - alpha.edges)
-            union_candidates = [alpha.edges | (Gmu & frozenset(
-                g.edges_at(alpha.vertex)))]
-            for mu_t in translates(g, mu):
-                if mu_t.vertex == alpha.vertex:
-                    union_candidates.append(alpha.edges | mu_t.edges)
-
-            alpha0 = None
-            subcase = None
-            for cand in sub_candidates:
-                if len(cand) >= 2 and is_reductive_edge(
-                        self.m, cand, alpha.vertex, self.kind, self.horizon):
-                    a0 = canonical_rep(g, IdealEdge(alpha.vertex, frozenset(cand)))
-                    if compatible(g, a0, mu):
-                        alpha0, subcase = a0, "difference"
-                        break
-            if alpha0 is None:
-                for cand in union_candidates:
-                    if cand != alpha.edges and is_reductive_edge(
-                            self.m, cand, alpha.vertex, self.kind,
-                            self.horizon):
-                        a0 = canonical_rep(
-                            g, IdealEdge(alpha.vertex, frozenset(cand)))
-                        if compatible(g, a0, mu):
-                            alpha0, subcase = a0, "union"
-                            break
+            # Pushing Lemma alternatives: a difference, else a union
+            mu_ts = [t.edges for t in translates(g, mu)
+                     if t.vertex == alpha.vertex]
+            alpha0 = self.choose(alpha, [e - alpha.edges for e in mu_ts], mu)
+            if alpha0 is not None:
+                # both orientations of alpha are replaced by alpha0 at once
+                targets = [acan] + ([a_inv_can] if a_inv_can in C else [])
+                self.check_claim(C, targets, [alpha0], pre=True, stage=stage)
+                C = self.eliminate(C, targets, [alpha0], stage)
+                continue
+            local = Gmu & frozenset(g.edges_at(alpha.vertex))
+            alpha0 = self.choose(
+                alpha, [alpha.edges | e for e in [local] + mu_ts], mu)
             if alpha0 is None:
                 raise PropertyViolation(
                     f"[{stage}] the Pushing Lemma produced no usable reductive "
                     f"ideal edge for {alpha.key()}")
-
-            if subcase == "difference":
-                # both orientations of alpha are replaced by alpha0 at once
-                targets = [acan]
-                if a_inv_can.key() in {b.key() for b in C}:
-                    targets.append(a_inv_can)
-                self.check_claim(C, targets, [alpha0], pre=True, stage=stage)
-                C = self.eliminate(C, targets, [alpha0], stage)
-            else:
-                inv0, alpha0_inv = is_invertible(g, alpha0)
-                if not inv0:
-                    raise PropertyViolation(
-                        f"[{stage}] the union edge {alpha0.key()} is not "
-                        "invertible")
-                alpha0_inv_can = canonical_rep(g, alpha0_inv)
-                if not is_reductive_edge(self.m, alpha0_inv.edges,
-                                         alpha0_inv.vertex, self.kind,
-                                         self.horizon):
-                    raise PropertyViolation(
-                        f"[{stage}] the inverse of the union edge "
-                        f"{alpha0.key()} is not reductive")
-                if a_inv_can.key() in {b.key() for b in C}:
-                    self.check_claim(C, [a_inv_can], [alpha0_inv_can],
-                                     stage=stage)
-                    C = self.eliminate(C, [a_inv_can], [alpha0_inv_can], stage)
-                self.check_claim(C, [acan], [alpha0], stage=stage)
-                C = self.eliminate(C, [acan], [alpha0], stage)
+            inv0, alpha0_inv = is_invertible(g, alpha0)
+            if not inv0:
+                raise PropertyViolation(
+                    f"[{stage}] the union edge {alpha0.key()} is not "
+                    "invertible")
+            alpha0_inv_can = canonical_rep(g, alpha0_inv)
+            if not is_reductive_edge(self.m, alpha0_inv.edges,
+                                     alpha0_inv.vertex, self.kind,
+                                     self.horizon):
+                raise PropertyViolation(
+                    f"[{stage}] the inverse of the union edge "
+                    f"{alpha0.key()} is not reductive")
+            if a_inv_can in C:
+                self.check_claim(C, [a_inv_can], [alpha0_inv_can], stage=stage)
+                C = self.eliminate(C, [a_inv_can], [alpha0_inv_can], stage)
+            self.check_claim(C, [acan], [alpha0], stage=stage)
+            C = self.eliminate(C, [acan], [alpha0], stage)
 
         if not gamma_ok:
             # replace the leftover full-stabilizer edge with the inverse of mu
@@ -664,35 +582,15 @@ class _Engine:
     def contract_to_point(self, C, mu, stage):
         """Add mu to every forest, then send everything to {mu}."""
         before = self.forests(C)
-        mu_forest = IdealForest((mu,))
-
-        def f_map(phi):
-            if mu in phi.orbits:
-                return phi
-            return IdealForest(phi.orbits + (mu,))
-
-        keys = {f.key() for f in before}
-        for phi in before:
-            fi = f_map(phi)
-            if fi.key() not in keys:
-                bad = forest_violations(self.m, fi.orbits)
-                raise PropertyViolation(
-                    f"[{stage}] adding the maximal edge to {phi.key()} does "
-                    f"not give a forest: {'; '.join(bad) or 'not enumerated'}")
-        for p1 in before:
-            for p2 in before:
-                if p1 <= p2 and not (f_map(p1) <= f_map(p2)):
-                    raise PropertyViolation(f"[{stage}] f is not monotone")
-        image = [f_map(p) for p in before]
-        for psi in image:
-            if mu not in psi.orbits:
-                raise PropertyViolation(
-                    f"[{stage}] image forest misses the maximal edge")
-            # g is the constant map to {mu}; g(Psi) <= Psi needs mu in Psi
+        point = IdealForest((mu,))
+        self.verify(
+            stage, before,
+            lambda phi: phi if mu in phi.orbits else IdealForest(phi.orbits + (mu,)),
+            lambda psi: point, [point])
         self.steps.append(RetractionStep(
             stage, (mu.key(),), (mu.key(),), len(before), 1,
-            self.betti_of([mu_forest])))
-        return [mu_forest]
+            self.betti_of([point])))
+        return [point]
 
 
 def run_retractions(m: MarkedGGraph, horizon, kind="tot",
@@ -722,9 +620,9 @@ def run_retractions(m: MarkedGGraph, horizon, kind="tot",
             "out-of-scope",
             "the maximally reductive pair is not at the basepoint", [], ())
     gamma = gamma_edge(m, R)
-    if gamma is not None and mu.key() == gamma.key():
+    if mu == gamma:
         forests = eng.forests(R)
-        if [f.key() for f in forests] != [IdealForest((mu,)).key()]:
+        if forests != [IdealForest((mu,))]:
             raise PropertyViolation(
                 "the maximal edge is the lone non-invertible full-stabilizer "
                 "edge yet other reductive forests exist")

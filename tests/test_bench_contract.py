@@ -1,17 +1,22 @@
-"""Every function the benchmark's tracer wraps still exists in the package.
+"""The benchmark still runs against the package.
 
 perfbench/trace.py names, per layer, the module and the public functions
 (or `Class.method` entries) whose calls it counts.  Removing or renaming
 one of them would break the traced benchmark run, so it fails here first.
+The benchmark's own smoke test runs every workload on a few instances,
+so a changed signature of anything the workloads call fails here too.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACE_PY = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACE_PY = ROOT / "perfbench" / "trace.py"
 
 
 def _layers():
@@ -37,3 +42,9 @@ def test_traced_names_resolve(layer):
             assert callable(vars(getattr(mod, cls_name)).get(meth)), name
         else:
             assert callable(getattr(mod, name, None)), name
+
+
+def test_benchmark_smoke_test_passes():
+    proc = subprocess.run([sys.executable, "perfbench/smoke_test.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -49,8 +49,8 @@ def test_compatible_implies_pre_compatible(named_instance):
     m = named_instance
     reps = enumerate_ideal_edges(m)
     for a, b in itertools.combinations(reps, 2):
-        if compatible(m, a, b):
-            assert pre_compatible(m, a, b)
+        if compatible(m.graph, a, b):
+            assert pre_compatible(m.graph, a, b)
 
 
 def test_crossing_components_partition(named_instance):
@@ -93,32 +93,32 @@ def test_d_set_matches_definition(named_instance):
 def test_invertibility_on_the_rose():
     m = fix_r2()
     half = IdealEdge(0, frozenset({0, 1}))
-    flag, inv = is_invertible(m, half)
+    flag, inv = is_invertible(m.graph, half)
     assert flag and inv.edges == frozenset({2, 3})
     big = IdealEdge(0, frozenset({0, 1, 2}))
-    assert not is_invertible(m, big)[0]
+    assert not is_invertible(m.graph, big)[0]
 
 
 def test_inverse_pairs_are_compatible_at_basepoint():
     m = fix_r2()
     a = IdealEdge(0, frozenset({0, 1}))
     b = IdealEdge(0, frozenset({2, 3}))
-    assert compatible(m, a, b)
+    assert compatible(m.graph, a, b)
 
 
 def test_nested_edges_are_compatible():
     m = fix_r2()
     small = IdealEdge(0, frozenset({0, 2}))
     large = IdealEdge(0, frozenset({0, 2, 3}))
-    assert compatible(m, small, large)
-    assert compatible(m, large, small)
+    assert compatible(m.graph, small, large)
+    assert compatible(m.graph, large, small)
 
 
 def test_overlapping_edges_are_incompatible():
     m = fix_r2()
     a = IdealEdge(0, frozenset({0, 2}))
     b = IdealEdge(0, frozenset({0, 3}))
-    assert not compatible(m, a, b)
+    assert not compatible(m.graph, a, b)
 
 
 def test_canonical_rep_is_orbit_invariant():

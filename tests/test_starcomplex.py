@@ -7,13 +7,15 @@ the maximal edge, so the star of the reductive family is three forests
 """
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from gwhitehead import cli, starcomplex
-from gwhitehead.errors import HypothesisNotMet, ValidationError
+from gwhitehead.errors import (HypothesisNotMet, PropertyViolation,
+                               ValidationError)
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
 from gwhitehead.idealedges import (IdealEdge, enumerate_ideal_edges,
                                    is_ideal_edge, orbit_union)
@@ -305,6 +307,93 @@ def test_r2w_retraction_trace_frozen():
     assert [(s.stage, s.n_before, s.n_after) for s in trace.steps] == [
         ("C0->point", 3, 1)]
     assert trace.final_forests[0].key() == (((0, (1, 2))),)
+
+
+# The only saved instances whose retraction runs eliminate: four C0p->C0
+# steps each, then the contraction to a point.  Steps are (stage, alpha,
+# alpha0, forests before, forests after, reduced Betti numbers after).
+INSTANCES = pathlib.Path(__file__).parent / "instances"
+FROZEN_TRACES = {
+    20026: [
+        ("C0p->C0", ((0, (0, 2, 5)),), ((0, (0, 2)),), 103, 91, (0, 0, 0, 0)),
+        ("C0p->C0", ((0, (1, 3, 4)),), ((0, (1, 3, 4, 5)),), 91, 83, (0, 0, 0, 0)),
+        ("C0p->C0", ((0, (0, 2, 3, 4)),), ((0, (1, 5)),), 83, 71, (0, 0, 0, 0)),
+        ("C0p->C0", ((0, (0, 2, 4, 5)),), ((0, (1, 3)),), 71, 59, (0, 0, 0, 0)),
+        ("C0->point", ((0, (1, 3, 5)),), ((0, (1, 3, 5)),), 59, 1, (0,))],
+    20045: [
+        ("C0p->C0", ((0, (0, 2, 4)),), ((0, (0, 2)),), 125, 113, (0, 0, 0, 0)),
+        ("C0p->C0", ((0, (1, 3, 5)),), ((0, (1, 3, 4, 5)),), 113, 101, (0, 0, 0, 0)),
+        ("C0p->C0", ((0, (0, 1, 2, 5)),), ((0, (3, 4)),), 101, 89, (0, 0, 0, 0)),
+        ("C0p->C0", ((0, (0, 2, 4, 5)),), ((0, (1, 3)),), 89, 77, (0, 0, 0, 0)),
+        ("C0->point", ((0, (1, 3, 4)),), ((0, (1, 3, 4)),), 77, 1, (0,))],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_TRACES))
+def test_eliminate_trace_frozen(seed, monkeypatch):
+    m = cli.parse((INSTANCES / f"random-{seed}.txt").read_text())
+    drawn = random_instance(seed)
+    assert m.basis_paths == drawn.basis_paths
+    assert len(set(drawn.graph.edge_action)) == 1  # the drawn group acts trivially
+    verified = []
+    verify = starcomplex._Engine.verify
+
+    def counted(self, stage, *args):
+        verified.append(stage)
+        return verify(self, stage, *args)
+
+    monkeypatch.setattr(starcomplex._Engine, "verify", counted)
+    trace = run_retractions(m, 3, homology=True)
+    assert (trace.status, trace.detail) == ("done", "retracted to a single forest")
+    assert [(s.stage, s.alpha, s.alpha0, s.n_before, s.n_after, s.betti)
+            for s in trace.steps] == FROZEN_TRACES[seed]
+    assert verified == [s.stage for s in trace.steps]
+    assert [f.key() for f in trace.final_forests] == [FROZEN_TRACES[seed][-1][2]]
+
+
+# Each side condition the engine's verifier checks, made to fail on the
+# 25 forests of the two-petal rose over all of its ideal edges.
+
+
+def _probe():
+    m = fix_r2()
+    return starcomplex._Engine(m, HORIZON, "tot", False), enumerate_ideal_forests(
+        m, enumerate_ideal_edges(m))
+
+
+def _same(phi):
+    return phi
+
+
+def test_verifier_rejects_a_non_monotone_f():
+    eng, S = _probe()
+    p1, q = next((p1, q) for p1, p2, q in itertools.product(S, repeat=3)
+                 if p1 <= p2 and p1 != p2 and p1 <= q and not q <= p2)
+    with pytest.raises(PropertyViolation, match=r"^\[probe\] f is not monotone"):
+        eng.verify("probe", S, lambda phi: q if phi == p1 else phi, _same, S)
+
+
+def test_verifier_rejects_an_f_image_outside_the_complex():
+    eng, _ = _probe()
+    a, b = IdealEdge(0, frozenset({0, 2})), IdealEdge(0, frozenset({0, 3}))
+    phi = IdealForest((a,))
+    with pytest.raises(PropertyViolation,
+                       match=r"^\[probe\] f\(Phi\) is not an ideal forest.*incompatible"):
+        eng.verify("probe", [phi], lambda p: IdealForest((a, b)), _same, [phi])
+
+
+def test_verifier_rejects_a_g_that_empties_a_forest():
+    eng, S = _probe()
+    with pytest.raises(PropertyViolation, match=r"^\[probe\] g empties the forest"):
+        eng.verify("probe", S, _same, lambda psi: IdealForest(()), S)
+
+
+def test_verifier_rejects_a_g_image_other_than_the_new_complex():
+    eng, S = _probe()
+    with pytest.raises(PropertyViolation,
+                       match=r"^\[probe\] g\(f\(S\(C\)\)\) != S\(C - eliminated\)"):
+        eng.verify("probe", S, _same, _same, S[1:])
+    eng.verify("probe", S, _same, _same, S)
 
 
 def test_run_retractions_computes_reductive_data_once(monkeypatch):
