@@ -9,7 +9,9 @@ is reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -142,23 +144,44 @@ def is_inverse_pair(phi: FreeAutomorphism, psi: FreeAutomorphism) -> bool:
     return phi.compose(psi).is_identity() and psi.compose(phi).is_identity()
 
 
-def enumerate_words(n, horizon):
-    """All nonempty reduced words of length <= horizon, in shortlex order."""
+class WordTree(NamedTuple):
+    """The reduced words of length <= horizon as a tree rooted at the empty word.
+
+    ``words`` is the empty word followed by the nonempty words in shortlex
+    order; ``parents[i]`` is the index of ``words[i]`` minus its last letter
+    (-1 for the root), always smaller than i; ``classes`` holds the indices
+    of the canonical class representatives, in order.
+    """
+
+    words: tuple
+    parents: tuple
+    classes: tuple
+
+
+@functools.lru_cache(maxsize=32)
+def word_tree(n, horizon) -> WordTree:
+    """The word tree of rank n up to the horizon, built layer by layer."""
     if n < 1 or horizon < 1:
         raise ValidationError("need basis size >= 1 and horizon >= 1")
     letters = sorted((l for i in range(1, n + 1) for l in (i, -i)), key=letter_key)
-    out = []
-    layer = [()]
+    words, parents = [()], [-1]
+    start = 0
     for _ in range(horizon):
-        nxt = []
-        for w in layer:
+        end = len(words)
+        for i in range(start, end):
+            w = words[i]
             for l in letters:
-                if w and w[-1] == -l:
-                    continue
-                nxt.append(w + (l,))
-        out.extend(nxt)
-        layer = nxt
-    return out
+                if not w or w[-1] != -l:
+                    words.append(w + (l,))
+                    parents.append(i)
+        start = end
+    classes = tuple(i for i, w in enumerate(words) if w and is_class_rep(w))
+    return WordTree(tuple(words), tuple(parents), classes)
+
+
+def enumerate_words(n, horizon):
+    """All nonempty reduced words of length <= horizon, in shortlex order."""
+    return list(word_tree(n, horizon).words[1:])
 
 
 def is_class_rep(word) -> bool:
@@ -180,7 +203,8 @@ def enumerate_classes(n, horizon):
     All classes whose cyclically reduced length is <= horizon, shortlex
     ordered on the canonical representative.
     """
-    return [w for w in enumerate_words(n, horizon) if is_class_rep(w)]
+    tree = word_tree(n, horizon)
+    return [tree.words[i] for i in tree.classes]
 
 
 def generates_free_group(words, k) -> bool:

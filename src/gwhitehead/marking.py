@@ -26,6 +26,19 @@ def reduce_path(steps):
     return tuple(out)
 
 
+def join_reduced(head, tail):
+    """Reduced product of two reduced paths: cancel at the junction only.
+
+    Both halves are reduced, so the only backtracks are head[-1-i] against
+    tail[i] for the longest such run; what is left is reduced.
+    """
+    k = 0
+    limit = min(len(head), len(tail))
+    while k < limit and head[-1 - k] == rev(tail[k]):
+        k += 1
+    return head[:len(head) - k] + tail[k:]
+
+
 def is_consecutive(g: GGraph, steps, start):
     at = start
     for e in steps:
@@ -131,13 +144,18 @@ def path_of_word(m: MarkedGGraph, word):
     return reduce_path(steps)
 
 
+def cyclic_loop(steps):
+    """Rotation-canonical cyclic reduction of a reduced basepoint loop."""
+    k, end = 0, len(steps) - 1
+    while k < end - k and steps[k] == rev(steps[end - k]):
+        k += 1
+    return cyclic_canonical(steps[k:end + 1 - k])
+
+
 def loop_of_class(m: MarkedGGraph, cls):
     """Cyclically reduced loop of a conjugacy class, rotation-canonical."""
     word = cls.rep if isinstance(cls, fg.ConjClass) else fg.conj_class_rep(cls)
-    steps = list(path_of_word(m, word))
-    while len(steps) >= 2 and steps[0] == rev(steps[-1]):
-        steps = steps[1:-1]
-    return cyclic_canonical(tuple(steps))
+    return cyclic_loop(path_of_word(m, word))
 
 
 def lyndon_length(m: MarkedGGraph, word) -> int:

@@ -138,6 +138,11 @@ def reductivity(m: MarkedGGraph, alpha: IdealEdge, a: int, kind, horizon) -> Red
     """[G:stab(alpha)] * (|a| - |alpha|), truncated at the horizon."""
     if a not in d_set(m, alpha):
         raise HypothesisNotMet("collapse edge is not in D(alpha)")
+    return _reductivity(m, alpha, a, kind, horizon)
+
+
+def _reductivity(m, alpha, a, kind, horizon):
+    """reductivity without its check, for callers that took a from D(alpha)."""
     calc = calculator(m, horizon)
     idx = m.graph.group.order // len(stab_set(m.graph, alpha.edges))
     value = (calc.edge_abs(a, kind) - calc.set_abs(alpha.edges, kind)).scale(idx)
@@ -148,7 +153,7 @@ def edge_reductivity(m, alpha, kind, horizon):
     """Max reductivity over collapse targets; None when D(alpha) is empty."""
     best = None
     for a in sorted(d_set(m, alpha)):
-        r = reductivity(m, alpha, a, kind, horizon)
+        r = _reductivity(m, alpha, a, kind, horizon)
         if best is None or compare(r.value, best[0].value) == Order.GREATER:
             best = (r, a)
     return best
@@ -163,7 +168,7 @@ def is_reductive_edge(m, edges, vertex, kind, horizon):
     if not is_ideal_edge(m.graph, vertex, edges):
         return False
     alpha = IdealEdge(vertex, frozenset(edges))
-    return any(reductivity(m, alpha, a, kind, horizon).is_reductive
+    return any(_reductivity(m, alpha, a, kind, horizon).is_reductive
                for a in d_set(m, alpha))
 
 
@@ -185,7 +190,7 @@ def max_reductive_pair(m: MarkedGGraph, horizon, kind="tot"):
     """
     best = None
     for alpha, a in candidate_pairs(m):
-        r = reductivity(m, alpha, a, kind, horizon)
+        r = _reductivity(m, alpha, a, kind, horizon)
         if not r.is_reductive:
             continue
         key = (alpha.vertex, tuple(sorted(alpha.edges)), a)

@@ -5,6 +5,19 @@ coordinates are indexed by the shortlex enumeration of conjugacy classes
 (out) or words (aut), truncated at a horizon.  Identities are exact per
 coordinate; only order comparisons can be indeterminate at the horizon.
 
+Items.  Coordinate i of aut is the reduced basepoint path of word i, and
+coordinate j of out the rotation-canonical cyclically reduced loop of
+class representative j.  Both come from the word tree of ``fg.word_tree``,
+which depends only on (n, horizon) and is memoised: the words in shortlex
+order, each with the index of its parent (the word minus its last letter)
+and the indices of the class representatives.  The path of w l is the
+parent's path joined to the basis path of l (or its inverse), and since
+both halves are reduced only the junction can cancel
+(``marking.join_reduced``).  A class representative is one of the words, so
+its loop is its own path with matching ends stripped and the lex-least
+rotation taken (``marking.cyclic_loop``); no word is realized twice.  A junction that cancelled too
+little would leave an unreduced item, which _Lanes rejects.
+
 Packed layout.  A NormCalculator builds, once per kind (out and aut), the
 G-orbit sums of the occurrence vector of each directed edge and of the
 turn vector of each occurring turn, each packed into one Python int with
@@ -20,6 +33,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
+import operator
 import sys
 from array import array
 from collections import defaultdict
@@ -28,7 +43,7 @@ from dataclasses import dataclass
 from . import freegroup as fg
 from .errors import InternalInconsistency, ValidationError
 from .ggraph import rev
-from .marking import MarkedGGraph, loop_of_class, path_of_word
+from .marking import MarkedGGraph, cyclic_loop, join_reduced, path_inv
 
 KINDS = ("out", "aut", "tot")
 
@@ -52,16 +67,16 @@ class NormVector:
     def __add__(self, other):
         self._check_match(other)
         return NormVector(self.kind, self.n, self.horizon,
-                          tuple(a + b for a, b in zip(self.coords, other.coords)))
+                          tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check_match(other)
         return NormVector(self.kind, self.n, self.horizon,
-                          tuple(a - b for a, b in zip(self.coords, other.coords)))
+                          tuple(map(operator.sub, self.coords, other.coords)))
 
     def scale(self, k):
         return NormVector(self.kind, self.n, self.horizon,
-                          tuple(k * c for c in self.coords))
+                          tuple(map(operator.mul, itertools.repeat(k), self.coords)))
 
     def _check_match(self, other):
         if (self.kind, self.n, self.horizon) != (other.kind, other.n, other.horizon):
@@ -91,11 +106,19 @@ class NormCalculator:
     def __init__(self, m: MarkedGGraph, horizon: int):
         self.m = m
         self.horizon = horizon
-        self.words = fg.enumerate_words(m.n, horizon)
-        self.classes = [w for w in self.words if fg.is_class_rep(w)]
+        tree = fg.word_tree(m.n, horizon)
+        self.words = tree.words[1:]
+        self.classes = tuple(tree.words[i] for i in tree.classes)
+        letter_path = {}
+        for j, p in enumerate(m.basis_paths):
+            letter_path[j + 1] = p
+            letter_path[-j - 1] = path_inv(p)
+        paths = [()]
+        for parent, w in zip(tree.parents[1:], self.words):
+            paths.append(join_reduced(paths[parent], letter_path[w[-1]]))
         self.items = {
-            "aut": [path_of_word(m, w) for w in self.words],
-            "out": [loop_of_class(m, fg.ConjClass(c)) for c in self.classes],
+            "aut": paths[1:],
+            "out": [cyclic_loop(paths[i]) for i in tree.classes],
         }
         self._lanes = {kind: _Lanes(self.items[kind], kind == "out", m.graph.edge_action)
                        for kind in ("out", "aut")}

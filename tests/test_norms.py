@@ -11,10 +11,12 @@ import random
 
 import pytest
 
-from gwhitehead.errors import ValidationError
+from gwhitehead.errors import InternalInconsistency, ValidationError
 from gwhitehead.fixtures import all_fixtures, fix_r2_swap, random_instance
-from gwhitehead.marking import MarkedGGraph
-from gwhitehead.norms import KINDS, NormCalculator, NormVector, Order, calculator, compare
+from gwhitehead.ggraph import GGraph, Group
+from gwhitehead.marking import MarkedGGraph, cyclic_canonical
+from gwhitehead.norms import (KINDS, NormCalculator, NormVector, Order, _Lanes,
+                              calculator, compare)
 from gwhitehead.selftest import (aut_identity_counterexample,
                                  check_coset_identity,
                                  check_inclusion_exclusion,
@@ -22,7 +24,7 @@ from gwhitehead.selftest import (aut_identity_counterexample,
                                  out_identity_holds)
 
 from conftest import HORIZON
-from oracles import scan_dot, scan_edge_abs, scan_set_abs
+from oracles import rotations, scan_dot, scan_edge_abs, scan_items, scan_set_abs
 
 FROZEN_NORMS = {
     # (fixture, kind, horizon) -> expected coordinates
@@ -172,9 +174,64 @@ def test_packed_kernel_matches_scan_oracle():
             _assert_matches_scan_oracle(m, horizon, draws=30)
 
 
+def _wide_lane_rose():
+    """x2 -> b a^150 on the Z/2 rose."""
+    return MarkedGGraph(fix_r2_swap().graph, ((0,), (2,) + (0,) * 150))
+
+
 def test_wide_lanes_match_scan_oracle():
-    # x2 -> b a^150: the aut item x2 x2 crosses a 300 times, so lanes need 16 bits
-    m = MarkedGGraph(fix_r2_swap().graph, ((0,), (2,) + (0,) * 150))
-    calc = _assert_matches_scan_oracle(m, 2, draws=10)
+    # the aut item x2 x2 crosses a 300 times, so lanes need 16 bits
+    calc = _assert_matches_scan_oracle(_wide_lane_rose(), 2, draws=10)
     assert calc._lanes["aut"].code == "H"
     assert max(calc.edge_abs(0, "aut").coords) > 255
+
+
+def _rose3_deep_junction():
+    """Rank-3 rose with x3 -> ~b ~a c: the path of x1 x2 x3 is just c, so the
+    junction that appends x3 cancels the whole paths of x1 and x2."""
+    g = GGraph(1, 0, (0,) * 6, Group.trivial(), (tuple(range(6)),),
+               ("*",), ("a", "b", "c"))
+    return MarkedGGraph(g, ((0,), (2,), (3, 1, 4)))
+
+
+def _assert_items_match_scan_oracle(m, horizon):
+    calc = NormCalculator(m, horizon)
+    assert calc.items["aut"] == [steps for steps, _ in scan_items(m, "aut", horizon)]
+    oracle_loops = [steps for steps, _ in scan_items(m, "out", horizon)]
+    assert len(calc.items["out"]) == len(oracle_loops)
+    for loop, want in zip(calc.items["out"], oracle_loops):
+        assert loop in rotations(want)
+        assert loop == cyclic_canonical(loop)
+
+
+def test_word_tree_items_match_scan_oracle():
+    instances = (list(all_fixtures().values())
+                 + [random_instance(s) for s in range(7000, 7050)]
+                 + [_wide_lane_rose(), _rose3_deep_junction()])
+    for m in instances:
+        for horizon in (1, 2, 3, 4):
+            _assert_items_match_scan_oracle(m, horizon)
+
+
+def test_junction_cancels_whole_letter_paths():
+    calc = NormCalculator(_rose3_deep_junction(), 3)
+    assert calc.items["aut"][calc.words.index((1, 2, 3))] == (4,)
+    assert calc.items["aut"][calc.words.index((-2, -1, 3))] == (3, 1, 3, 1, 4)
+
+
+def test_lanes_reject_unreduced_item():
+    actions = fix_r2_swap().graph.edge_action
+    with pytest.raises(InternalInconsistency, match="unreduced path"):
+        _Lanes([(0, 1)], False, actions)
+    with pytest.raises(InternalInconsistency, match="unreduced path"):
+        _Lanes([(2, 0, 3)], True, actions)
+
+
+@pytest.mark.parametrize("kind", ["out", "aut"])
+def test_norm_cross_check_catches_a_wrong_item(kind):
+    calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
+    calc.norm(kind)
+    calc.items[kind][0] += (0,)
+    with pytest.raises(InternalInconsistency,
+                       match=rf"direct norm .* != half edge_abs sum .*\({kind}\)"):
+        calc.norm(kind)
