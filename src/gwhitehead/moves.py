@@ -173,36 +173,37 @@ def is_reductive_edge(m, edges, vertex, kind, horizon):
 
 
 def candidate_pairs(m: MarkedGGraph):
-    """All (alpha, a) with alpha an enumerated orbit rep and a in D(alpha)."""
-    out = []
-    for alpha in enumerate_ideal_edges(m):
-        for a in sorted(d_set(m, alpha)):
-            out.append((alpha, a))
-    return out
+    """All (alpha, a) with alpha an enumerated orbit rep and a in D(alpha),
+    in increasing (vertex, sorted edges, a) order."""
+    return [(alpha, a) for alpha in enumerate_ideal_edges(m)
+            for a in sorted(d_set(m, alpha))]
 
 
-def max_reductive_pair(m: MarkedGGraph, horizon, kind="tot"):
-    """The reductivity-maximizing ideal pair, or None if nothing reduces.
+def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
+    """(R, best) from one reductivity evaluation per candidate pair.
 
-    Lexicographic comparison at the horizon; equal values are resolved by
-    the canonical (vertex, edges, collapse target) order so runs are
-    reproducible.
+    R is the frozenset of orbit reps with some reductive collapse target.
+    best is None when nothing reduces, else (IdealPair, Reductivity) for
+    the reductivity-maximizing pair: lexicographic comparison at the
+    horizon, equal values resolved by the least (vertex, sorted edges,
+    collapse target) key so runs are reproducible.  The pairs come in
+    increasing key order, so the first of equal values is kept.
     """
-    best = None
+    R, best = set(), None
     for alpha, a in candidate_pairs(m):
         r = _reductivity(m, alpha, a, kind, horizon)
         if not r.is_reductive:
             continue
-        key = (alpha.vertex, tuple(sorted(alpha.edges)), a)
-        if best is None:
-            best = (r, key, alpha, a)
-            continue
-        c = compare(r.value, best[0].value)
-        if c == Order.GREATER or (c == Order.EQUAL_AT_HORIZON and key < best[1]):
-            best = (r, key, alpha, a)
-    if best is None:
-        return None
-    return IdealPair(best[2], best[3])
+        R.add(alpha)
+        if best is None or compare(r.value, best[1].value) == Order.GREATER:
+            best = (IdealPair(alpha, a), r)
+    return frozenset(R), best
+
+
+def max_reductive_pair(m: MarkedGGraph, horizon, kind="tot"):
+    """The reductivity-maximizing ideal pair of reductive_scan, or None."""
+    best = reductive_scan(m, horizon, kind)[1]
+    return None if best is None else best[0]
 
 
 @dataclass(frozen=True)
@@ -238,10 +239,10 @@ def greedy_reduce(m: MarkedGGraph, horizon, max_steps=500):
             desc = f"collapse forest {{{names}}}"
             red = ()
         else:
-            pair = max_reductive_pair(m, horizon)
-            if pair is None:
+            best = reductive_scan(m, horizon)[1]
+            if best is None:
                 break
-            red_v = reductivity(m, pair.edge, pair.collapse_target, "tot", horizon)
+            pair, red_v = best
             names = ",".join(sorted(m.graph.edge_name(e) for e in pair.edge.edges))
             desc = (f"whitehead ({m.graph.vertex_names[pair.edge.vertex]}:"
                     f"{{{names}}}, {m.graph.edge_name(pair.collapse_target)})")

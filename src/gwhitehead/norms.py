@@ -75,6 +75,8 @@ class NormVector:
                           tuple(map(operator.sub, self.coords, other.coords)))
 
     def scale(self, k):
+        if k == 1:  # frozen, so sharing is safe
+            return self
         return NormVector(self.kind, self.n, self.horizon,
                           tuple(map(operator.mul, itertools.repeat(k), self.coords)))
 

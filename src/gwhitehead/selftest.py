@@ -334,20 +334,19 @@ def check_conjugation_edge(m, horizon):
 
 def check_star_retraction(m, horizon):
     """On a reduced instance: C0 <= C0' <= C1 <= R, S(R) is acyclic, and a
-    finished retraction ends at a single forest.  Returns the trace."""
-    R = reductive_orbits(m, "tot", horizon)
-    if R:
-        pair = max_reductive_pair(m, horizon)
-        C0, C0p, C1 = nested_families(m.graph, R, pair.edge,
-                                      pair.collapse_target)
-        if not (C0 <= C0p <= C1 <= R):
+    finished retraction ends at a single forest.  R and the maximal pair are
+    the ones the retraction recorded.  Returns the trace."""
+    trace = run_retractions(m, horizon)
+    if trace.R:
+        C0, C0p, C1 = nested_families(m.graph, trace.R, trace.pair.edge,
+                                      trace.pair.collapse_target)
+        if not (C0 <= C0p <= C1 <= trace.R):
             raise PropertyViolation(
                 "family nesting C0 <= C0' <= C1 <= R fails")
-        betti = reduced_homology(star_complex(m, R))
+        betti = reduced_homology(star_complex(m, trace.R))
         if any(b != 0 for b in betti):
             raise PropertyViolation(
                 f"S(R) has nonzero reduced homology {betti}")
-    trace = run_retractions(m, horizon)
     if trace.status == "done" and len(trace.final_forests) != 1:
         raise PropertyViolation(
             "retraction finished without a single final forest")

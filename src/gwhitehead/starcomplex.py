@@ -3,13 +3,15 @@
 The poset of ideal forests of a reduced marked G-graph is isomorphic to
 the star of that graph in the complex of reduced marked graphs; its order
 complex is the star complex S(C) for a family C of ideal edge orbits.
-run_retractions collapses S(R) step by step to a single forest.  Each
-step is a Poset-Lemma double step S(C) -f-> S(C) -g-> S(C'), and every
-step, an elimination or the final contraction to {mu}, is checked by the
-one verifier _Engine.verify: the pointwise conditions on every forest,
-monotonicity of f and g on all comparable pairs (not only covering
-pairs), and g(f(S(C))) = S(C').  A failed claim raises a hard error with
-a witness.
+R, and the maximal pair (mu, mhat) that cuts C0, C0' and C1 out of it,
+come from one moves.reductive_scan.  run_retractions makes that scan
+once, records R and the pair in its trace, and collapses S(R) step by
+step to a single forest.  Each step is a Poset-Lemma double step
+S(C) -f-> S(C) -g-> S(C'), and every step, an elimination or the final
+contraction to {mu}, is checked by the one verifier _Engine.verify: the
+pointwise conditions on every forest, monotonicity of f and g on all
+comparable pairs (not only covering pairs), and g(f(S(C))) = S(C').  A
+failed claim raises a hard error with a witness.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (HypothesisNotMet, InternalInconsistency,
-                     PropertyViolation, ValidationError)
+from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import is_reduced
-from .idealedges import (IdealEdge, canonical_rep, compatible, crossing,
-                         enumerate_ideal_edges, is_invertible, orbit_key,
-                         orbit_union, pre_compatible, stab_set, translates)
+from .idealedges import (IdealEdge, IdealPair, canonical_rep, compatible,
+                         crossing, is_invertible, orbit_key, orbit_union,
+                         pre_compatible, stab_set, translates)
 from .marking import MarkedGGraph
-from .moves import is_reductive_edge, max_reductive_pair
+from .moves import is_reductive_edge, reductive_scan
 
 MAX_FORESTS = 20000
 
@@ -204,8 +205,7 @@ def reduced_homology(K: SimplicialComplex):
 
 
 def reductive_orbits(m, kind, horizon):
-    return frozenset(a for a in enumerate_ideal_edges(m)
-                     if is_reductive_edge(m, a.edges, a.vertex, kind, horizon))
+    return reductive_scan(m, horizon, kind)[0]
 
 
 def closure_pm(m, C):
@@ -257,14 +257,13 @@ def nested_families(g, R, mu, mhat):
 
 def family(m, which, horizon, kind="tot"):
     """R, C0, C0p (C0'), or C1, as a frozenset of canonical orbit reps."""
-    R = reductive_orbits(m, kind, horizon)
+    R, best = reductive_scan(m, horizon, kind)
     if which == "R":
         return R
-    pair = max_reductive_pair(m, horizon, kind)
-    if pair is None:
+    if best is None:
         raise HypothesisNotMet("no maximally reductive pair exists")
     families = dict(zip(("C0", "C0p", "C1"), nested_families(
-        m.graph, R, pair.edge, pair.collapse_target)))
+        m.graph, R, best[0].edge, best[0].collapse_target)))
     if which not in families:
         raise ValidationError(f"unknown family {which!r}")
     return families[which]
@@ -294,6 +293,8 @@ class RetractionStep:
 class RetractionTrace:
     status: str          # "done" | "degenerate" | "out-of-scope"
     detail: str
+    R: frozenset         # the reductive family the retraction started from
+    pair: IdealPair | None  # the maximal pair (mu, mhat), if R is nonempty
     steps: list = field(default_factory=list)
     final_forests: tuple = ()
 
@@ -597,28 +598,26 @@ def run_retractions(m: MarkedGGraph, horizon, kind="tot",
                     homology=False) -> RetractionTrace:
     """Collapse S(R) to a single forest through S(C1), S(C0'), S(C0).
 
-    Every poset map used is verified exhaustively (monotone, pointwise
-    comparable, image inside the complex); any failed lemma claim raises
-    PropertyViolation with a witness.  When the maximal pair is away from
-    the basepoint the case is reported as out of scope.
+    R and the maximal pair come from one reductive_scan and are recorded
+    in the trace, whatever its status.  Every poset map used is verified
+    exhaustively (monotone, pointwise comparable, image inside the
+    complex); any failed lemma claim raises PropertyViolation with a
+    witness.  When the maximal pair is away from the basepoint the case is
+    reported as out of scope.
     """
     if not is_reduced(m.graph):
         raise HypothesisNotMet("the marked graph is not reduced")
     g = m.graph
     eng = _Engine(m, horizon, kind, homology)
-    R = reductive_orbits(m, kind, horizon)
-    if not R:
-        return RetractionTrace("degenerate", "no reductive ideal edges",
-                               [], ())
-    pair = max_reductive_pair(m, horizon, kind)
-    if pair is None:
-        raise InternalInconsistency(
-            "reductive ideal edges exist but no reductive pair was found")
+    R, best = reductive_scan(m, horizon, kind)
+    if best is None:
+        return RetractionTrace("degenerate", "no reductive ideal edges", R, None)
+    pair = best[0]
     mu, mhat = pair.edge, pair.collapse_target
     if mu.vertex != g.basepoint:
         return RetractionTrace(
             "out-of-scope",
-            "the maximally reductive pair is not at the basepoint", [], ())
+            "the maximally reductive pair is not at the basepoint", R, pair)
     gamma = gamma_edge(m, R)
     if mu == gamma:
         forests = eng.forests(R)
@@ -626,9 +625,8 @@ def run_retractions(m: MarkedGGraph, horizon, kind="tot",
             raise PropertyViolation(
                 "the maximal edge is the lone non-invertible full-stabilizer "
                 "edge yet other reductive forests exist")
-        return RetractionTrace("done",
-                               "degenerate case: R = C0 = {mu}",
-                               [], (forests[0],))
+        return RetractionTrace("done", "degenerate case: R = C0 = {mu}",
+                               R, pair, [], (forests[0],))
 
     C0, C0p, C1 = nested_families(g, R, mu, mhat)
     C = closure_pm(m, R)
@@ -637,4 +635,4 @@ def run_retractions(m: MarkedGGraph, horizon, kind="tot",
     C = eng.stage_final(C, closure_pm(m, C0), mu, mhat, gamma, "C0p->C0")
     final = eng.contract_to_point(C, mu, "C0->point")
     return RetractionTrace("done", "retracted to a single forest",
-                           eng.steps, tuple(final))
+                           R, pair, eng.steps, tuple(final))

@@ -1,0 +1,42 @@
+"""No module imports a name it never uses.
+
+A pure-stdlib AST scan (read only) of the package, the tests and the
+benchmark: every name an import binds must be referenced elsewhere in the
+same file.  `from __future__` imports are exempt, and so are the package
+`__init__.py` files, whose imports are their public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(p for d in ("src", "tests", "perfbench")
+               for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """[(line, name)] of the imported names that are never referenced."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_scanner_finds_unused_imports():
+    source = "import os.path\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def test_no_unused_imports():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in FILES
+             for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "imported but unused:\n" + "\n".join(found)

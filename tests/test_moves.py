@@ -9,12 +9,15 @@ pair, and one step reaches the identity-marked rose.
 import pytest
 
 from gwhitehead.errors import HypothesisNotMet
-from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, fix_r2w
-from gwhitehead.idealedges import IdealEdge, d_set, enumerate_ideal_edges
+from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_r2w,
+                                 random_instance)
+from gwhitehead.idealedges import (IdealEdge, IdealPair, d_set,
+                                   enumerate_ideal_edges)
 from gwhitehead.marking import marked_isomorphic
 from gwhitehead.moves import (blow_up, candidate_pairs, greedy_reduce,
-                              max_reductive_pair, reductivity, whitehead)
-from gwhitehead.norms import calculator
+                              is_reductive_edge, max_reductive_pair,
+                              reductive_scan, reductivity, whitehead)
+from gwhitehead.norms import Order, calculator, compare
 from gwhitehead.selftest import (check_blowup_correspondence,
                                  check_blowup_roundtrip, check_norm_change)
 
@@ -79,6 +82,45 @@ def test_max_reductive_pair_frozen():
     red = reductivity(m, pair.edge, pair.collapse_target, "tot", HORIZON)
     assert red.is_reductive
     assert red.value.coords[:6] == (0, 0, 1, 1, 0, 1)
+
+
+def _max_pair_by_key(m, kind, horizon):
+    """The maximal reductive pair, equal values resolved by the least
+    (vertex, sorted edges, target) key, from the public reductivity and
+    compare; also how many reductive values tied with the best so far."""
+    best, ties = None, 0
+    for alpha, a in candidate_pairs(m):
+        r = reductivity(m, alpha, a, kind, horizon)
+        if not r.is_reductive:
+            continue
+        key = (alpha.vertex, tuple(sorted(alpha.edges)), a)
+        c = Order.GREATER if best is None else compare(r.value, best[0].value)
+        ties += c == Order.EQUAL_AT_HORIZON
+        if c == Order.GREATER or (c == Order.EQUAL_AT_HORIZON and key < best[1]):
+            best = (r, key, IdealPair(alpha, a))
+    return (None if best is None else best[2]), ties
+
+
+def test_reductive_scan_matches_two_pass_definition():
+    instances = list(all_fixtures().values()) + [
+        random_instance(s) for s in range(7000, 7050)]
+    ties = 0
+    # (out, 1) holds the tie-break cases: FIX-R2W, 7020, 7031, 7039, 7043
+    for kind, horizon in (("tot", 4), ("aut", 4), ("out", 1)):
+        for m in instances:
+            R, best = reductive_scan(m, horizon, kind)
+            assert R == {alpha for alpha in enumerate_ideal_edges(m)
+                         if is_reductive_edge(m, alpha.edges, alpha.vertex,
+                                              kind, horizon)}
+            pair, n = _max_pair_by_key(m, kind, horizon)
+            ties += n
+            if pair is None:
+                assert best is None
+                continue
+            assert best[0] == pair
+            assert best[1] == reductivity(m, pair.edge, pair.collapse_target,
+                                          kind, horizon)
+    assert ties > 0
 
 
 def test_minimal_instances_have_no_reductive_pair():

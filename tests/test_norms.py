@@ -137,6 +137,7 @@ def test_vector_arithmetic_and_mismatch():
     assert (u + v).coords == (4, 6)
     assert (v - u).coords == (2, 2)
     assert u.scale(3).coords == (3, 6)
+    assert u.scale(1) is u  # frozen, so the vector itself is returned
     w = NormVector("aut", 2, 2, (1, 2))
     with pytest.raises(ValidationError):
         compare(u, w)

@@ -13,15 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from gwhitehead import cli, starcomplex
+from gwhitehead import cli, moves, selftest, starcomplex
 from gwhitehead.errors import (HypothesisNotMet, PropertyViolation,
                                ValidationError)
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
 from gwhitehead.idealedges import (IdealEdge, enumerate_ideal_edges,
                                    is_ideal_edge, orbit_union)
 from gwhitehead.marking import collapse_marked, marked_isomorphic
-from gwhitehead.moves import blow_up, edge_reductivity, is_reductive_edge
-from gwhitehead.selftest import reduce_to_forest_free
+from gwhitehead.moves import (blow_up, candidate_pairs, edge_reductivity,
+                              is_reductive_edge, max_reductive_pair)
+from gwhitehead.selftest import check_star_retraction, reduce_to_forest_free
 from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
                                     closure_pm, enumerate_ideal_forests,
                                     family, forest_violations, gamma_edge,
@@ -396,19 +397,58 @@ def test_verifier_rejects_a_g_image_other_than_the_new_complex():
     eng.verify("probe", S, _same, _same, S)
 
 
+def _count_scans(monkeypatch):
+    """Count calls of reductive_scan and of its two readers through every
+    module binding, and the reductivity evaluations made inside scans."""
+    calls = dict.fromkeys(("reductive_scan", "reductive_orbits",
+                           "max_reductive_pair", "evaluations"), 0)
+    active = []
+    scan, evaluate = moves.reductive_scan, moves._reductivity
+    for fn in (scan, starcomplex.reductive_orbits, moves.max_reductive_pair):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            active.append(_fn)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                active.pop()
+
+        for mod in (moves, starcomplex, selftest):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+
+    def counted_evaluate(*args, **kwargs):
+        calls["evaluations"] += scan in active
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(moves, "_reductivity", counted_evaluate)
+    return calls
+
+
 def test_run_retractions_computes_reductive_data_once(monkeypatch):
-    calls = {"reductive_orbits": 0, "max_reductive_pair": 0}
-    for name in calls:
-        fn = getattr(starcomplex, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(starcomplex, name, counted)
-    trace = run_retractions(fix_r2w(), HORIZON)
+    m = fix_r2w()
+    n_pairs = len(candidate_pairs(m))
+    calls = _count_scans(monkeypatch)
+    trace = run_retractions(m, HORIZON)
     assert trace.status == "done"
-    assert calls == {"reductive_orbits": 1, "max_reductive_pair": 1}
+    assert calls == {"reductive_scan": 1, "reductive_orbits": 0,
+                     "max_reductive_pair": 0, "evaluations": n_pairs}
+    # the trace records the R and the pair the retraction used
+    assert trace.R == reductive_orbits(m, "tot", HORIZON)
+    assert trace.pair == max_reductive_pair(m, HORIZON)
+    degenerate = run_retractions(fix_r2(), HORIZON)
+    assert (degenerate.status, degenerate.R, degenerate.pair) == (
+        "degenerate", frozenset(), None)
+
+
+def test_family_and_check_star_retraction_scan_once(monkeypatch):
+    m = fix_r2w()
+    calls = _count_scans(monkeypatch)
+    for which in ("R", "C0", "C0p", "C1"):
+        family(m, which, HORIZON)
+    assert calls["reductive_scan"] == 4
+    assert check_star_retraction(m, HORIZON).status == "done"
+    assert calls["reductive_scan"] == 5
 
 
 def test_is_reductive_edge_matches_edge_reductivity():
