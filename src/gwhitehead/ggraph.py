@@ -122,6 +122,31 @@ class GGraph:
         if self.pair_names is None:
             object.__setattr__(
                 self, "pair_names", tuple(f"e{p}" for p in range(self.n_pairs)))
+        # Orbit tables, built once per graph: E_v per vertex as (tuple,
+        # frozenset), the vertex action _vertex_action[g][v], and the memo of
+        # idealedges.translates.  They are plain attributes, not fields, so
+        # equality, hashing, repr and dataclasses.fields/asdict ignore them.
+        # They take the input as it is: validate() reports what is wrong
+        # with it, so building them must not raise.
+        at = [[] for _ in range(self.n_vertices)]
+        for e, v in enumerate(self.term):
+            if 0 <= v < self.n_vertices:
+                at[v].append(e)
+        object.__setattr__(self, "_incidence",
+                           tuple((tuple(es), frozenset(es)) for es in at))
+        # g moves v where it moves the terminal vertex of the first edge at v
+        object.__setattr__(self, "_vertex_action", tuple(
+            tuple(self._image_of_end(perm, es[0]) if es else v
+                  for v, es in enumerate(at))
+            for perm in self.edge_action))
+        object.__setattr__(self, "_translates", {})
+
+    def _image_of_end(self, perm, e):
+        """term[perm[e]], or None where an index is out of range."""
+        try:
+            return self.term[perm[e]]
+        except (IndexError, TypeError):
+            return None
 
     @property
     def n_pairs(self):
@@ -138,8 +163,12 @@ class GGraph:
         return self.term[e] == self.term[rev(e)]
 
     def edges_at(self, v):
-        """E_v: directed edges ending at v."""
-        return tuple(e for e in range(self.n_edges) if self.term[e] == v)
+        """E_v: directed edges ending at v, in increasing order."""
+        return self._incidence[v][0]
+
+    def edge_set_at(self, v):
+        """E_v as a frozenset."""
+        return self._incidence[v][1]
 
     def valence(self, v):
         return len(self.edges_at(v))
@@ -148,10 +177,7 @@ class GGraph:
         return self.edge_action[g][e]
 
     def act_vertex(self, g, v):
-        for e in range(self.n_edges):
-            if self.term[e] == v:
-                return self.term[self.edge_action[g][e]]
-        return v
+        return self._vertex_action[g][v]
 
     def act_edge_set(self, g, edges):
         return frozenset(self.edge_action[g][e] for e in edges)

@@ -42,21 +42,22 @@ def _card_ok(g: GGraph, v, edges):
 def is_ideal_edge(g: GGraph, v, edges) -> bool:
     """Cardinality bounds plus orbit coherence under the vertex stabilizer."""
     edges = frozenset(edges)
-    if not edges <= frozenset(g.edges_at(v)):
+    ev = g.edge_set_at(v)
+    if not edges <= ev:
         return False
     if not _card_ok(g, v, edges):
         return False
     trans = set()
     for x in g.group.elements:
-        img = g.act_edge_set(x, edges)
         if g.act_vertex(x, v) == v:
+            img = g.act_edge_set(x, edges)
             if img != edges and img & edges:
                 return False
             trans.add(img)
     # the blown-up vertex must stay admissible: it keeps the edges not
     # covered by any translate plus one new edge per translate
     covered = frozenset().union(*trans)
-    residual = len(frozenset(g.edges_at(v)) - covered)
+    residual = len(ev - covered)
     need = 2 if v == g.basepoint else 3
     return residual + len(trans) >= need
 
@@ -67,31 +68,35 @@ def stab_set(g: GGraph, edges):
 
 
 def translates(g: GGraph, alpha: IdealEdge):
-    """Distinct translates g*alpha, as IdealEdges, deterministically ordered."""
-    seen = {}
-    for x in g.group.elements:
-        s = g.act_edge_set(x, alpha.edges)
-        v = g.act_vertex(x, alpha.vertex)
-        seen[(v, tuple(sorted(s)))] = IdealEdge(v, s)
-    return [seen[k] for k in sorted(seen)]
+    """Distinct translates g*alpha, as a tuple of IdealEdges sorted by key.
+
+    Memoised on the graph; every translate of alpha has the same tuple, so
+    a miss fills the entries of the whole orbit.
+    """
+    out = g._translates.get(alpha)
+    if out is None:
+        seen = {}
+        for x in g.group.elements:
+            s = g.act_edge_set(x, alpha.edges)
+            seen[(g.act_vertex(x, alpha.vertex), tuple(sorted(s)))] = s
+        out = tuple(IdealEdge(v, s) for (v, _), s in sorted(seen.items()))
+        g._translates.update(dict.fromkeys(out, out))
+    return out
 
 
 def orbit_union(g: GGraph, alpha: IdealEdge):
     """All directed edges covered by some translate of alpha."""
-    out = set()
-    for t in translates(g, alpha):
-        out |= t.edges
-    return frozenset(out)
+    return frozenset().union(*(t.edges for t in translates(g, alpha)))
 
 
 def orbit_key(g: GGraph, alpha: IdealEdge):
     """Canonical representative key of the orbit of alpha."""
-    return min(t.key() for t in translates(g, alpha))
+    return translates(g, alpha)[0].key()
 
 
 def canonical_rep(g: GGraph, alpha: IdealEdge) -> IdealEdge:
-    v, edges = orbit_key(g, alpha)
-    return IdealEdge(v, frozenset(edges))
+    """The translate of alpha with the least key."""
+    return translates(g, alpha)[0]
 
 
 def enumerate_ideal_edges(m: MarkedGGraph):
@@ -101,10 +106,10 @@ def enumerate_ideal_edges(m: MarkedGGraph):
     for v in range(g.n_vertices):
         ev = g.edges_at(v)
         for r in range(2, len(ev) + 1):
-            for combo in itertools.combinations(sorted(ev), r):
+            for combo in itertools.combinations(ev, r):
                 if is_ideal_edge(g, v, combo):
-                    alpha = IdealEdge(v, frozenset(combo))
-                    reps[orbit_key(g, alpha)] = canonical_rep(g, alpha)
+                    rep = canonical_rep(g, IdealEdge(v, frozenset(combo)))
+                    reps[rep.key()] = rep
     return [reps[k] for k in sorted(reps)]
 
 
@@ -124,7 +129,7 @@ def is_invertible(g: GGraph, alpha: IdealEdge):
 
     Returns (flag, inverse IdealEdge or None).
     """
-    comp = frozenset(g.edges_at(alpha.vertex)) - alpha.edges
+    comp = g.edge_set_at(alpha.vertex) - alpha.edges
     if not is_ideal_edge(g, alpha.vertex, comp):
         return False, None
     if comp <= orbit_union(g, alpha):

@@ -138,22 +138,30 @@ def reductivity(m: MarkedGGraph, alpha: IdealEdge, a: int, kind, horizon) -> Red
     """[G:stab(alpha)] * (|a| - |alpha|), truncated at the horizon."""
     if a not in d_set(m, alpha):
         raise HypothesisNotMet("collapse edge is not in D(alpha)")
-    return _reductivity(m, alpha, a, kind, horizon)
+    return next(_reductivities(m, alpha, (a,), kind, horizon))
 
 
-def _reductivity(m, alpha, a, kind, horizon):
-    """reductivity without its check, for callers that took a from D(alpha)."""
+def _reductivities(m, alpha, targets, kind, horizon):
+    """The reductivity of each target in turn, for callers that took the
+    targets from D(alpha).
+
+    |alpha| and [G:stab(alpha)] are computed once, when the first value is
+    asked for, so a caller that stops early (any) evaluates no more.
+    """
+    if not targets:
+        return
     calc = calculator(m, horizon)
     idx = m.graph.group.order // len(stab_set(m.graph, alpha.edges))
-    value = (calc.edge_abs(a, kind) - calc.set_abs(alpha.edges, kind)).scale(idx)
-    return Reductivity(kind, value)
+    alpha_abs = calc.set_abs(alpha.edges, kind)
+    for a in targets:
+        yield Reductivity(kind, (calc.edge_abs(a, kind) - alpha_abs).scale(idx))
 
 
 def edge_reductivity(m, alpha, kind, horizon):
     """Max reductivity over collapse targets; None when D(alpha) is empty."""
     best = None
-    for a in sorted(d_set(m, alpha)):
-        r = _reductivity(m, alpha, a, kind, horizon)
+    targets = sorted(d_set(m, alpha))
+    for a, r in zip(targets, _reductivities(m, alpha, targets, kind, horizon)):
         if best is None or compare(r.value, best[0].value) == Order.GREATER:
             best = (r, a)
     return best
@@ -168,8 +176,8 @@ def is_reductive_edge(m, edges, vertex, kind, horizon):
     if not is_ideal_edge(m.graph, vertex, edges):
         return False
     alpha = IdealEdge(vertex, frozenset(edges))
-    return any(_reductivity(m, alpha, a, kind, horizon).is_reductive
-               for a in d_set(m, alpha))
+    return any(r.is_reductive for r in
+               _reductivities(m, alpha, d_set(m, alpha), kind, horizon))
 
 
 def candidate_pairs(m: MarkedGGraph):
@@ -187,16 +195,18 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
     the reductivity-maximizing pair: lexicographic comparison at the
     horizon, equal values resolved by the least (vertex, sorted edges,
     collapse target) key so runs are reproducible.  The pairs come in
-    increasing key order, so the first of equal values is kept.
+    increasing key order, as in candidate_pairs, so the first of equal
+    values is kept.  |alpha| is computed once per orbit rep.
     """
     R, best = set(), None
-    for alpha, a in candidate_pairs(m):
-        r = _reductivity(m, alpha, a, kind, horizon)
-        if not r.is_reductive:
-            continue
-        R.add(alpha)
-        if best is None or compare(r.value, best[1].value) == Order.GREATER:
-            best = (IdealPair(alpha, a), r)
+    for alpha in enumerate_ideal_edges(m):
+        targets = sorted(d_set(m, alpha))
+        for a, r in zip(targets, _reductivities(m, alpha, targets, kind, horizon)):
+            if not r.is_reductive:
+                continue
+            R.add(alpha)
+            if best is None or compare(r.value, best[1].value) == Order.GREATER:
+                best = (IdealPair(alpha, a), r)
     return frozenset(R), best
 
 

@@ -497,7 +497,7 @@ class _Engine:
         target = C0pm
         if not gamma_ok:
             # the incompatible non-invertible edge must be E_* - {mhat}
-            comp = frozenset(g.edges_at(g.basepoint)) - gamma.edges
+            comp = g.edge_set_at(g.basepoint) - gamma.edges
             if comp != frozenset({mhat}):
                 raise PropertyViolation(
                     "the non-invertible full-stabilizer edge is incompatible "
@@ -544,7 +544,7 @@ class _Engine:
                 self.check_claim(C, targets, [alpha0], pre=True, stage=stage)
                 C = self.eliminate(C, targets, [alpha0], stage)
                 continue
-            local = Gmu & frozenset(g.edges_at(alpha.vertex))
+            local = Gmu & g.edge_set_at(alpha.vertex)
             alpha0 = self.choose(
                 alpha, [alpha.edges | e for e in [local] + mu_ts], mu)
             if alpha0 is None:

@@ -78,6 +78,30 @@ def all_subgroups(group):
     return set(out)
 
 
+def scan_edges_at(g, v):
+    """E_v by a scan of every directed edge."""
+    return tuple(e for e in range(g.n_edges) if g.term[e] == v)
+
+
+def scan_act_vertex(g, x, v):
+    """x.v: the image of the terminal vertex of the first edge ending at v."""
+    for e in range(g.n_edges):
+        if g.term[e] == v:
+            return g.term[g.edge_action[x][e]]
+    return v
+
+
+def scan_translates(g, vertex, edges):
+    """(vertex, edge frozenset) of each distinct translate of (vertex, edges),
+    sorted by (vertex, sorted edges), from a loop over the group."""
+    seen = {}
+    for x in g.group.elements:
+        s = frozenset(g.edge_action[x][e] for e in edges)
+        v = scan_act_vertex(g, x, vertex)
+        seen[(v, tuple(sorted(s)))] = (v, s)
+    return [seen[k] for k in sorted(seen)]
+
+
 def path_occurrences(steps, e):
     return sum(1 for s in steps if s == e)
 

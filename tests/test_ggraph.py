@@ -1,13 +1,50 @@
 """Groups, graph actions, orbits/stabilizers, forests and collapses."""
 
+import dataclasses
+import itertools
+
 import pytest
 
-from gwhitehead.fixtures import fix_r2_swap, fix_theta
+from gwhitehead.fixtures import (all_fixtures, fix_r2_swap, fix_theta,
+                                 random_instance)
 from gwhitehead.ggraph import (GGraph, Group, collapse, invariant_forests,
                                is_reduced, maximal_invariant_forest,
                                pair_orbits, rev)
+from gwhitehead.idealedges import (IdealEdge, canonical_rep,
+                                   enumerate_ideal_edges, orbit_key,
+                                   orbit_union, translates)
+from gwhitehead.marking import MarkedGGraph
+from gwhitehead.moves import blow_up
 
 import oracles
+
+# the elements of Group.symmetric3, in order, as permutations of {0, 1, 2}
+S3_PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+
+
+def _s3_graph(n_vertices, term, blocks):
+    """S_3 permuting the edge pairs of each block as it permutes {0, 1, 2}."""
+    action = []
+    for p in S3_PERMS:
+        perm = list(range(len(term)))
+        for block in blocks:
+            for i, pair in enumerate(block):
+                for d in (0, 1):
+                    perm[2 * pair + d] = 2 * block[p[i]] + d
+        action.append(tuple(perm))
+    return GGraph(n_vertices, 0, term, Group.symmetric3(), tuple(action))
+
+
+def s3_theta():
+    """Three edges * -> v, permuted by S_3; the vertices are fixed."""
+    return MarkedGGraph(_s3_graph(2, (1, 0) * 3, [(0, 1, 2)]), ((0, 3), (0, 5)))
+
+
+def s3_tripod():
+    """* joined to v_i by a_i, with a loop l_i at v_i; S_3 permutes the v_i."""
+    term = (1, 0, 2, 0, 3, 0, 1, 1, 2, 2, 3, 3)
+    g = _s3_graph(4, term, [(0, 1, 2), (3, 4, 5)])
+    return MarkedGGraph(g, tuple((2 * i, 2 * (3 + i), 2 * i + 1) for i in range(3)))
 
 
 def test_rev_is_an_involution_pairing():
@@ -119,3 +156,94 @@ def test_invariant_forests_are_acyclic_orbit_unions():
 
 def test_rose_is_reduced():
     assert is_reduced(fix_r2_swap().graph)
+
+
+def test_s3_graphs_are_valid():
+    for m in (s3_theta(), s3_tripod()):
+        assert not m.validate()
+    g = s3_tripod().graph
+    # the 3-cycle r moves v_0 to v_1, the transposition s fixes v_2
+    assert g.act_vertex(1, 1) == 2 and g.act_vertex(3, 3) == 3
+
+
+def _table_graphs():
+    """The fixtures, random_instance(7000..7049) and the S_3 graphs, the
+    blow-up of each of their ideal edge orbits, and the collapse of every
+    invariant forest of all of these."""
+    marked = (list(all_fixtures().values())
+              + [random_instance(s) for s in range(7000, 7050)]
+              + [s3_theta(), s3_tripod()])
+    graphs = []
+    for m in marked:
+        graphs.append(m.graph)
+        graphs.extend(blow_up(m, alpha)[0].graph for alpha in enumerate_ideal_edges(m))
+    return graphs + [collapse(g, f)[0] for g in graphs for f in invariant_forests(g)]
+
+
+def test_orbit_tables_match_scans():
+    for g in _table_graphs():
+        for v in range(g.n_vertices):
+            ev = oracles.scan_edges_at(g, v)
+            assert g.edges_at(v) == ev
+            assert g.edge_set_at(v) == frozenset(ev)
+            assert g.valence(v) == len(ev)
+            for x in g.group.elements:
+                assert g.act_vertex(x, v) == oracles.scan_act_vertex(g, x, v)
+            for r in range(1, len(ev) + 1):
+                for edges in itertools.combinations(ev, r):
+                    want = oracles.scan_translates(g, v, edges)
+                    alpha = IdealEdge(v, frozenset(edges))
+                    # the first call fills the memo (or finds it filled by an
+                    # earlier translate); the second reads it
+                    for _ in range(2):
+                        got = translates(g, alpha)
+                        assert type(got) is tuple
+                        assert [(t.vertex, t.edges) for t in got] == want
+                    least = IdealEdge(*want[0])
+                    assert canonical_rep(g, alpha) == least
+                    assert orbit_key(g, alpha) == least.key()
+                    assert orbit_union(g, alpha) == frozenset().union(
+                        *(s for _, s in want))
+
+
+THETA_REPR = (
+    "GGraph(n_vertices=2, basepoint=0, term=(1, 0, 1, 0, 1, 0), "
+    "group=Group(mult=((0, 1), (1, 0)), names=('1', 't')), "
+    "edge_action=((0, 1, 2, 3, 4, 5), (0, 1, 4, 5, 2, 3)), "
+    "vertex_names=('*', 'v'), pair_names=('e1', 'e2', 'e3'))")
+
+
+def test_orbit_tables_leave_equality_hash_and_repr_alone():
+    m = fix_theta()
+    g1 = m.graph
+    g2 = GGraph(g1.n_vertices, g1.basepoint, g1.term, g1.group,
+                g1.edge_action, g1.vertex_names, g1.pair_names)
+    enumerate_ideal_edges(m)
+    assert g1._translates and not g2._translates
+    assert g1 == g2 and hash(g1) == hash(g2) and g2 in {g1}
+    assert repr(g1) == repr(g2) == THETA_REPR
+    assert dataclasses.asdict(g1) == dataclasses.asdict(g2)
+    fields = dataclasses.fields(GGraph)
+    assert [f.name for f in fields] == [
+        "n_vertices", "basepoint", "term", "group", "edge_action",
+        "vertex_names", "pair_names"]
+    assert all(f.init and f.repr and f.compare for f in fields)
+    assert [f.default for f in fields[5:]] == [None, None]
+
+
+def test_validate_reports_bad_incidence_after_building_the_tables():
+    # edges e2 and e3 end at vertices 7 and -1, which do not exist
+    g = GGraph(2, 0, (1, 0, 1, 0, 7, 0, -1, 0), Group.trivial(), (tuple(range(8)),))
+    assert g.validate() == [
+        "edge e2 has an unknown terminal vertex",
+        "edge e3 has an unknown terminal vertex",
+        "vertex v1: valence 2 (non-basepoint valence must be >= 3)"]
+    # t swaps e0 (* -> v) with the loop e2 at *, so it cannot move v anywhere
+    g = GGraph(2, 0, (1, 0, 1, 0, 0, 0), Group.cyclic(2),
+               ((0, 1, 2, 3, 4, 5), (4, 5, 2, 3, 0, 1)))
+    assert g.validate() == [
+        "action of t is inconsistent on vertices (witness vertex v1)",
+        "vertex v1: valence 2 (non-basepoint valence must be >= 3)"]
+    # an action row that is too short or leaves the edges still builds
+    for action in (((0, 1),), ((0, 1, 2, 9),)):
+        GGraph(1, 0, (0, 0, 0, 0), Group.trivial(), action)

@@ -22,6 +22,7 @@ from gwhitehead.idealedges import (IdealEdge, enumerate_ideal_edges,
 from gwhitehead.marking import collapse_marked, marked_isomorphic
 from gwhitehead.moves import (blow_up, candidate_pairs, edge_reductivity,
                               is_reductive_edge, max_reductive_pair)
+from gwhitehead.norms import NormCalculator
 from gwhitehead.selftest import check_star_retraction, reduce_to_forest_free
 from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
                                     closure_pm, enumerate_ideal_forests,
@@ -399,11 +400,13 @@ def test_verifier_rejects_a_g_image_other_than_the_new_complex():
 
 def _count_scans(monkeypatch):
     """Count calls of reductive_scan and of its two readers through every
-    module binding, and the reductivity evaluations made inside scans."""
+    module binding, and the norm-kernel calls made inside scans: the edge
+    sets given to set_abs, and the number of edge_abs calls."""
     calls = dict.fromkeys(("reductive_scan", "reductive_orbits",
-                           "max_reductive_pair", "evaluations"), 0)
+                           "max_reductive_pair", "edge_abs"), 0)
+    calls["set_abs"] = []
     active = []
-    scan, evaluate = moves.reductive_scan, moves._reductivity
+    scan = moves.reductive_scan
     for fn in (scan, starcomplex.reductive_orbits, moves.max_reductive_pair):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
@@ -417,22 +420,33 @@ def _count_scans(monkeypatch):
             if getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counted)
 
-    def counted_evaluate(*args, **kwargs):
-        calls["evaluations"] += scan in active
-        return evaluate(*args, **kwargs)
+    set_abs, edge_abs = NormCalculator.set_abs, NormCalculator.edge_abs
 
-    monkeypatch.setattr(moves, "_reductivity", counted_evaluate)
+    def counted_set_abs(self, C, kind):
+        if scan in active:
+            calls["set_abs"].append(C)
+        return set_abs(self, C, kind)
+
+    def counted_edge_abs(self, e, kind):
+        calls["edge_abs"] += scan in active
+        return edge_abs(self, e, kind)
+
+    monkeypatch.setattr(NormCalculator, "set_abs", counted_set_abs)
+    monkeypatch.setattr(NormCalculator, "edge_abs", counted_edge_abs)
     return calls
 
 
 def test_run_retractions_computes_reductive_data_once(monkeypatch):
     m = fix_r2w()
-    n_pairs = len(candidate_pairs(m))
+    pairs = candidate_pairs(m)
+    alphas = list(dict.fromkeys(alpha.edges for alpha, _ in pairs))
     calls = _count_scans(monkeypatch)
     trace = run_retractions(m, HORIZON)
     assert trace.status == "done"
+    # one |alpha| per alpha with D(alpha) nonempty, one |a| per pair
     assert calls == {"reductive_scan": 1, "reductive_orbits": 0,
-                     "max_reductive_pair": 0, "evaluations": n_pairs}
+                     "max_reductive_pair": 0, "set_abs": alphas,
+                     "edge_abs": len(pairs)}
     # the trace records the R and the pair the retraction used
     assert trace.R == reductive_orbits(m, "tot", HORIZON)
     assert trace.pair == max_reductive_pair(m, HORIZON)
