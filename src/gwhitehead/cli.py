@@ -49,6 +49,11 @@ def _perm_compose(p, q):
 
 def parse(text: str) -> MarkedGGraph:
     """Parse an instance file; raises ParseError with a position."""
+    return _parse(text)[0]
+
+
+def _parse(text):
+    """(marked graph, warnings) for an instance file."""
     section = None
     basepoint = None
     vertices = []
@@ -214,9 +219,7 @@ def parse(text: str) -> MarkedGGraph:
     g = GGraph(len(vertices), vid[basepoint], tuple(term), group,
                tuple(elements), tuple(vertices),
                tuple(name for name, _, _ in edges))
-    m = MarkedGGraph(g, tuple(paths))
-    object.__setattr__(m, "warnings", warnings)
-    return m
+    return MarkedGGraph(g, tuple(paths)), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +317,8 @@ def poset_dot(forests) -> str:
 
 def _load(path):
     with open(path, encoding="utf-8") as fh:
-        m = parse(fh.read())
-    for w in getattr(m, "warnings", []):
+        m, warnings = _parse(fh.read())
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return m
 

@@ -89,14 +89,19 @@ def orbit_union(g: GGraph, alpha: IdealEdge):
     return frozenset().union(*(t.edges for t in translates(g, alpha)))
 
 
-def orbit_key(g: GGraph, alpha: IdealEdge):
-    """Canonical representative key of the orbit of alpha."""
-    return translates(g, alpha)[0].key()
-
-
 def canonical_rep(g: GGraph, alpha: IdealEdge) -> IdealEdge:
     """The translate of alpha with the least key."""
     return translates(g, alpha)[0]
+
+
+def translate_at(g: GGraph, alpha: IdealEdge, v):
+    """The translate of alpha at vertex v with the least key, or None."""
+    return next((t for t in translates(g, alpha) if t.vertex == v), None)
+
+
+def translate_through(g: GGraph, alpha: IdealEdge, e):
+    """The translate of alpha containing directed edge e, or None."""
+    return next((t for t in translates(g, alpha) if e in t.edges), None)
 
 
 def enumerate_ideal_edges(m: MarkedGGraph):
@@ -137,6 +142,13 @@ def is_invertible(g: GGraph, alpha: IdealEdge):
     return True, IdealEdge(alpha.vertex, comp)
 
 
+def inverse_orbit(g: GGraph, alpha: IdealEdge):
+    """The canonical rep of the inverse orbit of alpha, or None when alpha
+    is not invertible."""
+    inv, ainv = is_invertible(g, alpha)
+    return canonical_rep(g, ainv) if inv else None
+
+
 def _orbit_contained(g, A, B):
     """Every translate of A is contained in some translate of B."""
     tb = translates(g, B)
@@ -148,11 +160,8 @@ def _orbit_contained(g, A, B):
 
 def _is_inverse_orbit(g, alpha, beta):
     """Whether one orbit is the inverse of the other (symmetric)."""
-    inv_a, ainv = is_invertible(g, alpha)
-    if inv_a and orbit_key(g, ainv) == orbit_key(g, beta):
-        return True
-    inv_b, binv = is_invertible(g, beta)
-    return inv_b and orbit_key(g, binv) == orbit_key(g, alpha)
+    return (inverse_orbit(g, alpha) == canonical_rep(g, beta)
+            or inverse_orbit(g, beta) == canonical_rep(g, alpha))
 
 
 def compatible(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> bool:
@@ -174,13 +183,11 @@ def pre_compatible(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> bool:
     """Compatible, or one is invertible with its inverse inside the other."""
     if compatible(g, alpha, beta):
         return True
-    inv_a, ainv = is_invertible(g, alpha)
-    if inv_a and _orbit_contained(g, ainv, beta):
+    ainv = inverse_orbit(g, alpha)
+    if ainv is not None and _orbit_contained(g, ainv, beta):
         return True
-    inv_b, binv = is_invertible(g, beta)
-    if inv_b and _orbit_contained(g, binv, alpha):
-        return True
-    return False
+    binv = inverse_orbit(g, beta)
+    return binv is not None and _orbit_contained(g, binv, alpha)
 
 
 @dataclass(frozen=True)
@@ -198,11 +205,7 @@ def crossing(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> Crossing:
     beta is first translated to the vertex of alpha; if no translate lives
     there the edges never cross (N = 0).
     """
-    beta_t = None
-    for t in translates(g, beta):
-        if t.vertex == alpha.vertex:
-            beta_t = t
-            break
+    beta_t = translate_at(g, beta, alpha.vertex)
     if beta_t is None:
         return Crossing(0, (), ())
     P = stab_set(g, alpha.edges)

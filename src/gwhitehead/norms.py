@@ -265,17 +265,5 @@ def calculator(m: MarkedGGraph, horizon: int) -> NormCalculator:
     return NormCalculator(m, horizon)
 
 
-def edge_abs(m, e, kind, horizon) -> NormVector:
-    return calculator(m, horizon).edge_abs(e, kind)
-
-
-def dot(m, A, B, kind, horizon) -> NormVector:
-    return calculator(m, horizon).dot(A, B, kind)
-
-
-def set_abs(m, C, kind, horizon) -> NormVector:
-    return calculator(m, horizon).set_abs(C, kind)
-
-
 def norm(m, kind, horizon) -> NormVector:
     return calculator(m, horizon).norm(kind)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .errors import PropertyViolation
 from .fixtures import all_fixtures, random_instance
 from .ggraph import is_reduced, maximal_invariant_forest
-from .idealedges import (canonical_rep, crossing, d_set, enumerate_ideal_edges,
-                         is_invertible, orbit_union, stab_set, translates)
+from .idealedges import (crossing, d_set, enumerate_ideal_edges, is_invertible,
+                         orbit_union, stab_set, translate_at, translate_through)
 from .marking import collapse_marked
 from .moves import blow_up, is_reductive_edge, max_reductive_pair, whitehead
 from .norms import KINDS, calculator
@@ -169,10 +169,9 @@ def _cohabiting_pairs(m):
     g = m.graph
     reps = enumerate_ideal_edges(m)
     for alpha, beta in itertools.permutations(reps, 2):
-        for t in translates(g, beta):
-            if t.vertex == alpha.vertex:
-                yield alpha, t
-                break
+        t = translate_at(g, beta, alpha.vertex)
+        if t is not None:
+            yield alpha, t
 
 
 def check_crossing_inequalities(m, horizon):
@@ -215,27 +214,24 @@ def check_crossing_inequalities(m, horizon):
     return checked
 
 
-def check_pushing_lemma(m, horizon, kind="aut"):
+def check_pushing_lemma(m, horizon):
     """Either both mu-alpha and alpha-mu, or both alpha u Pmu and
-    alpha n mu, are reductive (for reductive alpha containing m crossing
-    mu simply)."""
+    alpha n mu, are aut-reductive (for aut-reductive alpha containing m
+    crossing mu simply)."""
     g = m.graph
+    kind = "aut"
     pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
         return 0
     mu, mhat = pair.edge, pair.collapse_target
     checked = 0
     for alpha in enumerate_ideal_edges(m):
-        t = None
-        for tr in translates(g, alpha):
-            if mhat in tr.edges:
-                t = tr
-                break
+        t = translate_through(g, alpha, mhat)
         if t is None or t.vertex != mu.vertex:
             continue
-        if orbit_union(g, t) == orbit_union(g, mu):
+        if orbit_union(g, alpha) == orbit_union(g, mu):
             continue
-        if crossing(g, canonical_rep(g, t), mu).number != 1:
+        if crossing(g, alpha, mu).number != 1:
             continue
         if not is_reductive_edge(m, t.edges, t.vertex, kind, horizon):
             continue
@@ -255,9 +251,10 @@ def check_pushing_lemma(m, horizon, kind="aut"):
     return checked
 
 
-def check_shrinking_lemma(m, horizon, kind="aut"):
-    """beta or one of the m-free intersection components is reductive."""
+def check_shrinking_lemma(m, horizon):
+    """beta or one of the m-free intersection components is aut-reductive."""
     g = m.graph
+    kind = "aut"
     pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
         return 0
@@ -265,28 +262,24 @@ def check_shrinking_lemma(m, horizon, kind="aut"):
     m_orbit = g.orbit_edge(mhat)
     checked = 0
     for alpha in enumerate_ideal_edges(m):
-        for t in translates(g, alpha):
-            if t.vertex == mu.vertex:
-                break
-        else:
+        if translate_at(g, alpha, mu.vertex) is None:
             continue
-        if orbit_union(g, t) == orbit_union(g, mu):
+        if orbit_union(g, alpha) == orbit_union(g, mu):
             continue
-        cr = crossing(g, canonical_rep(g, t), mu)
+        cr = crossing(g, alpha, mu)
         if cr.number == 0:
             continue
-        rep = canonical_rep(g, t)
         # the source proof assumes alpha itself is reductive
-        if not is_reductive_edge(m, rep.edges, rep.vertex, kind, horizon):
+        if not is_reductive_edge(m, alpha.edges, alpha.vertex, kind, horizon):
             continue
         no_m = [c for c in cr.components if not (c & m_orbit)]
-        beta = rep.edges - (frozenset().union(*no_m) if no_m else frozenset())
+        beta = alpha.edges - (frozenset().union(*no_m) if no_m else frozenset())
         candidates = list(no_m) + [beta]
-        if not any(is_reductive_edge(m, c, rep.vertex, kind, horizon)
+        if not any(is_reductive_edge(m, c, alpha.vertex, kind, horizon)
                    for c in candidates if c):
             raise PropertyViolation(
                 f"shrinking lemma fails ({kind}): mu={mu.key()} "
-                f"alpha={rep.key()}")
+                f"alpha={alpha.key()}")
         checked += 1
     return checked
 

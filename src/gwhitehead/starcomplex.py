@@ -23,10 +23,11 @@ from fractions import Fraction
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import is_reduced
 from .idealedges import (IdealEdge, IdealPair, canonical_rep, compatible,
-                         crossing, is_invertible, orbit_key, orbit_union,
-                         pre_compatible, stab_set, translates)
+                         crossing, inverse_orbit, is_invertible, orbit_union,
+                         pre_compatible, stab_set, translate_at,
+                         translate_through, translates)
 from .marking import MarkedGGraph
-from .moves import is_reductive_edge, reductive_scan
+from .moves import reductive_scan
 
 MAX_FORESTS = 20000
 
@@ -63,7 +64,7 @@ def forest_violations(m, orbits):
         return ["the empty forest is excluded"]
     bad = []
     for a in orbits:
-        if orbit_key(g, a) != a.key():
+        if canonical_rep(g, a) != a:
             bad.append(f"{a.key()} is not a canonical orbit representative")
     phi1 = [a for a in orbits if a.vertex == g.basepoint]
     phi2 = [a for a in orbits if a.vertex != g.basepoint]
@@ -73,10 +74,9 @@ def forest_violations(m, orbits):
     for a, b in itertools.combinations(phi2, 2):
         if not pre_compatible(g, a, b):
             bad.append(f"orbits {a.key()} and {b.key()} not pre-compatible")
-    keys2 = {a.key() for a in phi2}
     for a in phi2:
-        inv, ainv = is_invertible(g, a)
-        if inv and orbit_key(g, ainv) not in keys2:
+        ainv = inverse_orbit(g, a)
+        if ainv is not None and ainv not in phi2:
             bad.append(f"inverse of invertible orbit {a.key()} missing")
     return bad
 
@@ -211,14 +211,8 @@ def reductive_orbits(m, kind, horizon):
 def closure_pm(m, C):
     """Adjoin the inverses of the invertible elements away from the basepoint."""
     g = m.graph
-    out = set(C)
-    for a in C:
-        if a.vertex == g.basepoint:
-            continue
-        inv, ainv = is_invertible(g, a)
-        if inv:
-            out.add(canonical_rep(g, ainv))
-    return frozenset(out)
+    invs = {inverse_orbit(g, a) for a in C if a.vertex != g.basepoint}
+    return frozenset(C) | (invs - {None})
 
 
 def gamma_edge(m, R):
@@ -255,9 +249,9 @@ def nested_families(g, R, mu, mhat):
     return C0, C0p, C1
 
 
-def family(m, which, horizon, kind="tot"):
+def family(m, which, horizon):
     """R, C0, C0p (C0'), or C1, as a frozenset of canonical orbit reps."""
-    R, best = reductive_scan(m, horizon, kind)
+    R, best = reductive_scan(m, horizon)
     if which == "R":
         return R
     if best is None:
@@ -300,11 +294,13 @@ class RetractionTrace:
 
 
 class _Engine:
-    def __init__(self, m, horizon, kind, homology):
+    """The retraction of S(R); an orbit is reductive when its canonical rep
+    is in R."""
+
+    def __init__(self, m, R, homology):
         self.m = m
         self.g = m.graph
-        self.horizon = horizon
-        self.kind = kind
+        self.R = R
         self.homology = homology
         self.steps = []
 
@@ -319,26 +315,18 @@ class _Engine:
         K = order_complex(forests, lambda a, b: a <= b)
         return reduced_homology(K)
 
-    def rep_with(self, alpha, e):
-        """The translate of alpha containing directed edge e (or None)."""
-        for t in translates(self.g, alpha):
-            if e in t.edges:
-                return t
-        return None
-
     def choose(self, alpha, candidates, mu):
         """The canonical rep of the first candidate edge set at alpha's vertex
         that differs from alpha, is reductive and is compatible with mu."""
         for cand in candidates:
-            if cand == alpha.edges or not is_reductive_edge(
-                    self.m, cand, alpha.vertex, self.kind, self.horizon):
+            if cand == alpha.edges:
                 continue
             a0 = canonical_rep(self.g, IdealEdge(alpha.vertex, frozenset(cand)))
-            if compatible(self.g, a0, mu):
+            if a0 in self.R and compatible(self.g, a0, mu):
                 return a0
         return None
 
-    def check_claim(self, C, alphas, alpha0s, pre=False, stage=""):
+    def check_claim(self, C, alphas, alpha0s, stage, pre):
         """Compatibility transfer: beta ~ alpha implies beta ~ alpha0."""
         g = self.g
         rel = pre_compatible if pre else compatible
@@ -395,9 +383,11 @@ class _Engine:
                 f"[{stage}] g(f(S(C))) != S(C - eliminated): "
                 f"{sorted(x.key() for x in got ^ want)[:3]} ...")
 
-    def eliminate(self, C, targets, alpha0s, stage):
+    def eliminate(self, C, targets, alpha0s, stage, pre=False):
         """One Poset-Lemma double step: f adds alpha0s to forests meeting
-        targets, g strips targets.  Returns the new family."""
+        targets, g strips targets.  Checks compatibility transfer first
+        (pre-compatibility when pre).  Returns the new family."""
+        self.check_claim(C, targets, alpha0s, stage, pre)
         targets, alpha0s = frozenset(targets), frozenset(alpha0s)
         before = self.forests(C)
         newC = C - targets
@@ -452,7 +442,6 @@ class _Engine:
                     "Shrinking Lemma is compatible with the maximal edge")
             targets = closure_pm(self.m, {alpha}) & C
             alpha0s = closure_pm(self.m, {alpha0})
-            self.check_claim(C, targets, alpha0s, stage=stage)
             C = self.eliminate(C, targets, alpha0s, stage)
         return C
 
@@ -464,15 +453,14 @@ class _Engine:
         while rest := C - target:
             pool = []
             for a in rest:
-                t = self.rep_with(a, mhat)
+                t = translate_through(g, a, mhat)
                 if t is None:
                     raise PropertyViolation(
                         f"[{stage}] {a.key()} does not contain the maximal "
                         "collapse edge in any translate")
                 pool.append(t)
             alpha = self.select_min(pool, Gmu)
-            mu_t = next((t for t in translates(g, mu)
-                         if t.vertex == alpha.vertex), None)
+            mu_t = translate_at(g, mu, alpha.vertex)
             candidates = []
             if mu_t is not None:
                 candidates = [alpha.edges & mu_t.edges, alpha.edges - mu_t.edges]
@@ -483,7 +471,6 @@ class _Engine:
                     f"ideal edge inside {alpha.key()} compatible with the "
                     "maximal edge")
             targets = closure_pm(self.m, {canonical_rep(g, alpha)}) & C
-            self.check_claim(C, targets, [alpha0], stage=stage)
             C = self.eliminate(C, targets, [alpha0], stage)
         return C
 
@@ -492,7 +479,7 @@ class _Engine:
     def stage_final(self, C, C0pm, mu, mhat, gamma, stage):
         g = self.g
         Gmu = orbit_union(g, mu)
-        mu_inv_flag, mu_inv = is_invertible(g, mu)
+        mu_inv = inverse_orbit(g, mu)
         gamma_ok = gamma is None or compatible(g, gamma, mu)
         target = C0pm
         if not gamma_ok:
@@ -503,29 +490,26 @@ class _Engine:
                     "the non-invertible full-stabilizer edge is incompatible "
                     "with the maximal edge but its complement is not the "
                     "maximal collapse edge")
-            if not mu_inv_flag:
+            if mu_inv is None:
                 raise PropertyViolation(
                     "incompatible full-stabilizer edge with a non-invertible "
                     "maximal edge")
             target = C0pm | {gamma}
         while rest := C - target:
-            pool = [self.rep_with(a, mhat) or a for a in rest]
+            pool = [translate_through(g, a, mhat) or a for a in rest]
             alpha = self.select_max(pool, Gmu)
             acan = canonical_rep(g, alpha)
-            inv_a, a_inv = is_invertible(g, alpha)
-            if not inv_a:
+            a_inv_can = inverse_orbit(g, alpha)
+            if a_inv_can is None:
                 raise PropertyViolation(
                     f"[{stage}] leftover edge {alpha.key()} is not invertible")
-            a_inv_can = canonical_rep(g, a_inv)
 
             if compatible(g, a_inv_can, mu):
                 # replace alpha by its inverse, which lies in C0
-                if not is_reductive_edge(self.m, a_inv.edges, a_inv.vertex,
-                                         self.kind, self.horizon):
+                if a_inv_can not in self.R:
                     raise PropertyViolation(
                         f"[{stage}] the inverse of {alpha.key()} is compatible "
                         "with the maximal edge but not reductive")
-                self.check_claim(C, [acan], [a_inv_can], stage=stage)
                 C = self.eliminate(C, [acan], [a_inv_can], stage)
                 continue
             if mhat not in alpha.edges:
@@ -541,8 +525,7 @@ class _Engine:
             if alpha0 is not None:
                 # both orientations of alpha are replaced by alpha0 at once
                 targets = [acan] + ([a_inv_can] if a_inv_can in C else [])
-                self.check_claim(C, targets, [alpha0], pre=True, stage=stage)
-                C = self.eliminate(C, targets, [alpha0], stage)
+                C = self.eliminate(C, targets, [alpha0], stage, pre=True)
                 continue
             local = Gmu & g.edge_set_at(alpha.vertex)
             alpha0 = self.choose(
@@ -551,33 +534,25 @@ class _Engine:
                 raise PropertyViolation(
                     f"[{stage}] the Pushing Lemma produced no usable reductive "
                     f"ideal edge for {alpha.key()}")
-            inv0, alpha0_inv = is_invertible(g, alpha0)
-            if not inv0:
+            alpha0_inv_can = inverse_orbit(g, alpha0)
+            if alpha0_inv_can is None:
                 raise PropertyViolation(
                     f"[{stage}] the union edge {alpha0.key()} is not "
                     "invertible")
-            alpha0_inv_can = canonical_rep(g, alpha0_inv)
-            if not is_reductive_edge(self.m, alpha0_inv.edges,
-                                     alpha0_inv.vertex, self.kind,
-                                     self.horizon):
+            if alpha0_inv_can not in self.R:
                 raise PropertyViolation(
                     f"[{stage}] the inverse of the union edge "
                     f"{alpha0.key()} is not reductive")
             if a_inv_can in C:
-                self.check_claim(C, [a_inv_can], [alpha0_inv_can], stage=stage)
                 C = self.eliminate(C, [a_inv_can], [alpha0_inv_can], stage)
-            self.check_claim(C, [acan], [alpha0], stage=stage)
             C = self.eliminate(C, [acan], [alpha0], stage)
 
         if not gamma_ok:
             # replace the leftover full-stabilizer edge with the inverse of mu
-            mu_inv_can = canonical_rep(g, mu_inv)
-            if not is_reductive_edge(self.m, mu_inv.edges, mu_inv.vertex,
-                                     self.kind, self.horizon):
+            if mu_inv not in self.R:
                 raise PropertyViolation(
                     "the inverse of the maximal edge is not reductive")
-            self.check_claim(C, [gamma], [mu_inv_can], stage=stage + "/gamma")
-            C = self.eliminate(C, [gamma], [mu_inv_can], stage + "/gamma")
+            C = self.eliminate(C, [gamma], [mu_inv], stage + "/gamma")
         return C
 
     def contract_to_point(self, C, mu, stage):
@@ -594,8 +569,7 @@ class _Engine:
         return [point]
 
 
-def run_retractions(m: MarkedGGraph, horizon, kind="tot",
-                    homology=False) -> RetractionTrace:
+def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace:
     """Collapse S(R) to a single forest through S(C1), S(C0'), S(C0).
 
     R and the maximal pair come from one reductive_scan and are recorded
@@ -608,8 +582,8 @@ def run_retractions(m: MarkedGGraph, horizon, kind="tot",
     if not is_reduced(m.graph):
         raise HypothesisNotMet("the marked graph is not reduced")
     g = m.graph
-    eng = _Engine(m, horizon, kind, homology)
-    R, best = reductive_scan(m, horizon, kind)
+    R, best = reductive_scan(m, horizon)
+    eng = _Engine(m, R, homology)
     if best is None:
         return RetractionTrace("degenerate", "no reductive ideal edges", R, None)
     pair = best[0]

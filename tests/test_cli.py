@@ -82,11 +82,12 @@ def test_parse_errors_carry_positions():
         cli.parse(THETA_TEXT + "x3 = nosuch\n")
 
 
-def test_unreduced_marking_warns_but_parses():
+def test_unreduced_marking_warns_but_parses(tmp_path, capsys):
     text = THETA_TEXT.replace("x1 = e1 ~e2", "x1 = e1 ~e1 e1 ~e2")
-    m = cli.parse(text)
-    assert m.warnings
-    assert m.basis_paths[0] == (0, 3)
+    assert cli.parse(text).basis_paths[0] == (0, 3)
+    assert cli.main(["validate", _write(tmp_path, text)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: marking path for x1 was not reduced; reduced it\n")
 
 
 def _write(tmp_path, text, name="g.txt"):

@@ -11,8 +11,9 @@ from gwhitehead.ggraph import (GGraph, Group, collapse, invariant_forests,
                                is_reduced, maximal_invariant_forest,
                                pair_orbits, rev)
 from gwhitehead.idealedges import (IdealEdge, canonical_rep,
-                                   enumerate_ideal_edges, orbit_key,
-                                   orbit_union, translates)
+                                   enumerate_ideal_edges, inverse_orbit,
+                                   is_invertible, orbit_union, translate_at,
+                                   translate_through, translates)
 from gwhitehead.marking import MarkedGGraph
 from gwhitehead.moves import blow_up
 
@@ -201,7 +202,22 @@ def test_orbit_tables_match_scans():
                         assert [(t.vertex, t.edges) for t in got] == want
                     least = IdealEdge(*want[0])
                     assert canonical_rep(g, alpha) == least
-                    assert orbit_key(g, alpha) == least.key()
+                    # the first translate by key at each vertex / through
+                    # each edge
+                    at, through = {}, {}
+                    for u, s in reversed(want):
+                        at[u] = IdealEdge(u, s)
+                        through.update(dict.fromkeys(s, at[u]))
+                    assert [translate_at(g, alpha, u)
+                            for u in range(g.n_vertices)] == [
+                        at.get(u) for u in range(g.n_vertices)]
+                    assert [translate_through(g, alpha, e)
+                            for e in range(g.n_edges)] == [
+                        through.get(e) for e in range(g.n_edges)]
+                    inv, ainv = is_invertible(g, alpha)
+                    assert inverse_orbit(g, alpha) == (IdealEdge(
+                        *oracles.scan_translates(g, v, ainv.edges)[0])
+                        if inv else None)
                     assert orbit_union(g, alpha) == frozenset().union(
                         *(s for _, s in want))
 

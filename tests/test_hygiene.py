@@ -1,9 +1,12 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no frozen object is
+written to after it is built.
 
 A pure-stdlib AST scan (read only) of the package, the tests and the
 benchmark: every name an import binds must be referenced elsewhere in the
 same file.  `from __future__` imports are exempt, and so are the package
-`__init__.py` files, whose imports are their public re-exports.
+`__init__.py` files, whose imports are their public re-exports.  In the
+package, `object.__setattr__` may appear only inside a `__post_init__`,
+where a frozen dataclass finishes building itself.
 """
 
 import ast
@@ -40,3 +43,37 @@ def test_no_unused_imports():
              for path in FILES
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "imported but unused:\n" + "\n".join(found)
+
+
+def _is_object_setattr(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object")
+
+
+def setattr_outside_post_init(source):
+    """Lines of the object.__setattr__ calls not inside a __post_init__."""
+    tree = ast.parse(source)
+    allowed = {id(n) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+               for n in ast.walk(f)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if _is_object_setattr(n) and id(n) not in allowed)
+
+
+def test_scanner_finds_setattr_outside_post_init():
+    source = ("class A:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "def f(a):\n"
+              "    object.__setattr__(a, 'y', 2)\n")
+    assert setattr_outside_post_init(source) == [5]
+
+
+def test_no_setattr_outside_post_init():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in FILES if path.is_relative_to(ROOT / "src")
+             for line in setattr_outside_post_init(path.read_text(encoding="utf-8"))]
+    assert not found, "object.__setattr__ outside __post_init__:\n" + "\n".join(found)

@@ -13,7 +13,7 @@ from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, fix_theta
 from gwhitehead.ggraph import rev
 from gwhitehead.idealedges import (IdealEdge, canonical_rep, compatible,
                                   crossing, d_set, enumerate_ideal_edges,
-                                  is_ideal_edge, is_invertible, orbit_key,
+                                  is_ideal_edge, is_invertible,
                                   orbit_union, pre_compatible, stab_set,
                                   translates)
 
@@ -127,7 +127,6 @@ def test_canonical_rep_is_orbit_invariant():
     for alpha in enumerate_ideal_edges(m):
         for t in translates(g, alpha):
             assert canonical_rep(g, t).key() == alpha.key()
-            assert orbit_key(g, t) == alpha.key()
 
 
 def test_translate_coherence_rules_out_partial_overlap():

@@ -17,8 +17,9 @@ from gwhitehead import cli, moves, selftest, starcomplex
 from gwhitehead.errors import (HypothesisNotMet, PropertyViolation,
                                ValidationError)
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
-from gwhitehead.idealedges import (IdealEdge, enumerate_ideal_edges,
-                                   is_ideal_edge, orbit_union)
+from gwhitehead.idealedges import (IdealEdge, canonical_rep,
+                                   enumerate_ideal_edges, is_ideal_edge,
+                                   orbit_union)
 from gwhitehead.marking import collapse_marked, marked_isomorphic
 from gwhitehead.moves import (blow_up, candidate_pairs, edge_reductivity,
                               is_reductive_edge, max_reductive_pair)
@@ -359,7 +360,7 @@ def test_eliminate_trace_frozen(seed, monkeypatch):
 
 def _probe():
     m = fix_r2()
-    return starcomplex._Engine(m, HORIZON, "tot", False), enumerate_ideal_forests(
+    return starcomplex._Engine(m, frozenset(), False), enumerate_ideal_forests(
         m, enumerate_ideal_edges(m))
 
 
@@ -479,3 +480,24 @@ def test_is_reductive_edge_matches_edge_reductivity():
     edges = frozenset(m.graph.edges_at(m.graph.basepoint))
     assert not is_ideal_edge(m.graph, m.graph.basepoint, edges)
     assert not is_reductive_edge(m, edges, m.graph.basepoint, "tot", HORIZON)
+
+
+def test_reductivity_is_read_from_R():
+    """The retraction engine counts an edge set as reductive when the
+    canonical rep of its orbit is in R; that agrees with is_reductive_edge
+    on every nonempty subset of every E_v, raw and forest-free."""
+    raw = list(all_fixtures().values()) + [
+        random_instance(s) for s in range(7000, 7050)]
+    reductive_with_group = 0
+    for m in raw + [reduce_to_forest_free(m) for m in raw]:
+        g = m.graph
+        R = reductive_orbits(m, "tot", 3)
+        for v in range(g.n_vertices):
+            ev = g.edges_at(v)
+            for r in range(1, len(ev) + 1):
+                for S in itertools.combinations(ev, r):
+                    alpha = IdealEdge(v, frozenset(S))
+                    got = is_reductive_edge(m, S, v, "tot", 3)
+                    assert got == (canonical_rep(g, alpha) in R), (m, alpha)
+                    reductive_with_group += got and g.group.order > 1
+    assert reductive_with_group
