@@ -123,7 +123,8 @@ class GGraph:
             object.__setattr__(
                 self, "pair_names", tuple(f"e{p}" for p in range(self.n_pairs)))
         # Orbit tables, built once per graph: E_v per vertex as (tuple,
-        # frozenset), the vertex action _vertex_action[g][v], and the memo of
+        # frozenset), the vertex action _vertex_action[g][v], the stabilizer
+        # _stab_edge[e] of each directed edge, and the memo of
         # idealedges.translates.  They are plain attributes, not fields, so
         # equality, hashing, repr and dataclasses.fields/asdict ignore them.
         # They take the input as it is: validate() reports what is wrong
@@ -139,6 +140,12 @@ class GGraph:
             tuple(self._image_of_end(perm, es[0]) if es else v
                   for v, es in enumerate(at))
             for perm in self.edge_action))
+        fixers = [[] for _ in self.term]
+        for g, perm in enumerate(self.edge_action):
+            for e, image in zip(range(len(fixers)), perm):
+                if image == e:
+                    fixers[e].append(g)
+        object.__setattr__(self, "_stab_edge", tuple(map(tuple, fixers)))
         object.__setattr__(self, "_translates", {})
 
     def _image_of_end(self, perm, e):
@@ -183,7 +190,7 @@ class GGraph:
         return frozenset(self.edge_action[g][e] for e in edges)
 
     def stab_edge(self, e):
-        return tuple(g for g in self.group.elements if self.edge_action[g][e] == e)
+        return self._stab_edge[e]
 
     def orbit_edge(self, e):
         return frozenset(self.edge_action[g][e] for g in self.group.elements)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import GGraph, rev
 from .idealedges import (IdealEdge, IdealPair, d_set, enumerate_ideal_edges,
-                         is_ideal_edge, stab_set, translates)
+                         is_ideal_edge, translates)
 from .marking import MarkedGGraph, collapse_marked, reduce_path
 from .norms import NormVector, Order, calculator, compare
 from . import ggraph
@@ -151,7 +151,7 @@ def _reductivities(m, alpha, targets, kind, horizon):
     if not targets:
         return
     calc = calculator(m, horizon)
-    idx = m.graph.group.order // len(stab_set(m.graph, alpha.edges))
+    idx = len(translates(m.graph, alpha))  # [G:stab alpha], by orbit-stabilizer
     alpha_abs = calc.set_abs(alpha.edges, kind)
     for a in targets:
         yield Reductivity(kind, (calc.edge_abs(a, kind) - alpha_abs).scale(idx))

@@ -23,10 +23,18 @@ G-orbit sums of the occurrence vector of each directed edge and of the
 turn vector of each occurring turn, each packed into one Python int with
 one fixed-width lane per coordinate: lane i holds item i of
 ``items[kind]``, the lowest lane first, in the width of the narrowest
-``array`` code that holds every value a kernel can produce.  edge_abs,
-set_abs and dot are then a few big-int sums over those ints, and one
-``int.to_bytes`` plus ``memoryview.cast`` unpacks the result into the
-coordinate tuple.  tot is the out coordinates followed by the aut ones.
+``array`` code that holds every value a kernel can produce.  The counts
+are made column by column, not step by step: the items are transposed
+into one ``bytes`` column per path position (byte i is step p of item i,
+or the sentinel ``n_edges`` past its end), and ``bytes.translate`` with a
+one-hot table turns a column into the packed 0/1 indicator of each edge
+there.  An edge's occurrence int is the sum of its indicators over the
+positions, and a turn's the sum of the ANDs of the indicators at adjacent
+positions.  Edge ids and the sentinel must each fit in one byte, so a
+graph may have at most MAX_EDGES directed edges.  edge_abs, set_abs and
+dot are then a few big-int sums over those ints, and one ``int.to_bytes``
+plus ``memoryview.cast`` unpacks the result into the coordinate tuple.
+tot is the out coordinates followed by the aut ones.
 """
 
 from __future__ import annotations
@@ -46,6 +54,11 @@ from .ggraph import rev
 from .marking import MarkedGGraph, cyclic_loop, join_reduced, path_inv
 
 KINDS = ("out", "aut", "tot")
+
+# Edge ids 0..n_edges-1 and the column sentinel n_edges are bytes.
+MAX_EDGES = 255
+# _ONE_HOT[e] is the bytes.translate table sending byte e to 1, all others to 0.
+_ONE_HOT = [bytes(e) + b"\x01" + bytes(255 - e) for e in range(256)]
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,10 @@ class NormCalculator:
     """Packed orbit-summed occurrence and turn vectors for one marked graph."""
 
     def __init__(self, m: MarkedGGraph, horizon: int):
+        if m.graph.n_edges > MAX_EDGES:
+            raise ValidationError(
+                f"the norm build takes at most {MAX_EDGES} directed edges, "
+                f"not {m.graph.n_edges}")
         self.m = m
         self.horizon = horizon
         tree = fg.word_tree(m.n, horizon)
@@ -189,17 +206,20 @@ def _parts(kind):
 def _pack(counts):
     """One Python int with a fixed-width lane per item, lane i holding counts[i].
 
-    Lanes are as wide as the array code, which _Lanes chooses to hold
-    2 |G| L, L the longest item.  No lane of an Osym or Tsym vector, nor
-    of a set_abs or dot result, exceeds that bound: per g and item, each
-    step is counted at most twice (as an edge of gC and as the reverse of
-    one) and each turn at most twice.  So sums of packed ints never carry
-    from one lane into the next.  set_abs subtracts twice the turn sum from
-    the occurrence sum, and that never borrows: every set_abs coordinate is
-    a count, so it is >= 0 lane by lane (each turn inside gC uses up two
-    distinct occurrences counted in the sum).
+    counts is a bytes or array object whose items are the lanes.  Lanes are
+    as wide as the array code, which _Lanes chooses to hold 2 |G| L, L the
+    longest item.  A raw count of one item (its occurrences of an edge, or
+    its crossings of a turn) is at most L, so it fits every lane code and
+    the sums over positions never carry.  No lane of an Osym or Tsym
+    vector, nor of a set_abs or dot result, exceeds 2 |G| L either: per g
+    and item, each step is counted at most twice (as an edge of gC and as
+    the reverse of one) and each turn at most twice.  So sums of packed
+    ints never carry from one lane into the next.  set_abs subtracts twice
+    the turn sum from the occurrence sum, and that never borrows: every
+    set_abs coordinate is a count, so it is >= 0 lane by lane (each turn
+    inside gC uses up two distinct occurrences counted in the sum).
     """
-    return int.from_bytes(counts.tobytes(), sys.byteorder)
+    return int.from_bytes(counts, sys.byteorder)
 
 
 def _lane_code(bound):
@@ -219,32 +239,56 @@ class _Lanes:
     T[(u, w)] counts the positions of each item at which the path crosses
     u then rev w (a cyclic item also wraps around).  Only occurring turns
     are stored.
+
+    O and T are counted over the position-major byte columns of the items
+    (see the module docstring), so no Python loop runs per step: O[e] sums
+    the indicators of e over the columns, and T[(u, rev w)] sums the AND of
+    the indicator of u at one position with that of w at the next.  A
+    cyclic item adds one wrap column, its last step, against the first.
     """
 
     def __init__(self, items, cyclic, actions):
+        n_edges = len(actions[0])
         longest = max((len(steps) for steps in items), default=0)
         self.code = _lane_code(2 * len(actions) * longest)
         self._n_bytes = len(items) * array(self.code).itemsize
-        zeros = bytes(self._n_bytes)
-        occ = defaultdict(lambda: array(self.code, zeros))
-        turn = defaultdict(lambda: array(self.code, zeros))
-        for i, steps in enumerate(items):
-            for e in steps:
-                occ[e][i] += 1
-            following = steps[1:] + steps[:1] if cyclic else steps[1:]
-            for u, w in zip(steps, following):
-                turn[u, rev(w)][i] += 1
-        if any(u == w for u, w in turn):
+        cols = [bytes(c) for c in itertools.zip_longest(*items, fillvalue=n_edges)]
+        ind = [self._indicators(col, n_edges) for col in cols]
+        O = defaultdict(int)
+        for at in ind:
+            for e, x in at.items():
+                O[e] += x
+        adjacent = list(zip(ind, ind[1:]))
+        if cyclic and cols:
+            last = bytes(steps[-1] if steps else n_edges for steps in items)
+            adjacent.append((self._indicators(last, n_edges), ind[0]))
+        T = defaultdict(int)
+        for here, there in adjacent:
+            for u, x in here.items():
+                for w, y in there.items():
+                    t = x & y
+                    if t:
+                        T[u, rev(w)] += t
+        if any(u == w for u, w in T):
             raise InternalInconsistency("unreduced path reached the norm layer")
-        O = {e: _pack(counts) for e, counts in occ.items()}
-        osym = [sum(O.get(act[e], 0) for act in actions) for e in range(len(actions[0]))]
-        self.edge = [osym[e] + osym[rev(e)] for e in range(len(osym))]
+        osym = [sum(O.get(act[e], 0) for act in actions) for e in range(n_edges)]
+        self.edge = [osym[e] + osym[rev(e)] for e in range(n_edges)]
         self.turns = {}
-        for (u, w), counts in turn.items():
-            t = _pack(counts)
+        for (u, w), t in T.items():
             for act in actions:
                 row = self.turns.setdefault(act[u], {})
                 row[act[w]] = row.get(act[w], 0) + t
+
+    def _indicators(self, col, sentinel):
+        """{e: packed 0/1 vector of the items whose byte in col is e}, over
+        the edges in col; a code wider than B widens each indicator."""
+        out = {}
+        for e in set(col):
+            if e != sentinel:
+                hot = col.translate(_ONE_HOT[e])
+                out[e] = _pack(hot if self.code == "B"
+                               else array(self.code, memoryview(hot)))
+        return out
 
     def turns_between(self, A, B):
         """Packed sum of Tsym[a][b] over a in A and b in B."""

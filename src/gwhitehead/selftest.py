@@ -15,7 +15,8 @@ from .errors import PropertyViolation
 from .fixtures import all_fixtures, random_instance
 from .ggraph import is_reduced, maximal_invariant_forest
 from .idealedges import (crossing, d_set, enumerate_ideal_edges, is_invertible,
-                         orbit_union, stab_set, translate_at, translate_through)
+                         orbit_union, stab_set, translate_at, translate_through,
+                         translates)
 from .marking import collapse_marked
 from .moves import blow_up, is_reductive_edge, max_reductive_pair, whitehead
 from .norms import KINDS, calculator
@@ -123,7 +124,7 @@ def check_norm_change(m, alpha, a, horizon):
     calc = calculator(m, horizon)
     m2 = whitehead(m, alpha, a)
     calc2 = calculator(m2, horizon)
-    idx = m.graph.group.order // len(stab_set(m.graph, alpha.edges))
+    idx = len(translates(m.graph, alpha))  # [G:stab alpha], by orbit-stabilizer
     for kind, before, after in zip(KINDS, calc.all_norms(), calc2.all_norms()):
         delta = (calc.set_abs(alpha.edges, kind)
                  - calc.edge_abs(a, kind)).scale(idx)
@@ -214,13 +215,13 @@ def check_crossing_inequalities(m, horizon):
     return checked
 
 
-def check_pushing_lemma(m, horizon):
+def check_pushing_lemma(m, pair, horizon):
     """Either both mu-alpha and alpha-mu, or both alpha u Pmu and
     alpha n mu, are aut-reductive (for aut-reductive alpha containing m
-    crossing mu simply)."""
+    crossing mu simply).  pair is the aut maximal reductive pair
+    (mu, m), or None."""
     g = m.graph
     kind = "aut"
-    pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
         return 0
     mu, mhat = pair.edge, pair.collapse_target
@@ -251,11 +252,11 @@ def check_pushing_lemma(m, horizon):
     return checked
 
 
-def check_shrinking_lemma(m, horizon):
-    """beta or one of the m-free intersection components is aut-reductive."""
+def check_shrinking_lemma(m, pair, horizon):
+    """beta or one of the m-free intersection components is aut-reductive.
+    pair is the aut maximal reductive pair (mu, m), or None."""
     g = m.graph
     kind = "aut"
-    pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
         return 0
     mu, mhat = pair.edge, pair.collapse_target
@@ -395,8 +396,9 @@ def suite_lemmas(seed, horizon, random_count=10):
                 for a in sorted(d_set(m, alpha)):
                     check_norm_change(m, alpha, a, horizon)
             check_crossing_inequalities(m, horizon)
-            check_pushing_lemma(m, horizon)
-            check_shrinking_lemma(m, horizon)
+            pair = max_reductive_pair(m, horizon, "aut")
+            check_pushing_lemma(m, pair, horizon)
+            check_shrinking_lemma(m, pair, horizon)
             red = reduce_to_forest_free(m)
             check_invertible_reductive(red, horizon)
             check_conjugation_edge(red, horizon)

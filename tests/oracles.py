@@ -6,6 +6,9 @@ not by calling back into the package's optimized code paths.
 
 import functools
 import itertools
+import sys
+from array import array
+from collections import defaultdict
 from fractions import Fraction
 
 
@@ -149,6 +152,35 @@ def scan_items(m, kind, horizon):
         ends = range(k) if kind == "out" else range(k - 1)
         items.append((tuple(steps), [(steps[i], steps[(i + 1) % k] ^ 1) for i in ends]))
     return tuple(items)
+
+
+def scan_lanes(items, cyclic, actions, code):
+    """(edge, turns) of norms._Lanes from a loop over every step of every item.
+
+    Each item's occurrence and turn counts go into its slot of one array of
+    the given lane code per edge and per turn (u, ~w); each array is read as
+    one int and the ints are summed over the group: edge[e] is the orbit sum
+    of e plus that of ~e, turns[a][b] the orbit sum of the turn (a, b).
+    """
+    zeros = [0] * len(items)
+    occ = defaultdict(lambda: array(code, zeros))
+    turn = defaultdict(lambda: array(code, zeros))
+    for i, steps in enumerate(items):
+        for e in steps:
+            occ[e][i] += 1
+        following = steps[1:] + steps[:1] if cyclic else steps[1:]
+        for u, w in zip(steps, following):
+            turn[u, w ^ 1][i] += 1
+    O = {e: int.from_bytes(c.tobytes(), sys.byteorder) for e, c in occ.items()}
+    osym = [sum(O.get(act[e], 0) for act in actions) for e in range(len(actions[0]))]
+    edge = [osym[e] + osym[e ^ 1] for e in range(len(osym))]
+    turns = {}
+    for (u, w), counts in turn.items():
+        t = int.from_bytes(counts.tobytes(), sys.byteorder)
+        for act in actions:
+            row = turns.setdefault(act[u], {})
+            row[act[w]] = row.get(act[w], 0) + t
+    return edge, turns
 
 
 def _scan(m, kind, horizon, count, translate):

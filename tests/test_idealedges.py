@@ -9,7 +9,8 @@ import itertools
 
 import pytest
 
-from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, fix_theta
+from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_theta,
+                                 random_instance)
 from gwhitehead.ggraph import rev
 from gwhitehead.idealedges import (IdealEdge, canonical_rep, compatible,
                                   crossing, d_set, enumerate_ideal_edges,
@@ -43,6 +44,26 @@ def test_orbit_stabilizer_on_edge_sets(named_instance):
         idx = g.group.order // len(stab_set(g, alpha.edges))
         assert idx * len(stab_set(g, alpha.edges)) == g.group.order
         assert len(translates(g, alpha)) == idx
+
+
+def test_index_is_the_translate_count_over_the_corpus():
+    # [G:stab alpha] is read as len(translates), and D(alpha) reads the
+    # edge-stabilizer table; both against scans of the group
+    corpus = (list(all_fixtures().values())
+              + [random_instance(s) for s in range(7000, 7050)]
+              + [random_instance(s) for s in range(20000, 20100)])
+    alphas = nontrivial = 0
+    for m in corpus:
+        g = m.graph
+        for e in range(g.n_edges):
+            assert g.stab_edge(e) == tuple(
+                x for x in g.group.elements if g.edge_action[x][e] == e)
+        for alpha in enumerate_ideal_edges(m):
+            idx = len(translates(g, alpha))
+            assert idx * len(stab_set(g, alpha.edges)) == g.group.order
+            alphas += 1
+            nontrivial += idx > 1
+    assert (alphas, nontrivial) == (1011, 123)
 
 
 def test_compatible_implies_pre_compatible(named_instance):

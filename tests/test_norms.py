@@ -12,11 +12,11 @@ import random
 import pytest
 
 from gwhitehead.errors import InternalInconsistency, ValidationError
-from gwhitehead.fixtures import all_fixtures, fix_r2_swap, random_instance
+from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, random_instance
 from gwhitehead.ggraph import GGraph, Group
 from gwhitehead.marking import MarkedGGraph, cyclic_canonical
-from gwhitehead.norms import (KINDS, NormCalculator, NormVector, Order, _Lanes,
-                              calculator, compare)
+from gwhitehead.norms import (KINDS, MAX_EDGES, NormCalculator, NormVector, Order,
+                              _Lanes, calculator, compare)
 from gwhitehead.selftest import (aut_identity_counterexample,
                                  check_coset_identity,
                                  check_inclusion_exclusion,
@@ -24,7 +24,8 @@ from gwhitehead.selftest import (aut_identity_counterexample,
                                  out_identity_holds)
 
 from conftest import HORIZON
-from oracles import rotations, scan_dot, scan_edge_abs, scan_items, scan_set_abs
+from oracles import (rotations, scan_dot, scan_edge_abs, scan_items, scan_lanes,
+                     scan_set_abs)
 
 FROZEN_NORMS = {
     # (fixture, kind, horizon) -> expected coordinates
@@ -220,12 +221,73 @@ def test_junction_cancels_whole_letter_paths():
     assert calc.items["aut"][calc.words.index((-2, -1, 3))] == (3, 1, 3, 1, 4)
 
 
+def _assert_lanes_match_scan(items, cyclic, actions):
+    lanes = _Lanes(items, cyclic, actions)
+    assert (lanes.edge, lanes.turns) == scan_lanes(items, cyclic, actions, lanes.code)
+    return lanes
+
+
+def test_column_build_matches_scan_lanes():
+    # the wide-lane rose has H lanes at every horizon here
+    instances = (list(all_fixtures().values())
+                 + [random_instance(s) for s in range(7000, 7050)]
+                 + [_wide_lane_rose()])
+    for m in instances:
+        for horizon in (1, 2, 3, 4):
+            calc = NormCalculator(m, horizon)
+            for kind in ("out", "aut"):
+                lanes = calc._lanes[kind]
+                assert (lanes.edge, lanes.turns) == scan_lanes(
+                    calc.items[kind], kind == "out", m.graph.edge_action, lanes.code)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_column_build_pads_unequal_items(cyclic):
+    # past its end an item reads the sentinel, which counts nowhere
+    items = [(0,), (0, 2, 0, 2), (), (3, 1), (2, 0, 2)]
+    lanes = _assert_lanes_match_scan(items, cyclic, fix_r2_swap().graph.edge_action)
+    assert [lanes.unpack(x)[2] for x in lanes.edge] == [0, 0, 0, 0]
+    # the swap sends a to b, so edge[a] counts every step: the item lengths
+    assert lanes.unpack(lanes.edge[0]) == (1, 4, 0, 2, 3)
+
+
+def test_cyclic_loop_of_one_step_turns_onto_itself():
+    # the wrap turn of the loop a is (a, ~a): a crosses a then ~~a = a
+    lanes = _assert_lanes_match_scan([(0,), (2,)], True, fix_r2().graph.edge_action)
+    assert {u: {w: lanes.unpack(t) for w, t in row.items()}
+            for u, row in lanes.turns.items()} == {0: {1: (1, 0)}, 2: {3: (0, 1)}}
+    assert _Lanes([(0,), (2,)], False, fix_r2().graph.edge_action).turns == {}
+
+
 def test_lanes_reject_unreduced_item():
     actions = fix_r2_swap().graph.edge_action
-    with pytest.raises(InternalInconsistency, match="unreduced path"):
-        _Lanes([(0, 1)], False, actions)
-    with pytest.raises(InternalInconsistency, match="unreduced path"):
-        _Lanes([(2, 0, 3)], True, actions)
+    for items, cyclic in [
+        ([(0, 1)], False),                   # interior backtrack a ~a
+        ([(2,), (0, 2, 3), (2, 0)], False),  # interior, not in the first item
+        ([(2, 0, 3)], True),                 # wrap: the loop ends ~b, starts b
+        ([(0, 2), (2, 0, 3)], True),         # wrap of the longest item only
+    ]:
+        with pytest.raises(InternalInconsistency, match="unreduced path"):
+            _Lanes(items, cyclic, actions)
+
+
+def test_wrap_is_checked_only_for_cyclic_items():
+    _assert_lanes_match_scan([(0, 2), (2, 0, 3)], False, fix_r2_swap().graph.edge_action)
+
+
+def _rose(petals):
+    """The rose with the given number of petals, trivial group, identity marking."""
+    n_edges = 2 * petals
+    g = GGraph(1, 0, (0,) * n_edges, Group.trivial(), (tuple(range(n_edges)),))
+    return MarkedGGraph(g, tuple((2 * i,) for i in range(petals)))
+
+
+def test_norm_build_takes_at_most_255_edges():
+    # edge ids and the column sentinel must be bytes
+    assert MAX_EDGES == 255
+    assert NormCalculator(_rose(127), 1).norm("out").coords == (1,) * 254
+    with pytest.raises(ValidationError, match="at most 255 directed edges, not 256"):
+        NormCalculator(_rose(128), 1)
 
 
 @pytest.mark.parametrize("kind", ["out", "aut"])

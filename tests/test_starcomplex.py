@@ -466,6 +466,22 @@ def test_family_and_check_star_retraction_scan_once(monkeypatch):
     assert calls["reductive_scan"] == 5
 
 
+def test_suite_lemmas_scans_aut_pairs_once_per_instance(monkeypatch):
+    # the pushing and shrinking checks share their caller's aut maximal pair
+    kinds = []
+    scan = moves.reductive_scan
+
+    def counted(m, horizon, kind="tot"):
+        kinds.append(kind)
+        return scan(m, horizon, kind)
+
+    for mod in (moves, starcomplex):
+        monkeypatch.setattr(mod, "reductive_scan", counted)
+    results = selftest.suite_lemmas(1, 3, random_count=5)
+    assert len(results) == 9 and all(r.ok for r in results)
+    assert kinds.count("aut") == 9
+
+
 def test_is_reductive_edge_matches_edge_reductivity():
     instances = list(all_fixtures().values()) + [
         random_instance(s) for s in range(7000, 7020)]
