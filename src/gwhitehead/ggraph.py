@@ -125,8 +125,9 @@ class GGraph:
         # Orbit tables, built once per graph: E_v per vertex as (tuple,
         # frozenset), the vertex action _vertex_action[g][v], the stabilizer
         # _stab_edge[e] of each directed edge, and the memo of
-        # idealedges.translates.  They are plain attributes, not fields, so
-        # equality, hashing, repr and dataclasses.fields/asdict ignore them.
+        # idealedges.translates and orbit_union.  They are plain attributes,
+        # not fields, so equality, hashing, repr and dataclasses.fields/asdict
+        # ignore them.
         # They take the input as it is: validate() reports what is wrong
         # with it, so building them must not raise.
         at = [[] for _ in range(self.n_vertices)]

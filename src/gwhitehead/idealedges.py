@@ -67,26 +67,32 @@ def stab_set(g: GGraph, edges):
     return tuple(x for x in g.group.elements if g.act_edge_set(x, edges) == edges)
 
 
-def translates(g: GGraph, alpha: IdealEdge):
-    """Distinct translates g*alpha, as a tuple of IdealEdges sorted by key.
+def _orbit(g: GGraph, alpha: IdealEdge):
+    """(translates, orbit union) of alpha, filling the graph's memo.
 
-    Memoised on the graph; every translate of alpha has the same tuple, so
-    a miss fills the entries of the whole orbit.
+    Every translate of alpha has the same pair, so one miss fills the
+    entries of the whole orbit.
     """
-    out = g._translates.get(alpha)
-    if out is None:
-        seen = {}
-        for x in g.group.elements:
-            s = g.act_edge_set(x, alpha.edges)
-            seen[(g.act_vertex(x, alpha.vertex), tuple(sorted(s)))] = s
-        out = tuple(IdealEdge(v, s) for (v, _), s in sorted(seen.items()))
-        g._translates.update(dict.fromkeys(out, out))
+    seen = {}
+    for x in g.group.elements:
+        s = g.act_edge_set(x, alpha.edges)
+        seen[(g.act_vertex(x, alpha.vertex), tuple(sorted(s)))] = s
+    trans = tuple(IdealEdge(v, s) for (v, _), s in sorted(seen.items()))
+    out = (trans, frozenset().union(*seen.values()))
+    g._translates.update(dict.fromkeys(trans, out))
     return out
 
 
+def translates(g: GGraph, alpha: IdealEdge):
+    """Distinct translates g*alpha, as a tuple of IdealEdges sorted by key.
+    Memoised on the graph."""
+    return (g._translates.get(alpha) or _orbit(g, alpha))[0]
+
+
 def orbit_union(g: GGraph, alpha: IdealEdge):
-    """All directed edges covered by some translate of alpha."""
-    return frozenset().union(*(t.edges for t in translates(g, alpha)))
+    """All directed edges covered by some translate of alpha.  Memoised on
+    the graph with the translates."""
+    return (g._translates.get(alpha) or _orbit(g, alpha))[1]
 
 
 def canonical_rep(g: GGraph, alpha: IdealEdge) -> IdealEdge:
@@ -119,13 +125,18 @@ def enumerate_ideal_edges(m: MarkedGGraph):
 
 
 def d_set(m: MarkedGGraph, alpha: IdealEdge):
-    """D(alpha): collapse candidates with full stabilizer and reverse outside the orbit."""
+    """D(alpha): collapse candidates with full stabilizer and reverse outside the orbit.
+
+    alpha must be an ideal edge.  Its translates are then equal or
+    disjoint, so stab(a) lies inside stab(alpha) for a in alpha, and the
+    two are equal exactly when |stab a| [G:stab alpha] = |G|.
+    """
     g = m.graph
-    stab_a = stab_set(g, alpha.edges)
-    union = orbit_union(g, alpha)
+    trans, union = g._translates.get(alpha) or _orbit(g, alpha)
+    stab_order = g.group.order // len(trans)
     return frozenset(
         a for a in alpha.edges
-        if g.stab_edge(a) == stab_a and rev(a) not in union
+        if len(g.stab_edge(a)) == stab_order and rev(a) not in union
     )
 
 

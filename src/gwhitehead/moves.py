@@ -49,6 +49,11 @@ class Reductivity:
         return self.verdict == "reductive"
 
 
+def _require_ideal(g, alpha):
+    if not is_ideal_edge(g, alpha.vertex, alpha.edges):
+        raise ValidationError("not an ideal edge")
+
+
 def blow_up(m: MarkedGGraph, alpha: IdealEdge):
     """Pull the edges of each translate of alpha away along a new edge.
 
@@ -56,8 +61,7 @@ def blow_up(m: MarkedGGraph, alpha: IdealEdge):
     pairs recovers the input exactly.
     """
     g = m.graph
-    if not is_ideal_edge(g, alpha.vertex, alpha.edges):
-        raise ValidationError("not an ideal edge")
+    _require_ideal(g, alpha)
 
     trans = translates(g, alpha)
     sets = [t.edges for t in trans]
@@ -120,6 +124,7 @@ def whitehead(m: MarkedGGraph, alpha: IdealEdge, a: int):
     Requires a in D(alpha); the collapsed orbit is a forest in the blown-up
     graph by construction.
     """
+    _require_ideal(m.graph, alpha)
     if a not in d_set(m, alpha):
         raise HypothesisNotMet(
             f"collapse edge {m.graph.edge_name(a)} is not in D(alpha)")
@@ -136,6 +141,7 @@ def whitehead(m: MarkedGGraph, alpha: IdealEdge, a: int):
 
 def reductivity(m: MarkedGGraph, alpha: IdealEdge, a: int, kind, horizon) -> Reductivity:
     """[G:stab(alpha)] * (|a| - |alpha|), truncated at the horizon."""
+    _require_ideal(m.graph, alpha)
     if a not in d_set(m, alpha):
         raise HypothesisNotMet("collapse edge is not in D(alpha)")
     return next(_reductivities(m, alpha, (a,), kind, horizon))
@@ -145,8 +151,8 @@ def _reductivities(m, alpha, targets, kind, horizon):
     """The reductivity of each target in turn, for callers that took the
     targets from D(alpha).
 
-    |alpha| and [G:stab(alpha)] are computed once, when the first value is
-    asked for, so a caller that stops early (any) evaluates no more.
+    |alpha| and [G:stab(alpha)] are computed once, and not at all when
+    there are no targets.
     """
     if not targets:
         return
@@ -172,12 +178,17 @@ def is_reductive_edge(m, edges, vertex, kind, horizon):
 
     Agrees with edge_reductivity's maximum being reductive: a value whose
     first nonzero coordinate is positive makes the lexicographic maximum so.
+    The verdicts are packed comparisons, and the first reductive target
+    ends the search.
     """
     if not is_ideal_edge(m.graph, vertex, edges):
         return False
     alpha = IdealEdge(vertex, frozenset(edges))
-    return any(r.is_reductive for r in
-               _reductivities(m, alpha, d_set(m, alpha), kind, horizon))
+    targets = d_set(m, alpha)
+    if not targets:
+        return False
+    sign = calculator(m, horizon).abs_sign(alpha.edges, kind)
+    return any(sign(a) > 0 for a in targets)
 
 
 def candidate_pairs(m: MarkedGGraph):
@@ -188,23 +199,31 @@ def candidate_pairs(m: MarkedGGraph):
 
 
 def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
-    """(R, best) from one reductivity evaluation per candidate pair.
+    """(R, best) from one packed comparison per candidate pair, a NormVector
+    only for reductive pairs.
 
     R is the frozenset of orbit reps with some reductive collapse target.
+    A pair (alpha, a) is reductive when the first nonzero coordinate of
+    |a| - |alpha| is positive ([G:stab(alpha)] > 0 keeps the sign), which
+    NormCalculator.abs_sign decides on the packed ints.
     best is None when nothing reduces, else (IdealPair, Reductivity) for
     the reductivity-maximizing pair: lexicographic comparison at the
     horizon, equal values resolved by the least (vertex, sorted edges,
     collapse target) key so runs are reproducible.  The pairs come in
     increasing key order, as in candidate_pairs, so the first of equal
-    values is kept.  |alpha| is computed once per orbit rep.
+    values is kept.  |alpha| is packed once per orbit rep, and unpacked
+    once per orbit rep in R.
     """
     R, best = set(), None
     for alpha in enumerate_ideal_edges(m):
         targets = sorted(d_set(m, alpha))
-        for a, r in zip(targets, _reductivities(m, alpha, targets, kind, horizon)):
-            if not r.is_reductive:
-                continue
+        if not targets:
+            continue
+        sign = calculator(m, horizon).abs_sign(alpha.edges, kind)
+        reductive = [a for a in targets if sign(a) > 0]
+        if reductive:
             R.add(alpha)
+        for a, r in zip(reductive, _reductivities(m, alpha, reductive, kind, horizon)):
             if best is None or compare(r.value, best[1].value) == Order.GREATER:
                 best = (IdealPair(alpha, a), r)
     return frozenset(R), best

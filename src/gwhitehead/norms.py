@@ -35,6 +35,16 @@ graph may have at most MAX_EDGES directed edges.  edge_abs, set_abs and
 dot are then a few big-int sums over those ints, and one ``int.to_bytes``
 plus ``memoryview.cast`` unpacks the result into the coordinate tuple.
 tot is the out coordinates followed by the aut ones.
+
+Lexicographic sign.  No lane of an edge or set_abs int ever carries or
+borrows (see _pack), so lane i of such an int is coordinate i exactly.
+For two of them x != y, the lowest set bit of x ^ y therefore lies in the
+first lane, in coordinate order, where they differ; the lanes below it
+are equal, so x and y masked up to the top of that lane compare as that
+lane does.  That one comparison is the sign of the first nonzero
+coordinate of x - y, with no unpacking (``_Lanes.sign``).  abs_sign uses
+it for the sign of |a| - |C|: per part of the kind, one packed |C| and one
+comparison with ``edge[a]``, the aut part only when the out part is equal.
 """
 
 from __future__ import annotations
@@ -161,12 +171,27 @@ class NormCalculator:
     def set_abs(self, C, kind) -> NormVector:
         """|C|: edge occurrences of the translates of C minus twice their turns."""
         C = frozenset(C)
+        return self._vec(kind, lambda lanes: lanes.set_abs(C))
 
-        def packed(lanes):
-            edge = lanes.edge
-            return sum(edge[c] for c in C) - 2 * lanes.turns_between(C, C)
+    def abs_sign(self, C, kind):
+        """a -> the sign (1, 0 or -1) of the first nonzero coordinate of
+        edge_abs(a, kind) - set_abs(C, kind), decided on the packed ints.
 
-        return self._vec(kind, packed)
+        |C| is packed once per part of kind; each call then looks up
+        ``edge[a]`` and makes at most one comparison per part.
+        """
+        C = frozenset(C)
+        parts = [(lanes.edge, lanes.set_abs(C), lanes.sign)
+                 for lanes in map(self._lanes.__getitem__, _parts(kind))]
+
+        def sign(a):
+            for edge, packed_c, lane_sign in parts:
+                s = lane_sign(edge[a], packed_c)
+                if s:
+                    return s
+            return 0
+
+        return sign
 
     def norm(self, kind) -> NormVector:
         """Norm, computed both directly and as half the edge_abs sum."""
@@ -251,7 +276,8 @@ class _Lanes:
         n_edges = len(actions[0])
         longest = max((len(steps) for steps in items), default=0)
         self.code = _lane_code(2 * len(actions) * longest)
-        self._n_bytes = len(items) * array(self.code).itemsize
+        self.width = 8 * array(self.code).itemsize  # bits per lane
+        self._n_bytes = len(items) * self.width // 8
         cols = [bytes(c) for c in itertools.zip_longest(*items, fillvalue=n_edges)]
         ind = [self._indicators(col, n_edges) for col in cols]
         O = defaultdict(int)
@@ -289,6 +315,21 @@ class _Lanes:
                 out[e] = _pack(hot if self.code == "B"
                                else array(self.code, memoryview(hot)))
         return out
+
+    def set_abs(self, C):
+        """Packed |C| for the frozenset C."""
+        edge = self.edge
+        return sum(edge[c] for c in C) - 2 * self.turns_between(C, C)
+
+    def sign(self, x, y):
+        """The sign of the first nonzero lane of x - y (0 when x == y), for
+        packed x and y whose lanes never carried or borrowed."""
+        if x == y:
+            return 0
+        diff = x ^ y
+        lane = ((diff & -diff).bit_length() - 1) // self.width
+        low = (1 << (lane + 1) * self.width) - 1  # lanes 0..lane
+        return 1 if x & low > y & low else -1
 
     def turns_between(self, A, B):
         """Packed sum of Tsym[a][b] over a in A and b in B."""

@@ -105,6 +105,19 @@ def scan_translates(g, vertex, edges):
     return [seen[k] for k in sorted(seen)]
 
 
+def scan_d_set(g, alpha):
+    """D(alpha) in the stabilizer-equality form: the edges a of alpha whose
+    stabilizer equals that of alpha, with rev(a) in no translate of alpha."""
+    def stab(edges):
+        return tuple(x for x in g.group.elements
+                     if frozenset(g.edge_action[x][e] for e in edges) == edges)
+
+    union = frozenset().union(
+        *(s for _, s in scan_translates(g, alpha.vertex, alpha.edges)))
+    return frozenset(a for a in alpha.edges
+                     if stab(frozenset({a})) == stab(alpha.edges) and a ^ 1 not in union)
+
+
 def path_occurrences(steps, e):
     return sum(1 for s in steps if s == e)
 

@@ -18,6 +18,9 @@ from gwhitehead.idealedges import (IdealEdge, canonical_rep, compatible,
                                   orbit_union, pre_compatible, stab_set,
                                   translates)
 
+from oracles import scan_d_set
+from test_ggraph import s3_theta, s3_tripod
+
 FROZEN_ORBITS = {
     "FIX-R2": [(0, (0, 1)), (0, (0, 1, 2)), (0, (0, 1, 3)), (0, (0, 2)),
                (0, (0, 2, 3)), (0, (0, 3)), (0, (1, 2)), (0, (1, 2, 3)),
@@ -109,6 +112,22 @@ def test_d_set_matches_definition(named_instance):
             if g.stab_edge(a) == stab_set(g, alpha.edges)
             and rev(a) not in orbit_union(g, alpha))
         assert d_set(m, alpha) == want
+
+
+def test_d_set_matches_scan_d_set():
+    # d_set compares stabilizer orders; the oracle compares the stabilizers
+    corpus = (list(all_fixtures().values())
+              + [random_instance(s) for s in range(7000, 7050)]
+              + [random_instance(s) for s in range(20000, 20100)]
+              + [s3_theta(), s3_tripod()])
+    alphas = targets = 0
+    for m in corpus:
+        for alpha in enumerate_ideal_edges(m):
+            want = scan_d_set(m.graph, alpha)
+            assert d_set(m, alpha) == want, (m, alpha)
+            alphas += 1
+            targets += len(want)
+    assert (alphas, targets) == (1011, 996)
 
 
 def test_invertibility_on_the_rose():

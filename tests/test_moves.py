@@ -22,6 +22,7 @@ from gwhitehead.selftest import (check_blowup_correspondence,
                                  check_blowup_roundtrip, check_norm_change)
 
 from conftest import HORIZON
+from test_ggraph import s3_theta
 
 
 def test_blow_up_structure_on_swapped_rose():
@@ -49,6 +50,16 @@ def test_blow_up_rejects_non_ideal_edge():
     from gwhitehead.errors import ValidationError
     with pytest.raises(ValidationError):
         blow_up(fix_r2(), IdealEdge(0, frozenset({0})))
+    # whitehead and reductivity reject it before reading D(alpha), which
+    # is defined for ideal edges only.  In the S_3 theta, {e0, e1} at v
+    # meets its translates, and stab e0 differs from stab {e0, e1}
+    # although both have order 2.
+    m = s3_theta()
+    alpha = IdealEdge(1, frozenset({0, 2}))
+    for move in (lambda: whitehead(m, alpha, 0),
+                 lambda: reductivity(m, alpha, 0, "tot", 2)):
+        with pytest.raises(ValidationError, match="not an ideal edge"):
+            move()
 
 
 def test_blow_up_roundtrip(named_instance):

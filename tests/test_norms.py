@@ -14,6 +14,7 @@ import pytest
 from gwhitehead.errors import InternalInconsistency, ValidationError
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, random_instance
 from gwhitehead.ggraph import GGraph, Group
+from gwhitehead.idealedges import enumerate_ideal_edges
 from gwhitehead.marking import MarkedGGraph, cyclic_canonical
 from gwhitehead.norms import (KINDS, MAX_EDGES, NormCalculator, NormVector, Order,
                               _Lanes, calculator, compare)
@@ -186,6 +187,41 @@ def test_wide_lanes_match_scan_oracle():
     calc = _assert_matches_scan_oracle(_wide_lane_rose(), 2, draws=10)
     assert calc._lanes["aut"].code == "H"
     assert max(calc.edge_abs(0, "aut").coords) > 255
+
+
+def _first_nonzero_sign(coords):
+    return next((1 if c > 0 else -1 for c in coords if c), 0)
+
+
+def test_abs_sign_matches_unpacked_verdict():
+    # C ranges over the edge sets of the ideal edges and the singletons; a
+    # singleton {c} against c (or a translate of c) is equal at the
+    # horizon, sign 0
+    instances = (list(all_fixtures().values())
+                 + [random_instance(s) for s in range(7000, 7050)]
+                 + [_wide_lane_rose()])
+    zeros = aut_decided = 0
+    for m in instances:
+        edges = range(m.graph.n_edges)
+        sets = ([alpha.edges for alpha in enumerate_ideal_edges(m)]
+                + [frozenset({c}) for c in edges])
+        for horizon in (2, 3):
+            calc = NormCalculator(m, horizon)
+            for C in sets:
+                for kind in KINDS:
+                    sign = calc.abs_sign(C, kind)
+                    C_abs = calc.set_abs(C, kind)
+                    for a in edges:
+                        diff = (calc.edge_abs(a, kind) - C_abs).coords
+                        want = _first_nonzero_sign(diff)
+                        assert sign(a) == want, (m, horizon, C, kind, a)
+                        zeros += want == 0
+                        n_out = len(calc.items["out"])
+                        aut_decided += (kind == "tot" and want != 0
+                                        and not any(diff[:n_out]))
+    assert calc._lanes["aut"].code == "H"  # the wide-lane rose came last
+    # tot cases with equal out parts are decided in the aut lanes
+    assert (zeros, aut_decided) == (6112, 328)
 
 
 def _rose3_deep_junction():

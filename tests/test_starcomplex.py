@@ -22,7 +22,8 @@ from gwhitehead.idealedges import (IdealEdge, canonical_rep,
                                    orbit_union)
 from gwhitehead.marking import collapse_marked, marked_isomorphic
 from gwhitehead.moves import (blow_up, candidate_pairs, edge_reductivity,
-                              is_reductive_edge, max_reductive_pair)
+                              is_reductive_edge, max_reductive_pair,
+                              reductivity)
 from gwhitehead.norms import NormCalculator
 from gwhitehead.selftest import check_star_retraction, reduce_to_forest_free
 from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
@@ -402,10 +403,11 @@ def test_verifier_rejects_a_g_image_other_than_the_new_complex():
 def _count_scans(monkeypatch):
     """Count calls of reductive_scan and of its two readers through every
     module binding, and the norm-kernel calls made inside scans: the edge
-    sets given to set_abs, and the number of edge_abs calls."""
+    sets given to abs_sign and to set_abs, the number of calls of the signs
+    abs_sign returns, and the number of edge_abs calls."""
     calls = dict.fromkeys(("reductive_scan", "reductive_orbits",
-                           "max_reductive_pair", "edge_abs"), 0)
-    calls["set_abs"] = []
+                           "max_reductive_pair", "signs", "edge_abs"), 0)
+    calls["abs_sign"], calls["set_abs"] = [], []
     active = []
     scan = moves.reductive_scan
     for fn in (scan, starcomplex.reductive_orbits, moves.max_reductive_pair):
@@ -421,7 +423,20 @@ def _count_scans(monkeypatch):
             if getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counted)
 
+    abs_sign = NormCalculator.abs_sign
     set_abs, edge_abs = NormCalculator.set_abs, NormCalculator.edge_abs
+
+    def counted_abs_sign(self, C, kind):
+        sign = abs_sign(self, C, kind)
+        if scan not in active:
+            return sign
+        calls["abs_sign"].append(C)
+
+        def counted_sign(a):
+            calls["signs"] += 1
+            return sign(a)
+
+        return counted_sign
 
     def counted_set_abs(self, C, kind):
         if scan in active:
@@ -432,6 +447,7 @@ def _count_scans(monkeypatch):
         calls["edge_abs"] += scan in active
         return edge_abs(self, e, kind)
 
+    monkeypatch.setattr(NormCalculator, "abs_sign", counted_abs_sign)
     monkeypatch.setattr(NormCalculator, "set_abs", counted_set_abs)
     monkeypatch.setattr(NormCalculator, "edge_abs", counted_edge_abs)
     return calls
@@ -441,13 +457,20 @@ def test_run_retractions_computes_reductive_data_once(monkeypatch):
     m = fix_r2w()
     pairs = candidate_pairs(m)
     alphas = list(dict.fromkeys(alpha.edges for alpha, _ in pairs))
+    reductive = [(alpha, a) for alpha, a in pairs
+                 if reductivity(m, alpha, a, "tot", HORIZON).is_reductive]
+    R = list(dict.fromkeys(alpha.edges for alpha, _ in reductive))
+    assert (len(alphas), len(pairs), len(R), len(reductive)) == (8, 12, 2, 2)
     calls = _count_scans(monkeypatch)
     trace = run_retractions(m, HORIZON)
     assert trace.status == "done"
-    # one |alpha| per alpha with D(alpha) nonempty, one |a| per pair
+    # one packed |alpha| per alpha with D(alpha) nonempty and one packed
+    # comparison per pair; unpacked |alpha| only for the alphas in R, and
+    # unpacked |a| only for the reductive pairs
     assert calls == {"reductive_scan": 1, "reductive_orbits": 0,
-                     "max_reductive_pair": 0, "set_abs": alphas,
-                     "edge_abs": len(pairs)}
+                     "max_reductive_pair": 0, "abs_sign": alphas,
+                     "signs": len(pairs), "set_abs": R,
+                     "edge_abs": len(reductive)}
     # the trace records the R and the pair the retraction used
     assert trace.R == reductive_orbits(m, "tot", HORIZON)
     assert trace.pair == max_reductive_pair(m, HORIZON)
