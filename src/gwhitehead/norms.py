@@ -45,6 +45,13 @@ lane does.  That one comparison is the sign of the first nonzero
 coordinate of x - y, with no unpacking (``_Lanes.sign``).  abs_sign uses
 it for the sign of |a| - |C|: per part of the kind, one packed |C| and one
 comparison with ``edge[a]``, the aut part only when the out part is equal.
+
+Memo.  A calculator computes each distinct |C| (per frozenset C and kind)
+and its cross-checked pair of norms once: set_abs and all_norms keep their
+answers, which are frozen NormVectors and safe to share, for the life of
+the calculator, so ``calculator.cache_clear()`` drops them with it.
+norm(kind) is deliberately unmemoised: each call repeats the direct count
+and the half edge_abs sum and compares them.  abs_sign packs its |C| afresh.
 """
 
 from __future__ import annotations
@@ -151,6 +158,8 @@ class NormCalculator:
         }
         self._lanes = {kind: _Lanes(self.items[kind], kind == "out", m.graph.edge_action)
                        for kind in ("out", "aut")}
+        self._set_abs = {}  # (frozenset C, kind) -> |C|
+        self._all_norms = None
 
     def _vec(self, kind, packed_fn):
         """Apply packed_fn to the lanes of each part of kind and unpack."""
@@ -171,7 +180,10 @@ class NormCalculator:
     def set_abs(self, C, kind) -> NormVector:
         """|C|: edge occurrences of the translates of C minus twice their turns."""
         C = frozenset(C)
-        return self._vec(kind, lambda lanes: lanes.set_abs(C))
+        v = self._set_abs.get((C, kind))
+        if v is None:
+            v = self._set_abs[C, kind] = self._vec(kind, lambda lanes: lanes.set_abs(C))
+        return v
 
     def abs_sign(self, C, kind):
         """a -> the sign (1, 0 or -1) of the first nonzero coordinate of
@@ -216,11 +228,14 @@ class NormCalculator:
         """The out and aut norms, each cross-checked by norm(), and tot.
 
         tot is the out coordinates followed by the aut ones, so it needs no
-        third cross-check.
+        third cross-check.  Computed on the first call, then stored.
         """
-        out = self.norm("out")
-        aut = self.norm("aut")
-        return out, aut, NormVector("tot", out.n, out.horizon, out.coords + aut.coords)
+        if self._all_norms is None:
+            out = self.norm("out")
+            aut = self.norm("aut")
+            self._all_norms = (out, aut, NormVector("tot", out.n, out.horizon,
+                                                    out.coords + aut.coords))
+        return self._all_norms
 
 
 def _parts(kind):

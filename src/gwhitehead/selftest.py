@@ -8,6 +8,7 @@ fixtures plus seeded random instances and report one line per check.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ class CheckResult:
 
 
 def _vec_le(u, v):
-    return all(a <= b for a, b in zip(u.coords, v.coords))
+    return all(map(operator.le, u.coords, v.coords))
 
 
 def reduce_to_forest_free(m):
@@ -189,13 +190,13 @@ def check_crossing_inequalities(m, horizon):
         p = g.group.order // len(P)
         q = g.group.order // len(Q)
         for kind in ("out", "aut"):
+            rhs = (calc.set_abs(alpha.edges, kind).scale(p)
+                   + calc.set_abs(beta.edges, kind).scale(q))
             if cr.number == 1 and set(P) <= set(Q):
                 Qalpha = frozenset().union(
                     *(g.act_edge_set(x, alpha.edges) for x in Q))
                 lhs = (calc.set_abs(alpha.edges & beta.edges, kind).scale(p)
                        + calc.set_abs(beta.edges | Qalpha, kind).scale(q))
-                rhs = (calc.set_abs(alpha.edges, kind).scale(p)
-                       + calc.set_abs(beta.edges, kind).scale(q))
                 if not _vec_le(lhs, rhs):
                     raise PropertyViolation(
                         f"simple-crossing inequality fails ({kind}): "
@@ -204,8 +205,6 @@ def check_crossing_inequalities(m, horizon):
             for gamma, gamma_d in zip(cr.components, cr.dual_components):
                 lhs = (calc.set_abs(alpha.edges - gamma, kind).scale(p)
                        + calc.set_abs(beta.edges - gamma_d, kind).scale(q))
-                rhs = (calc.set_abs(alpha.edges, kind).scale(p)
-                       + calc.set_abs(beta.edges, kind).scale(q))
                 if not _vec_le(lhs, rhs):
                     raise PropertyViolation(
                         f"component-removal inequality fails ({kind}): "

@@ -115,12 +115,12 @@ def test_criterion_05_blowup_correspondence():
 
 
 def test_criterion_06_crossing_inequalities():
-    checked = 0
-    for m in all_fixtures().values():
-        checked += check_crossing_inequalities(m, H)
-    for m in corpus(50):
-        checked += check_crossing_inequalities(m, 3)
-    _ok(6, f"crossing inequalities hold on {checked} coordinate checks")
+    # frozen work counts: one per (pair, kind, inequality) checked
+    fixtures = sum(check_crossing_inequalities(m, H) for m in all_fixtures().values())
+    assert fixtures == 704
+    randoms = sum(check_crossing_inequalities(m, 3) for m in corpus(50))
+    assert randoms == 28456
+    _ok(6, f"crossing inequalities hold on {fixtures + randoms} coordinate checks")
 
 
 def test_criterion_07_pushing_and_shrinking():

@@ -1,12 +1,19 @@
-"""No module imports a name it never uses, and no frozen object is
-written to after it is built.
+"""No module imports a name it never uses, no frozen object is written to
+after it is built, and no package function but two keeps a module-level
+cache.
 
 A pure-stdlib AST scan (read only) of the package, the tests and the
 benchmark: every name an import binds must be referenced elsewhere in the
 same file.  `from __future__` imports are exempt, and so are the package
 `__init__.py` files, whose imports are their public re-exports.  In the
 package, `object.__setattr__` may appear only inside a `__post_init__`,
-where a frozen dataclass finishes building itself.
+where a frozen dataclass finishes building itself.  Only
+`norms.calculator`, which `calculator.cache_clear()` empties, and
+`freegroup.word_tree`, which depends on nothing but (rank, horizon), may
+carry `functools.lru_cache` or `functools.cache`.  Any other such cache
+would outlive `calculator.cache_clear()`, from which every benchmark
+operation starts as a fresh CLI process would, so a later pass would run a
+different program from the first.
 """
 
 import ast
@@ -77,3 +84,47 @@ def test_no_setattr_outside_post_init():
              for path in FILES if path.is_relative_to(ROOT / "src")
              for line in setattr_outside_post_init(path.read_text(encoding="utf-8"))]
     assert not found, "object.__setattr__ outside __post_init__:\n" + "\n".join(found)
+
+
+CACHED_FUNCTIONS = {("freegroup", "word_tree"), ("norms", "calculator")}
+
+
+def cached_functions(source):
+    """[(line, name)] of the functions decorated with lru_cache or cache,
+    bare or as attributes of functools, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                target, "id", None)
+            if name in ("lru_cache", "cache"):
+                found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_scanner_finds_cached_functions():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=8)\n"
+              "def a(): pass\n"
+              "@functools.cache\n"
+              "def b(): pass\n"
+              "class C:\n"
+              "    @lru_cache\n"
+              "    def c(self): pass\n"
+              "@cache\n"
+              "def d(): pass\n"
+              "@functools.wraps(a)\n"
+              "def e(): pass\n")
+    assert cached_functions(source) == [(4, "a"), (6, "b"), (9, "c"), (11, "d")]
+
+
+def test_no_module_level_caches_but_the_cleared_ones():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in FILES if path.is_relative_to(ROOT / "src")
+             for line, name in cached_functions(path.read_text(encoding="utf-8"))
+             if (path.stem, name) not in CACHED_FUNCTIONS]
+    assert not found, "module-level cache on a package function:\n" + "\n".join(found)

@@ -9,6 +9,8 @@ import itertools
 
 import pytest
 
+from gwhitehead import selftest
+from gwhitehead.errors import PropertyViolation
 from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_theta,
                                  random_instance)
 from gwhitehead.ggraph import rev
@@ -17,6 +19,7 @@ from gwhitehead.idealedges import (IdealEdge, canonical_rep, compatible,
                                   is_ideal_edge, is_invertible,
                                   orbit_union, pre_compatible, stab_set,
                                   translates)
+from gwhitehead.norms import NormVector, calculator
 
 from oracles import scan_d_set
 from test_ggraph import s3_theta, s3_tripod
@@ -90,6 +93,44 @@ def test_crossing_components_partition(named_instance):
         assert frozenset().union(*cr.components) == inter
         for c1, c2 in itertools.combinations(cr.components, 2):
             assert not (c1 & c2)
+
+
+class _RaisedSetAbs:
+    """A calculator whose |target| is raised by 10**6 in every coordinate."""
+
+    def __init__(self, calc, target):
+        self.calc, self.target = calc, frozenset(target)
+
+    def set_abs(self, C, kind):
+        v = self.calc.set_abs(C, kind)
+        if frozenset(C) != self.target:
+            return v
+        return NormVector(v.kind, v.n, v.horizon, tuple(c + 10**6 for c in v.coords))
+
+
+def test_crossing_check_catches_a_raised_left_hand_side(monkeypatch):
+    # The first crossing pair of FIX-R2-SWAP, alpha = {0, 1} and beta = {0, 2}
+    # at vertex 0, cross simply with P = 1 <= Q = G, so p = 2 and q = 1.  The
+    # one component is gamma = {0} = alpha n beta, and alpha - gamma = {1}.
+    # Neither left-hand set is alpha or beta, so raising it cannot raise the
+    # right-hand side too.
+    m = fix_r2_swap()
+    g = m.graph
+    alpha, beta = IdealEdge(0, frozenset({0, 1})), IdealEdge(0, frozenset({0, 2}))
+    cr = crossing(g, alpha, beta)
+    assert cr.number == 1 and cr.components == (frozenset({0}),)
+    assert len(stab_set(g, alpha.edges)) == 1 and len(stab_set(g, beta.edges)) == 2
+    pair = "alpha=(0, (0, 1)) beta=(0, (0, 2))"
+    for target, failure in [({0}, f"simple-crossing inequality fails (out): {pair}"),
+                            ({1}, f"component-removal inequality fails (out): {pair} "
+                                  f"gamma=[0]")]:
+        def raised(m, horizon, target=target):
+            return _RaisedSetAbs(calculator(m, horizon), target)
+
+        monkeypatch.setattr(selftest, "calculator", raised)
+        with pytest.raises(PropertyViolation) as exc:
+            selftest.check_crossing_inequalities(m, 2)
+        assert str(exc.value) == failure
 
 
 def test_non_basepoint_edges_keep_two_complement_edges(named_instance):

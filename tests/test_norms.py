@@ -334,3 +334,50 @@ def test_norm_cross_check_catches_a_wrong_item(kind):
     with pytest.raises(InternalInconsistency,
                        match=rf"direct norm .* != half edge_abs sum .*\({kind}\)"):
         calc.norm(kind)
+
+
+def test_set_abs_memo_matches_scan_oracle_on_every_call():
+    instances = (list(all_fixtures().values())
+                 + [random_instance(s) for s in range(7100, 7104)])
+    for m in instances:
+        calc = NormCalculator(m, 2)
+        edges = list(range(m.graph.n_edges))
+        rng = random.Random(23)
+        for _ in range(10):
+            C = rng.sample(edges, rng.randrange(1, len(edges) + 1))
+            want = {kind: scan_set_abs(m, C, kind, 2) for kind in KINDS}
+            assert want["tot"] == want["out"] + want["aut"]
+            for kind in KINDS:
+                first = calc.set_abs(set(C), kind)
+                assert (first.kind, first.coords) == (kind, want[kind])
+                # a frozenset or a list of the same edges is the same entry
+                assert calc.set_abs(frozenset(C), kind) is first
+                assert calc.set_abs(C, kind) is first
+                assert calc.set_abs(C[::-1], kind).coords == want[kind]
+
+
+@pytest.mark.parametrize("kind", ["out", "aut"])
+def test_all_norms_memo_keeps_its_cross_check(kind):
+    calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
+    calc.items[kind][0] += (0,)
+    for _ in range(2):  # a failed check stores nothing
+        with pytest.raises(InternalInconsistency,
+                           match=rf"direct norm .* != half edge_abs sum .*\({kind}\)"):
+            calc.all_norms()
+
+
+def test_all_norms_runs_the_cross_checks_once(monkeypatch):
+    calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
+    calls = []
+    norm = NormCalculator.norm
+
+    def counted(self, kind):
+        calls.append(kind)
+        return norm(self, kind)
+
+    monkeypatch.setattr(NormCalculator, "norm", counted)
+    out, aut, tot = calc.all_norms()
+    assert calls == ["out", "aut"]
+    assert calc.all_norms() == (out, aut, tot)
+    assert calls == ["out", "aut"]
+    assert tot.coords == out.coords + aut.coords
