@@ -72,6 +72,11 @@ class MarkedGGraph:
     basis_paths: tuple  # one reduced loop at the basepoint per generator
     realization: tuple = None  # optional: one FreeAutomorphism per group element
 
+    def __post_init__(self):
+        # moves.reductive_scan's (R, best) per (horizon, kind).  A plain
+        # attribute, not a field, so equality, hashing and repr ignore it.
+        object.__setattr__(self, "_scans", {})
+
     @property
     def n(self):
         return len(self.basis_paths)

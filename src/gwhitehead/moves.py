@@ -212,8 +212,12 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
     collapse target) key so runs are reproducible.  The pairs come in
     increasing key order, as in candidate_pairs, so the first of equal
     values is kept.  |alpha| is packed once per orbit rep, and unpacked
-    once per orbit rep in R.
+    once per orbit rep in R.  The answer is kept on m, so a second scan of
+    the same marked graph at the same horizon and kind reads it back.
     """
+    scan = m._scans.get((horizon, kind))
+    if scan is not None:
+        return scan
     R, best = set(), None
     for alpha in enumerate_ideal_edges(m):
         targets = sorted(d_set(m, alpha))
@@ -226,7 +230,8 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
         for a, r in zip(reductive, _reductivities(m, alpha, reductive, kind, horizon)):
             if best is None or compare(r.value, best[1].value) == Order.GREATER:
                 best = (IdealPair(alpha, a), r)
-    return frozenset(R), best
+    scan = m._scans[horizon, kind] = (frozenset(R), best)
+    return scan
 
 
 def max_reductive_pair(m: MarkedGGraph, horizon, kind="tot"):

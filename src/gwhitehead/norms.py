@@ -206,14 +206,16 @@ class NormCalculator:
         return sign
 
     def norm(self, kind) -> NormVector:
-        """Norm, computed both directly and as half the edge_abs sum."""
+        """Norm, computed both directly and as half the edge_abs sum.
+
+        The edge_abs sum is one sum of the packed edge ints per part,
+        unpacked once: lane i of it is 2 |G| times the length of item i,
+        which its lane holds (see _pack), so it never carries.
+        """
         order = self.m.graph.group.order
         direct = tuple(order * len(steps)
                        for part in _parts(kind) for steps in self.items[part])
-        total = None
-        for e in range(self.m.graph.n_edges):
-            v = self.edge_abs(e, kind)
-            total = v if total is None else total + v
+        total = self._vec(kind, lambda lanes: sum(lanes.edge))
         halved = []
         for c in total.coords:
             if c % 2:

@@ -50,10 +50,10 @@ def reduce_to_forest_free(m):
 
 
 def check_norm_consistency(m, horizon):
-    """norm() recomputes each kind two ways and hard-errors on mismatch."""
-    calc = calculator(m, horizon)
-    for kind in ("out", "aut"):
-        calc.norm(kind)
+    """all_norms() computes out and aut two ways each, through norm(), and
+    hard-errors on mismatch; later all_norms() calls on the same calculator
+    reuse that result."""
+    calculator(m, horizon).all_norms()
 
 
 def check_inclusion_exclusion(m, A, B, kind, horizon):

@@ -9,9 +9,13 @@ once, records R and the pair in its trace, and collapses S(R) step by
 step to a single forest.  Each step is a Poset-Lemma double step
 S(C) -f-> S(C) -g-> S(C'), and every step, an elimination or the final
 contraction to {mu}, is checked by the one verifier _Engine.verify: the
-pointwise conditions on every forest, monotonicity of f and g on all
-comparable pairs (not only covering pairs), and g(f(S(C))) = S(C').  A
-failed claim raises a hard error with a witness.
+pointwise conditions on every forest, monotonicity of f and g on the
+one-step pairs of S(C), which join every comparable pair by a chain (see
+verify), and g(f(S(C))) = S(C').  A failed claim raises a hard error with
+a witness.  Each elimination hands its S(C') on as the next step's S(C),
+so each family is enumerated once.  The forest search and the one-step
+pairs work on int bitmasks over the family's orbits; IdealForest is what
+they return.
 """
 
 from __future__ import annotations
@@ -86,34 +90,78 @@ def is_ideal_forest(m, orbits) -> bool:
 
 
 def enumerate_ideal_forests(m, restrict_to):
-    """All nonempty ideal forests over the given orbit reps, sorted."""
+    """All nonempty ideal forests over the given orbit reps, sorted by
+    (size, key).
+
+    Orbit i of the pool, sorted by key, is bit i of a forest's mask.  Each
+    pair of orbits is tested once: compatible when both are at *,
+    pre-compatible when both are away from it, and always allowed when one
+    is at * and one is not.  That gives one adjacency mask per orbit.
+    Orbits that no forest can hold are dropped first: a rep that is not
+    canonical, and an orbit away from * whose inverse is outside the pool
+    (the inverse of a canonical rep is at its vertex, so never at *).
+    need[i] is the inverse that inverse closure asks of orbit i.
+    The search grows a set only by its candidates, the later orbits
+    adjacent to all of it (as Bron-Kerbosch clique enumeration does), and
+    drops a branch whose missing inverse is not among them.
+
+    More than MAX_FORESTS forests raise HypothesisNotMet, except that one
+    more is let through when it is the singleton of the last orbit: that
+    is where a depth-first search over all pairwise-allowed sets in key
+    order, which checks the count on entering each set, puts the cap.
+    """
     g = m.graph
-    pool = sorted(restrict_to, key=lambda a: a.key())
-    out = []
+    pool = sorted(set(restrict_to), key=lambda a: a.key())
+    bit = {a: 1 << i for i, a in enumerate(pool)}
+    need = [0] * len(pool)
+    usable = 0
+    for i, a in enumerate(pool):
+        if canonical_rep(g, a) != a:
+            continue
+        if a.vertex != g.basepoint:
+            ainv = inverse_orbit(g, a)
+            if ainv is not None:
+                if ainv not in bit:
+                    continue
+                need[i] = bit[ainv]
+        usable |= 1 << i
+    adj = [0] * len(pool)
+    for i, j in itertools.combinations(_bits(usable), 2):
+        a, b = pool[i], pool[j]
+        at_a, at_b = a.vertex == g.basepoint, b.vertex == g.basepoint
+        if at_a != at_b or (compatible if at_a else pre_compatible)(g, a, b):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    last = 1 << len(pool) >> 1
+    cap = MAX_FORESTS + bool(usable & last and not need[-1] & ~last)
+    found = []
 
-    def walk(i, chosen):
-        if len(out) > MAX_FORESTS:
-            raise HypothesisNotMet("ideal forest count exceeds the search cap")
-        if chosen and not forest_violations(m, chosen):
-            out.append(IdealForest(tuple(chosen)))
-        for j in range(i, len(pool)):
-            a = pool[j]
-            ok = True
-            for b in chosen:
-                if a.vertex == g.basepoint and b.vertex == g.basepoint:
-                    ok = compatible(g, a, b)
-                elif a.vertex != g.basepoint and b.vertex != g.basepoint:
-                    ok = pre_compatible(g, a, b)
-                if not ok:
-                    break
-            if ok:
-                chosen.append(a)
-                walk(j + 1, chosen)
-                chosen.pop()
+    def grow(chosen, needed, candidates):
+        for i in _bits(candidates):
+            here, want = chosen | 1 << i, needed | need[i]
+            rest = candidates & adj[i] & -(2 << i)
+            missing = want & ~here
+            if missing & ~rest:
+                continue
+            if not missing:
+                if len(found) == cap:
+                    raise HypothesisNotMet(
+                        "ideal forest count exceeds the search cap")
+                found.append(here)
+            grow(here, want, rest)
 
-    walk(0, [])
+    grow(0, 0, usable)
+    out = [IdealForest(tuple(pool[i] for i in _bits(x))) for x in found]
     out.sort(key=lambda f: (len(f.orbits), f.key()))
     return out
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -341,55 +389,92 @@ class _Engine:
     def verify(self, stage, before, f, g, after):
         """Check one Poset-Lemma double step S(C) -f-> S(C) -g-> S(C').
 
-        On every forest: Phi <= f(Phi) with f(Phi) in S(C), and g(Psi) <= Psi
-        a nonempty ideal forest.  f is monotone on every comparable pair of
-        S(C) and g on every comparable pair of f(S(C)); no transitivity
-        shortcut is taken.  Finally g(f(S(C))) is exactly S(C').  Each forest
-        is mapped once.
+        before is all of S(C) and after all of S(C').  On every forest:
+        Phi <= f(Phi) with f(Phi) in S(C), and g(Psi) <= Psi a nonempty
+        ideal forest for Psi in f(S(C)).  f and g are monotone on every
+        one-step pair of S(C), and g(f(S(C))) is exactly S(C').  f and g
+        are applied once per forest.
+
+        One-step pairs suffice.  Every condition on an ideal forest but
+        inverse closure is a condition on each orbit or each pair of
+        orbits.  Let Phi < Psi in S(C) and a in Psi - Phi, and add to Phi
+        the orbit a, and also its inverse when a is invertible and away
+        from *: Psi holds that inverse, whose own inverse is a.  The result
+        lies inside Psi, so its orbits and pairs pass, and it is inverse
+        closed, so it is again in S(C).  By induction on |Psi - Phi| every
+        comparable pair of S(C) is joined by a chain of one-step pairs in
+        S(C), and a map monotone on these is monotone on all of S(C).  g is
+        checked on all of S(C), which holds f(S(C)).
         """
-        members = set(before)
-        image = [f(phi) for phi in before]
-        for phi, fi in zip(before, image):
+        index = {phi: i for i, phi in enumerate(before)}
+        image = []
+        for phi in before:
+            fi = f(phi)
             if not phi <= fi:
                 raise PropertyViolation(f"[{stage}] f does not satisfy Phi <= f(Phi)")
-            if fi not in members:
+            if fi not in index:
                 bad = forest_violations(self.m, fi.orbits)
                 raise PropertyViolation(
                     f"[{stage}] f(Phi) is not an ideal forest over the family "
                     f"for Phi={phi.key()}: {'; '.join(bad) or 'not enumerated'}")
+            image.append(index[fi])
+        steps = self.one_steps(before)
 
-        def monotone(name, xs, ys):
-            for (x1, y1), (x2, y2) in itertools.product(zip(xs, ys), repeat=2):
-                if x1 <= x2 and not y1 <= y2:
+        def monotone(name, ys):
+            for i, j in steps:
+                if not ys[i] <= ys[j]:
                     raise PropertyViolation(f"[{stage}] {name} is not monotone")
 
-        monotone("f", before, image)
-        back = [g(psi) for psi in image]
-        for psi, gi in zip(image, back):
+        monotone("f", [before[i] for i in image])
+        back = [g(psi) for psi in before]
+        members = set(after)
+        for i in image:
+            psi, gi = before[i], back[i]
             if not gi.orbits:
                 raise PropertyViolation(
                     f"[{stage}] g empties the forest {psi.key()}")
             if not gi <= psi:
                 raise PropertyViolation(f"[{stage}] g does not satisfy g(Psi) <= Psi")
-            bad = forest_violations(self.m, gi.orbits)
-            if bad:
-                raise PropertyViolation(
-                    f"[{stage}] g(Psi) is not an ideal forest for "
-                    f"Psi={psi.key()}: {'; '.join(bad)}")
-        monotone("g", image, back)
-        got, want = set(back), set(after)
-        if got != want:
+            if gi not in members:
+                bad = forest_violations(self.m, gi.orbits)
+                if bad:
+                    raise PropertyViolation(
+                        f"[{stage}] g(Psi) is not an ideal forest for "
+                        f"Psi={psi.key()}: {'; '.join(bad)}")
+        monotone("g", back)
+        got = {back[i] for i in image}
+        if got != members:
             raise PropertyViolation(
                 f"[{stage}] g(f(S(C))) != S(C - eliminated): "
-                f"{sorted(x.key() for x in got ^ want)[:3]} ...")
+                f"{sorted(x.key() for x in got ^ members)[:3]} ...")
 
-    def eliminate(self, C, targets, alpha0s, stage, pre=False):
-        """One Poset-Lemma double step: f adds alpha0s to forests meeting
-        targets, g strips targets.  Checks compatibility transfer first
-        (pre-compatibility when pre).  Returns the new family."""
+    def one_steps(self, forests):
+        """(i, j) for each pair of forests where forests[j] adds to
+        forests[i] one orbit a, or a and its inverse when a is invertible
+        and away from *.  Each is found from forests[j] by taking a, or a
+        and its inverse, away; forests are bitmasks over their orbits here."""
+        g = self.g
+        bit = {}
+        for phi in forests:
+            for a in phi.orbits:
+                bit.setdefault(a, 1 << len(bit))
+        drops = {}
+        for a, b in bit.items():
+            ainv = inverse_orbit(g, a) if a.vertex != g.basepoint else None
+            drops[a] = (b, b | bit[ainv]) if ainv in bit and ainv != a else (b,)
+        masks = [sum(bit[a] for a in phi.orbits) for phi in forests]
+        index = {x: i for i, x in enumerate(masks)}
+        return [(index[y & ~d], j)
+                for j, (phi, y) in enumerate(zip(forests, masks))
+                for a in phi.orbits for d in drops[a] if y & ~d in index]
+
+    def eliminate(self, C, S, targets, alpha0s, stage, pre=False):
+        """One Poset-Lemma double step on the family C with forests S: f
+        adds alpha0s to forests meeting targets, g strips targets.  Checks
+        compatibility transfer first (pre-compatibility when pre).  Returns
+        the new family and its forests."""
         self.check_claim(C, targets, alpha0s, stage, pre)
         targets, alpha0s = frozenset(targets), frozenset(alpha0s)
-        before = self.forests(C)
         newC = C - targets
         after = self.forests(newC)
 
@@ -401,14 +486,14 @@ class _Engine:
         def g_map(psi):
             return IdealForest(tuple(a for a in psi.orbits if a not in targets))
 
-        self.verify(stage, before, f_map, g_map, after)
+        self.verify(stage, S, f_map, g_map, after)
         self.steps.append(RetractionStep(
             stage,
             tuple(sorted(a.key() for a in targets)),
             tuple(sorted(a.key() for a in alpha0s)),
-            len(before), len(after),
+            len(S), len(after),
             self.betti_of(after)))
-        return newC
+        return newC, after
 
     # -- stage A: S(R) -> S(C1) -----------------------------------------
 
@@ -422,7 +507,7 @@ class _Engine:
             return (-len(a.edges & Gmu), -len(a.edges), a.key())
         return min(pool, key=key)
 
-    def stage_shrink(self, C, target, mu, mhat, stage):
+    def stage_shrink(self, C, S, target, mu, mhat, stage):
         g = self.g
         Gmu = orbit_union(g, mu)
         m_orbit = g.orbit_edge(mhat)
@@ -442,12 +527,12 @@ class _Engine:
                     "Shrinking Lemma is compatible with the maximal edge")
             targets = closure_pm(self.m, {alpha}) & C
             alpha0s = closure_pm(self.m, {alpha0})
-            C = self.eliminate(C, targets, alpha0s, stage)
-        return C
+            C, S = self.eliminate(C, S, targets, alpha0s, stage)
+        return C, S
 
     # -- stage B: S(C1) -> S(C0') ----------------------------------------
 
-    def stage_push(self, C, target, mu, mhat, stage):
+    def stage_push(self, C, S, target, mu, mhat, stage):
         g = self.g
         Gmu = orbit_union(g, mu)
         while rest := C - target:
@@ -471,12 +556,12 @@ class _Engine:
                     f"ideal edge inside {alpha.key()} compatible with the "
                     "maximal edge")
             targets = closure_pm(self.m, {canonical_rep(g, alpha)}) & C
-            C = self.eliminate(C, targets, [alpha0], stage)
-        return C
+            C, S = self.eliminate(C, S, targets, [alpha0], stage)
+        return C, S
 
     # -- stage C: S(C0') -> S(C0) -> point --------------------------------
 
-    def stage_final(self, C, C0pm, mu, mhat, gamma, stage):
+    def stage_final(self, C, S, C0pm, mu, mhat, gamma, stage):
         g = self.g
         Gmu = orbit_union(g, mu)
         mu_inv = inverse_orbit(g, mu)
@@ -510,7 +595,7 @@ class _Engine:
                     raise PropertyViolation(
                         f"[{stage}] the inverse of {alpha.key()} is compatible "
                         "with the maximal edge but not reductive")
-                C = self.eliminate(C, [acan], [a_inv_can], stage)
+                C, S = self.eliminate(C, S, [acan], [a_inv_can], stage)
                 continue
             if mhat not in alpha.edges:
                 raise PropertyViolation(
@@ -525,7 +610,7 @@ class _Engine:
             if alpha0 is not None:
                 # both orientations of alpha are replaced by alpha0 at once
                 targets = [acan] + ([a_inv_can] if a_inv_can in C else [])
-                C = self.eliminate(C, targets, [alpha0], stage, pre=True)
+                C, S = self.eliminate(C, S, targets, [alpha0], stage, pre=True)
                 continue
             local = Gmu & g.edge_set_at(alpha.vertex)
             alpha0 = self.choose(
@@ -544,27 +629,26 @@ class _Engine:
                     f"[{stage}] the inverse of the union edge "
                     f"{alpha0.key()} is not reductive")
             if a_inv_can in C:
-                C = self.eliminate(C, [a_inv_can], [alpha0_inv_can], stage)
-            C = self.eliminate(C, [acan], [alpha0], stage)
+                C, S = self.eliminate(C, S, [a_inv_can], [alpha0_inv_can], stage)
+            C, S = self.eliminate(C, S, [acan], [alpha0], stage)
 
         if not gamma_ok:
             # replace the leftover full-stabilizer edge with the inverse of mu
             if mu_inv not in self.R:
                 raise PropertyViolation(
                     "the inverse of the maximal edge is not reductive")
-            C = self.eliminate(C, [gamma], [mu_inv], stage + "/gamma")
-        return C
+            C, S = self.eliminate(C, S, [gamma], [mu_inv], stage + "/gamma")
+        return C, S
 
-    def contract_to_point(self, C, mu, stage):
-        """Add mu to every forest, then send everything to {mu}."""
-        before = self.forests(C)
+    def contract_to_point(self, S, mu, stage):
+        """Add mu to every forest of S, then send everything to {mu}."""
         point = IdealForest((mu,))
         self.verify(
-            stage, before,
+            stage, S,
             lambda phi: phi if mu in phi.orbits else IdealForest(phi.orbits + (mu,)),
             lambda psi: point, [point])
         self.steps.append(RetractionStep(
-            stage, (mu.key(),), (mu.key(),), len(before), 1,
+            stage, (mu.key(),), (mu.key(),), len(S), 1,
             self.betti_of([point])))
         return [point]
 
@@ -574,8 +658,8 @@ def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace
 
     R and the maximal pair come from one reductive_scan and are recorded
     in the trace, whatever its status.  Every poset map used is verified
-    exhaustively (monotone, pointwise comparable, image inside the
-    complex); any failed lemma claim raises PropertyViolation with a
+    on every forest (monotone on the one-step pairs, hence on all pairs,
+    pointwise comparable, image inside the complex); any failed lemma claim raises PropertyViolation with a
     witness.  When the maximal pair is away from the basepoint the case is
     reported as out of scope.
     """
@@ -604,9 +688,10 @@ def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace
 
     C0, C0p, C1 = nested_families(g, R, mu, mhat)
     C = closure_pm(m, R)
-    C = eng.stage_shrink(C, closure_pm(m, C1), mu, mhat, "R->C1")
-    C = eng.stage_push(C, closure_pm(m, C0p), mu, mhat, "C1->C0p")
-    C = eng.stage_final(C, closure_pm(m, C0), mu, mhat, gamma, "C0p->C0")
-    final = eng.contract_to_point(C, mu, "C0->point")
+    S = eng.forests(C)
+    C, S = eng.stage_shrink(C, S, closure_pm(m, C1), mu, mhat, "R->C1")
+    C, S = eng.stage_push(C, S, closure_pm(m, C0p), mu, mhat, "C1->C0p")
+    C, S = eng.stage_final(C, S, closure_pm(m, C0), mu, mhat, gamma, "C0p->C0")
+    final = eng.contract_to_point(S, mu, "C0->point")
     return RetractionTrace("done", "retracted to a single forest",
                            R, pair, eng.steps, tuple(final))

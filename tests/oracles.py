@@ -11,6 +11,10 @@ from array import array
 from collections import defaultdict
 from fractions import Fraction
 
+from gwhitehead.errors import HypothesisNotMet, PropertyViolation
+from gwhitehead.idealedges import compatible, pre_compatible
+from gwhitehead.starcomplex import IdealForest, forest_violations
+
 
 def naive_reduce(letters):
     """Repeatedly delete the first adjacent cancelling pair (quadratic scan)."""
@@ -270,3 +274,79 @@ def dense_reduced_homology(faces):
         ranks.append(dense_rank(rows))
     ranks.append(0)
     return tuple(len(layers[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+
+
+def walk_ideal_forests(m, restrict_to, cap):
+    """Ideal forests over the orbit reps, sorted by (size, key), from a
+    depth-first walk over every pairwise-allowed set of orbits in key order:
+    each set is tested whole with forest_violations.  Raises
+    HypothesisNotMet on entering a set once more than cap forests are
+    found."""
+    g = m.graph
+    pool = sorted(restrict_to, key=lambda a: a.key())
+    out = []
+
+    def walk(i, chosen):
+        if len(out) > cap:
+            raise HypothesisNotMet("ideal forest count exceeds the search cap")
+        if chosen and not forest_violations(m, chosen):
+            out.append(IdealForest(tuple(chosen)))
+        for j in range(i, len(pool)):
+            a = pool[j]
+            ok = True
+            for b in chosen:
+                if a.vertex == g.basepoint and b.vertex == g.basepoint:
+                    ok = compatible(g, a, b)
+                elif a.vertex != g.basepoint and b.vertex != g.basepoint:
+                    ok = pre_compatible(g, a, b)
+                if not ok:
+                    break
+            if ok:
+                chosen.append(a)
+                walk(j + 1, chosen)
+                chosen.pop()
+
+    walk(0, [])
+    out.sort(key=lambda f: (len(f.orbits), f.key()))
+    return out
+
+
+def all_pairs_verify(m, stage, before, f, g, after):
+    """The Poset-Lemma double step S(C) -f-> S(C) -g-> S(C') checked with
+    monotonicity on every comparable pair: f on S(C), g on f(S(C)).  The
+    pointwise checks and messages are those of the package's verifier."""
+    members = set(before)
+    image = [f(phi) for phi in before]
+    for phi, fi in zip(before, image):
+        if not phi <= fi:
+            raise PropertyViolation(f"[{stage}] f does not satisfy Phi <= f(Phi)")
+        if fi not in members:
+            bad = forest_violations(m, fi.orbits)
+            raise PropertyViolation(
+                f"[{stage}] f(Phi) is not an ideal forest over the family "
+                f"for Phi={phi.key()}: {'; '.join(bad) or 'not enumerated'}")
+
+    def monotone(name, xs, ys):
+        for (x1, y1), (x2, y2) in itertools.product(zip(xs, ys), repeat=2):
+            if x1 <= x2 and not y1 <= y2:
+                raise PropertyViolation(f"[{stage}] {name} is not monotone")
+
+    monotone("f", before, image)
+    back = [g(psi) for psi in image]
+    for psi, gi in zip(image, back):
+        if not gi.orbits:
+            raise PropertyViolation(
+                f"[{stage}] g empties the forest {psi.key()}")
+        if not gi <= psi:
+            raise PropertyViolation(f"[{stage}] g does not satisfy g(Psi) <= Psi")
+        bad = forest_violations(m, gi.orbits)
+        if bad:
+            raise PropertyViolation(
+                f"[{stage}] g(Psi) is not an ideal forest for "
+                f"Psi={psi.key()}: {'; '.join(bad)}")
+    monotone("g", image, back)
+    got, want = set(back), set(after)
+    if got != want:
+        raise PropertyViolation(
+            f"[{stage}] g(f(S(C))) != S(C - eliminated): "
+            f"{sorted(x.key() for x in got ^ want)[:3]} ...")

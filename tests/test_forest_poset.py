@@ -1,0 +1,249 @@
+"""The bitmask forest poset against the former searches.
+
+enumerate_ideal_forests is compared with oracles.walk_ideal_forests, the
+depth-first walk that tests every pairwise-allowed set of orbits whole,
+and _Engine.verify, which checks monotonicity on one-step pairs only, with
+oracles.all_pairs_verify, which checks every comparable pair.  The corpus
+is the fixtures, the saved instances, random_instance(20000..20399) made
+forest-free and two rank-4 roses.
+"""
+
+import functools
+import itertools
+import pathlib
+
+import pytest
+
+from gwhitehead import cli, starcomplex
+from gwhitehead.errors import GWError, HypothesisNotMet, PropertyViolation
+from gwhitehead.fixtures import all_fixtures, fix_r2, random_instance
+from gwhitehead.idealedges import (IdealEdge, enumerate_ideal_edges,
+                                   inverse_orbit)
+from gwhitehead.selftest import reduce_to_forest_free
+from gwhitehead.starcomplex import (IdealForest, closure_pm,
+                                    enumerate_ideal_forests, reductive_orbits,
+                                    run_retractions)
+
+from oracles import all_pairs_verify, walk_ideal_forests
+
+INSTANCES = pathlib.Path(__file__).parent / "instances"
+
+# Trivial-group roses of rank 4, each scrambled by 6 Nielsen moves; the
+# markings x1..x4 as words in the petals p1..p4.
+RANK4 = {
+    1: ["~p4 p3 p1", "p3 p1 ~p2 p3 p1 ~p2 ~p3 p4", "p3", "p2 ~p1 ~p3"],
+    5: ["~p2", "~p2 ~p4 ~p4 p3 p2 ~p1", "p1 ~p2 ~p3 p4 p4 p2 ~p4 p3",
+        "~p2 ~p4 ~p4 p3"],
+    8: ["p2 ~p1 p3", "~p2", "~p3", "p1 ~p2 p4 p2 p1 ~p2 p3"],
+}
+
+
+def rose4(seed):
+    return cli.parse("\n".join(
+        ["[graph]", "basepoint = *", "vertex *"]
+        + [f"edge p{i} : * -> *" for i in range(1, 5)]
+        + ["[group]", "order = 1", "[marking]"]
+        + [f"x{i} = {w}" for i, w in enumerate(RANK4[seed], 1)]) + "\n")
+
+
+@functools.lru_cache(maxsize=None)
+def corpus():
+    """(label, forest-free marked graph) for every instance but rank 4."""
+    out = [(name, reduce_to_forest_free(m))
+           for name, m in sorted(all_fixtures().items())]
+    out += [(p.name, cli.parse(p.read_text()))
+            for p in sorted(INSTANCES.glob("*.txt"))]
+    out += [(f"random-{s}", reduce_to_forest_free(random_instance(s)))
+            for s in range(20000, 20400)]
+    return out
+
+
+def pools(m):
+    """All ideal edges, and all of them but the inverse of the first
+    invertible orbit away from *, which that orbit then misses."""
+    g = m.graph
+    edges = enumerate_ideal_edges(m)
+    yield edges
+    away = [a for a in edges if a.vertex != g.basepoint
+            and inverse_orbit(g, a) is not None]
+    if away:
+        yield [a for a in edges if a != inverse_orbit(g, away[0])]
+
+
+def test_forest_lists_match_the_walk():
+    missing_inverse = 0
+    for label, m in corpus():
+        g = m.graph
+        for pool in pools(m):
+            want = walk_ideal_forests(m, pool, starcomplex.MAX_FORESTS)
+            assert enumerate_ideal_forests(m, pool) == want, label
+            missing_inverse += len(pool) < len(enumerate_ideal_edges(m))
+        for a in enumerate_ideal_edges(m):
+            ainv = inverse_orbit(g, a)
+            # the inverse of a canonical rep is at its vertex, so an orbit
+            # away from * never has its inverse at *
+            assert ainv is None or ainv.vertex == a.vertex
+    assert missing_inverse
+    for seed in (1, 8):
+        m = rose4(seed)
+        C = closure_pm(m, reductive_orbits(m, "tot", 3))
+        assert enumerate_ideal_forests(m, C) == walk_ideal_forests(
+            m, C, starcomplex.MAX_FORESTS)
+
+
+def test_search_cap_raises_where_the_walk_raised(monkeypatch):
+    """With the cap at n - 2 .. n + 1 for n forests, the search raises
+    exactly where the walk did; at n - 1 the walk let n forests through
+    when the last orbit alone is a forest, its last set searched."""
+    cases = [(label, m, pool, len(enumerate_ideal_forests(m, pool)))
+             for label, m in corpus()[:100] for pool in pools(m)]
+    at_cap_plus_one = set()
+    for label, m, pool, n in cases:
+        if n > 60:
+            continue
+        for cap in range(max(n - 2, 0), n + 2):
+            monkeypatch.setattr(starcomplex, "MAX_FORESTS", cap)
+            try:
+                want = walk_ideal_forests(m, pool, cap)
+            except HypothesisNotMet:
+                want = None
+            try:
+                got = enumerate_ideal_forests(m, pool)
+            except HypothesisNotMet:
+                got = None
+            assert got == want, (label, cap)
+            if cap == n - 1:
+                at_cap_plus_one.add(want is None)
+    assert at_cap_plus_one == {True, False}
+
+
+def _both_verifiers(monkeypatch):
+    """Make _Engine.verify run the all-pairs oracle too and compare their
+    verdicts: None, or the message of the PropertyViolation."""
+    verify = starcomplex._Engine.verify
+    checked = []
+
+    def both(self, stage, before, f, g, after):
+        verdicts = []
+        for check in (lambda: verify(self, stage, before, f, g, after),
+                      lambda: all_pairs_verify(self.m, stage, before, f, g, after)):
+            try:
+                check()
+                verdicts.append(None)
+            except PropertyViolation as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1], verdicts
+        checked.append(verdicts[0])
+        if verdicts[0] is not None:
+            raise PropertyViolation(verdicts[0])
+
+    monkeypatch.setattr(starcomplex._Engine, "verify", both)
+    return checked
+
+
+def test_retraction_verdicts_match_all_pairs(monkeypatch):
+    checked = _both_verifiers(monkeypatch)
+    statuses = set()
+    for label, m in corpus():
+        try:
+            statuses.add(run_retractions(m, 3).status)
+        except GWError as exc:
+            statuses.add(type(exc).__name__)
+    assert statuses == {"done", "degenerate"}
+    assert len(checked) > 100 and set(checked) == {None}
+
+
+@pytest.mark.parametrize("seed", [1, 8])
+def test_rank4_verdicts_match_all_pairs(seed, monkeypatch):
+    """The all-pairs oracle takes seconds here: 2 x 17.7M pairs at seed 1."""
+    checked = _both_verifiers(monkeypatch)
+    assert run_retractions(rose4(seed), 3).status == "done"
+    assert checked == [None]
+
+
+def _same(x):
+    return x
+
+
+def _probe():
+    m = fix_r2()
+    return starcomplex._Engine(m, frozenset(), False), enumerate_ideal_forests(
+        m, enumerate_ideal_edges(m))
+
+
+def test_a_non_monotone_g_is_caught_by_both_checks():
+    eng, S = _probe()
+    psi = next(p for p in S if len(p.orbits) == 2)
+    a, b = psi.orbits
+    smaller = IdealForest((a,))
+
+    def g_map(x):
+        return smaller if x == psi else x
+
+    after = [x for x in S if x != psi]
+    for check in (eng.verify, lambda *args: all_pairs_verify(eng.m, *args)):
+        with pytest.raises(PropertyViolation, match=r"^\[probe\] g is not monotone"):
+            check("probe", S, _same, g_map, after)
+
+
+def test_a_non_monotone_f_is_caught_by_both_checks():
+    eng, S = _probe()
+    p1, q = next((p1, q) for p1, p2, q in itertools.product(S, repeat=3)
+                 if p1 <= p2 and p1 != p2 and p1 <= q and not q <= p2)
+    for check in (eng.verify, lambda *args: all_pairs_verify(eng.m, *args)):
+        with pytest.raises(PropertyViolation, match=r"^\[probe\] f is not monotone"):
+            check("probe", S, lambda phi: q if phi == p1 else phi, _same, S)
+
+
+def test_failure_verdicts_match_all_pairs():
+    """Each pointwise failure gives the same first message either way."""
+    eng, S = _probe()
+    a, b = IdealEdge(0, frozenset({0, 2})), IdealEdge(0, frozenset({0, 3}))
+    phi = IdealForest((a,))
+    cases = {
+        "f does not satisfy": (S, lambda x: S[0], _same, S),
+        "f(Phi) is not an ideal forest": ([phi], lambda x: IdealForest((a, b)), _same, [phi]),
+        "g empties": (S, _same, lambda x: IdealForest(()), S),
+        "g does not satisfy": (S, _same, lambda x: S[-1], S),
+        "g(f(S(C))) != S": (S, _same, _same, S[1:]),
+    }
+    for start, (before, f, g, after) in cases.items():
+        messages = []
+        for check in (eng.verify, lambda *args: all_pairs_verify(eng.m, *args)):
+            with pytest.raises(PropertyViolation) as exc:
+                check("probe", before, f, g, after)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"[probe] {start}")
+
+
+def test_one_step_pairs_generate_the_order():
+    """The transitive closure of the one-step pairs of S(C) is its strict
+    order: every comparable pair is joined by a chain of one-step pairs."""
+    sizes = []
+    for label, m in corpus():
+        for pool in pools(m):
+            S = enumerate_ideal_forests(m, pool)
+            if len(S) > 150:
+                continue
+            eng = starcomplex._Engine(m, frozenset(), False)
+            above = [set() for _ in S]
+            for i, j in eng.one_steps(S):
+                assert S[i] <= S[j] and S[i] != S[j], label
+                above[i].add(j)
+            for i in sorted(range(len(S)), key=lambda i: -len(S[i].orbits)):
+                for j in list(above[i]):
+                    above[i] |= above[j]
+            assert above == [{j for j, y in enumerate(S) if x <= y and x != y}
+                             for x in S], label
+            sizes.append(len(S))
+    assert max(sizes) > 100
+
+
+@pytest.mark.xfail(strict=True, raises=PropertyViolation,
+                   reason="C0p->C0 finds a leftover edge that misses the "
+                          "maximal collapse edge on a valid rank-4 rose")
+def test_rank4_seed5_retracts():
+    m = rose4(5)
+    assert m.validate() == [] and m.graph.group.order == 1
+    assert run_retractions(m, 3).status == "done"

@@ -381,3 +381,37 @@ def test_all_norms_runs_the_cross_checks_once(monkeypatch):
     assert calc.all_norms() == (out, aut, tot)
     assert calls == ["out", "aut"]
     assert tot.coords == out.coords + aut.coords
+
+
+@pytest.mark.parametrize("kind", ["out", "aut"])
+def test_norm_cross_check_catches_an_odd_edge_sum(kind):
+    calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
+    calc._lanes[kind].edge[0] += 1  # lane 0 of the sum is now odd
+    with pytest.raises(InternalInconsistency, match="edge_abs sum is odd"):
+        calc.norm(kind)
+
+
+def test_norm_sum_matches_the_edge_abs_sum(named_instance):
+    calc = NormCalculator(named_instance, 3)
+    for kind in KINDS:
+        total = [0] * len(calc.norm(kind).coords)
+        for e in range(named_instance.graph.n_edges):
+            total = [t + c for t, c in zip(total, calc.edge_abs(e, kind).coords)]
+        assert calc.norm(kind).coords == tuple(t // 2 for t in total)
+
+
+def test_norm_consistency_check_is_the_all_norms_check(monkeypatch):
+    m = all_fixtures()["FIX-R2W"]
+    calculator.cache_clear()
+    calls = []
+    norm = NormCalculator.norm
+
+    def counted(self, kind):
+        calls.append(kind)
+        return norm(self, kind)
+
+    monkeypatch.setattr(NormCalculator, "norm", counted)
+    check_norm_consistency(m, 2)
+    calculator(m, 2).all_norms()
+    check_norm_consistency(m, 2)
+    assert calls == ["out", "aut"]

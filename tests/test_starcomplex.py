@@ -489,6 +489,29 @@ def test_family_and_check_star_retraction_scan_once(monkeypatch):
     assert calls["reductive_scan"] == 5
 
 
+def test_a_repeat_scan_reads_the_marked_graph(monkeypatch):
+    m = fix_r2w()
+    calls = _count_scans(monkeypatch)
+    first = moves.reductive_scan(m, HORIZON)
+    full = len(calls["abs_sign"])
+    assert full == 8
+    # the same marked graph: the scan is read back, no kernel call is made
+    assert moves.reductive_scan(m, HORIZON) is first
+    assert reductive_orbits(m, "tot", HORIZON) is first[0]
+    assert run_retractions(m, HORIZON).R is first[0]
+    assert len(calls["abs_sign"]) == full and calls["reductive_scan"] == 4
+    # an equal but fresh marked graph, another horizon or another kind
+    # scans in full
+    fresh = fix_r2w()
+    assert fresh == m and hash(fresh) == hash(m) and repr(fresh) == repr(m)
+    assert moves.reductive_scan(fresh, HORIZON) == first
+    assert len(calls["abs_sign"]) == 2 * full
+    moves.reductive_scan(m, HORIZON - 1)
+    assert len(calls["abs_sign"]) == 3 * full
+    moves.reductive_scan(m, HORIZON, "aut")
+    assert len(calls["abs_sign"]) == 4 * full
+
+
 def test_suite_lemmas_scans_aut_pairs_once_per_instance(monkeypatch):
     # the pushing and shrinking checks share their caller's aut maximal pair
     kinds = []
