@@ -16,8 +16,9 @@ Format (comments start with #):
 A `gen` line permutes the edge pairs (unlisted pairs are fixed, `~e`
 reverses orientation); the group is the closure of the generators and the
 vertex permutation is inferred from the edge action.  Exit codes:
-0 ok, 1 validation/parse, 2 indeterminate at horizon, 3 hypothesis not
-met, 4 property violation, 5 internal inconsistency.
+0 ok, 1 validation/parse or an unreadable/unwritable file, 2 indeterminate
+at horizon, 3 hypothesis not met, 4 property violation, 5 internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (HypothesisNotMet, IndeterminateAtHorizon,
 from .ggraph import GGraph, Group, rev
 from .idealedges import (IdealEdge, d_set, enumerate_ideal_edges,
                          is_invertible, stab_set)
-from .marking import MarkedGGraph, reduce_path
+from .marking import MarkedGGraph, reduce_path, spanning_tree
 from .moves import edge_reductivity, greedy_reduce, whitehead
 from .norms import calculator
 from .selftest import run_suites
@@ -47,6 +48,15 @@ def _perm_compose(p, q):
     return tuple(p[x] for x in q)
 
 
+def _directed(pair_id, token, error):
+    """Directed edge id of the token `e` or `~e`; raises error(message)
+    for an unknown edge name."""
+    name, odd = (token[1:], 1) if token.startswith("~") else (token, 0)
+    if name not in pair_id:
+        raise error(f"unknown edge {name!r}")
+    return 2 * pair_id[name] + odd
+
+
 def parse(text: str) -> MarkedGGraph:
     """Parse an instance file; raises ParseError with a position."""
     return _parse(text)[0]
@@ -59,7 +69,7 @@ def _parse(text):
     vertices = []
     edges = []  # (name, from, to)
     order = None
-    gens = []   # (name, {pair token: target token})
+    gens = []   # (line, name, {pair token: target token})
     marking = {}
     warnings = []
 
@@ -126,7 +136,7 @@ def _parse(text):
                     if src in mapping:
                         err(lineno, 1, f"duplicate map source {src}")
                     mapping[src] = dst
-                gens.append((name, mapping))
+                gens.append((lineno, name, mapping))
             else:
                 err(lineno, 1, f"unrecognized line in [group]: {line!r}")
         elif section == "marking":
@@ -159,21 +169,15 @@ def _parse(text):
         term.extend([vid[v], vid[u]])
 
     def directed(token, lineno):
-        if token.startswith("~"):
-            name, odd = token[1:], 1
-        else:
-            name, odd = token, 0
-        if name not in pair_id:
-            err(lineno, 1, f"unknown edge {name!r}")
-        return 2 * pair_id[name] + odd
+        return _directed(pair_id, token, lambda msg: ParseError(lineno, 1, msg))
 
     # generator permutations on directed edges
     gen_perms = []
-    for gname, mapping in gens:
+    for lineno, gname, mapping in gens:
         perm = list(range(2 * n_pairs))
         for src, dst in mapping.items():
-            s = directed(src, 0)
-            d = directed(dst, 0)
+            s = directed(src, lineno)
+            d = directed(dst, lineno)
             perm[s] = d
             perm[rev(s)] = rev(d)
         gen_perms.append((gname, tuple(perm)))
@@ -253,17 +257,7 @@ def serialize(m: MarkedGGraph) -> str:
 def canonicalize(m: MarkedGGraph) -> MarkedGGraph:
     """Renumber vertices in breadth-first order from the basepoint."""
     g = m.graph
-    order = [g.basepoint]
-    seen = {g.basepoint}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for e in range(g.n_edges):
-            if g.init(e) == v and g.term[e] not in seen:
-                seen.add(g.term[e])
-                order.append(g.term[e])
-    vmap = {old: new for new, old in enumerate(order)}
+    vmap = {old: new for new, old in enumerate(spanning_tree(g))}
     term = tuple(vmap[t] for t in g.term)
     vnames = [None] * g.n_vertices
     for old, new in vmap.items():
@@ -379,18 +373,11 @@ def cmd_move(args):
     g = m.graph
     pname = {n: i for i, n in enumerate(g.pair_names)}
     vname = {n: i for i, n in enumerate(g.vertex_names)}
-
-    def directed(tok):
-        name, odd = (tok[1:], 1) if tok.startswith("~") else (tok, 0)
-        if name not in pname:
-            raise ValidationError(f"unknown edge {name!r}")
-        return 2 * pname[name] + odd
-
     if args.vertex not in vname:
         raise ValidationError(f"unknown vertex {args.vertex!r}")
-    alpha = IdealEdge(vname[args.vertex],
-                      frozenset(directed(t) for t in args.alpha.split(",")))
-    m2 = whitehead(m, alpha, directed(args.collapse))
+    alpha = IdealEdge(vname[args.vertex], frozenset(
+        _directed(pname, t, ValidationError) for t in args.alpha.split(",")))
+    m2 = whitehead(m, alpha, _directed(pname, args.collapse, ValidationError))
     text = canonical_text(m2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -534,28 +521,28 @@ def build_parser():
     return ap
 
 
+# (error class, stderr label, exit code); the first class that matches wins
+EXIT_CODES = (
+    (ParseError, "parse error", 1),
+    (ValidationError, "validation error", 1),
+    (IndeterminateAtHorizon, "indeterminate at horizon", 2),
+    (HypothesisNotMet, "hypothesis not met", 3),
+    (PropertyViolation, "property violation", 4),
+    (InternalInconsistency, "internal inconsistency", 5),
+    (OSError, "file error", 1),
+    (UnicodeDecodeError, "file error", 1),
+)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
-    except IndeterminateAtHorizon as exc:
-        print(f"indeterminate at horizon: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisNotMet as exc:
-        print(f"hypothesis not met: {exc}", file=sys.stderr)
-        return 3
-    except PropertyViolation as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return 4
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 5
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        label, code = next((label, code) for cls, label, code in EXIT_CODES
+                           if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ def _shape_theta(rng, group_order):
     return 2, 0, term, sizes, gen, n_pairs
 
 
-def random_instance(seed, max_rank=3, max_group=6, nielsen_moves=None) -> MarkedGGraph:
+def random_instance(seed, max_rank=3) -> MarkedGGraph:
     """Seeded admissible marked G-graph with a scrambled basis.
 
     Shapes are roses and theta-like graphs with a cyclic group permuting
@@ -141,7 +141,7 @@ def random_instance(seed, max_rank=3, max_group=6, nielsen_moves=None) -> Marked
     """
     rng = random.Random(seed)
     while True:
-        order = rng.choice([d for d in (1, 1, 2, 2, 3, 4, 6) if d <= max_group])
+        order = rng.choice((1, 1, 2, 2, 3, 4, 6))
         shape = rng.choice([_shape_rose, _shape_theta])
         n_vertices, base, term, sizes, gen, n_pairs = shape(rng, order)
         rank = n_pairs - n_vertices + 1
@@ -155,16 +155,9 @@ def random_instance(seed, max_rank=3, max_group=6, nielsen_moves=None) -> Marked
         g = GGraph(n_vertices, base, term, group, tuple(action))
         if g.validate():
             continue
-        tree = spanning_tree(g)
+        tree_path = spanning_tree(g)
+        tree = {path[-1] // 2 for path in tree_path.values() if path}
         nontree = sorted(p for p in range(n_pairs) if p not in tree)
-        tree_path = {base: ()}
-        frontier = [base]
-        while frontier:
-            v = frontier.pop()
-            for e in range(2 * n_pairs):
-                if e // 2 in tree and g.init(e) == v and g.term[e] not in tree_path:
-                    tree_path[g.term[e]] = tree_path[v] + (e,)
-                    frontier.append(g.term[e])
         paths = []
         for p in nontree:
             e = 2 * p
@@ -174,8 +167,7 @@ def random_instance(seed, max_rank=3, max_group=6, nielsen_moves=None) -> Marked
         m = MarkedGGraph(g, tuple(paths))
         if m.validate():
             continue
-        moves = nielsen_moves if nielsen_moves is not None else rng.randrange(0, 5)
-        m = _scramble_marking(m, rng, moves)
+        m = _scramble_marking(m, rng, rng.randrange(0, 5))
         if m.validate():
             continue
         return m

@@ -28,16 +28,8 @@ def word_key(word):
     return (len(word), tuple(letter_key(l) for l in word))
 
 
-def check_letters(letters, n):
-    for l in letters:
-        if not isinstance(l, int) or l == 0 or abs(l) > n:
-            raise ValidationError(f"invalid letter {l!r} for basis size {n}")
-
-
-def reduce_word(letters, n=None) -> Word:
+def reduce_word(letters) -> Word:
     """Freely reduce a raw letter sequence (stack scan)."""
-    if n is not None:
-        check_letters(letters, n)
     out = []
     for l in letters:
         if out and out[-1] == -l:

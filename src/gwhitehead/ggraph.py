@@ -262,8 +262,9 @@ class GGraph:
             raise ValidationError("; ".join(bad))
 
 
-def _acyclic(g: GGraph, pairs) -> bool:
-    """Whether the undirected subgraph on the given edge pairs is a forest."""
+def _components(g: GGraph, pairs):
+    """Each vertex's union-find root over the given edge pairs, or None
+    when the undirected subgraph on them holds a cycle."""
     parent = list(range(g.n_vertices))
 
     def find(x):
@@ -276,9 +277,14 @@ def _acyclic(g: GGraph, pairs) -> bool:
         u, v = g.term[2 * p], g.term[2 * p + 1]
         ru, rv = find(u), find(v)
         if ru == rv:
-            return False
+            return None
         parent[ru] = rv
-    return True
+    return [find(v) for v in range(g.n_vertices)]
+
+
+def _acyclic(g: GGraph, pairs) -> bool:
+    """Whether the undirected subgraph on the given edge pairs is a forest."""
+    return _components(g, pairs) is not None
 
 
 def pair_orbits(g: GGraph):
@@ -299,8 +305,7 @@ def invariant_forests(g: GGraph):
 
     Deterministic order: by (number of orbits used, sorted pair ids).
     """
-    usable = [o for o in pair_orbits(g)
-              if all(not g.is_loop(2 * p) for p in o) and _acyclic(g, o)]
+    usable = [o for o in pair_orbits(g) if _acyclic(g, o)]
     usable.sort(key=lambda o: sorted(o))
     out = []
     for r in range(1, len(usable) + 1):
@@ -318,14 +323,18 @@ def maximal_invariant_forest(g: GGraph):
     acc = set()
     for o in usable:
         cand = acc | o
-        if all(not g.is_loop(2 * p) for p in o) and _acyclic(g, cand):
+        if _acyclic(g, cand):
             acc = cand
     return frozenset(acc)
 
 
 def is_reduced(g: GGraph) -> bool:
-    """No nonempty invariant forest exists (nothing collapsible)."""
-    return not invariant_forests(g)
+    """No nonempty invariant forest exists (nothing collapsible).
+
+    The greedy maximal forest takes the first orbit that is a forest on its
+    own, so it is empty exactly when no invariant forest exists.
+    """
+    return not maximal_invariant_forest(g)
 
 
 def collapse(g: GGraph, forest):
@@ -340,23 +349,12 @@ def collapse(g: GGraph, forest):
         for x in g.group.elements
     ):
         raise ValidationError("forest is not invariant under the group action")
-    if not _acyclic(g, forest):
+    roots = _components(g, forest)
+    if roots is None:
         raise ValidationError("forest contains a cycle")
-
-    parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in forest:
-        parent[find(g.term[2 * p])] = find(g.term[2 * p + 1])
-
-    reps = sorted({find(v) for v in range(g.n_vertices)})
+    reps = sorted(set(roots))
     vidx = {r: i for i, r in enumerate(reps)}
-    vmap = tuple(vidx[find(v)] for v in range(g.n_vertices))
+    vmap = tuple(vidx[r] for r in roots)
 
     survivors = [p for p in range(g.n_pairs) if p not in forest]
     emap = {}

@@ -96,7 +96,7 @@ class MarkedGGraph:
         if rank != self.n:
             bad.append(f"graph has rank {rank} but marking has {self.n} generators")
             return bad
-        tree = spanning_tree(g)
+        tree = {path[-1] // 2 for path in spanning_tree(g).values() if path}
         words = [path_to_subgroup_word(g, tree, p) for p in self.basis_paths]
         if not fg.generates_free_group(words, g.n_pairs - len(tree)):
             bad.append("marking loops do not generate the fundamental group")
@@ -109,22 +109,22 @@ class MarkedGGraph:
 
 
 def spanning_tree(g: GGraph):
-    """BFS spanning tree from the basepoint, as a frozenset of pair ids."""
-    seen = {g.basepoint}
-    tree = set()
-    frontier = [g.basepoint]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in range(g.n_edges):
-                if g.init(e) == v and g.term[e] not in seen:
-                    seen.add(g.term[e])
-                    tree.add(e // 2)
-                    nxt.append(g.term[e])
-        frontier = nxt
-    if len(seen) != g.n_vertices:
+    """BFS spanning tree from the basepoint, as {vertex: tree path from *}.
+
+    Vertices come in breadth-first order; each is reached by the first edge
+    (in increasing id) that leaves an earlier vertex, so the last step of
+    each path is a tree edge.  Every path is reduced and unique.
+    """
+    paths = {g.basepoint: ()}
+    queue = [g.basepoint]
+    for v in queue:
+        for e in range(g.n_edges):
+            if g.init(e) == v and g.term[e] not in paths:
+                paths[g.term[e]] = paths[v] + (e,)
+                queue.append(g.term[e])
+    if len(paths) != g.n_vertices:
         raise ValidationError("graph is not connected")
-    return frozenset(tree)
+    return paths
 
 
 def path_to_subgroup_word(g: GGraph, tree, steps):

@@ -122,10 +122,6 @@ def scan_d_set(g, alpha):
                      if stab(frozenset({a})) == stab(alpha.edges) and a ^ 1 not in union)
 
 
-def path_occurrences(steps, e):
-    return sum(1 for s in steps if s == e)
-
-
 def _letter_key(letter):
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 

@@ -17,8 +17,7 @@ from gwhitehead.fixtures import all_fixtures, random_instance
 from gwhitehead.idealedges import enumerate_ideal_edges
 from gwhitehead.moves import candidate_pairs, greedy_reduce, max_reductive_pair
 from gwhitehead.norms import calculator
-from gwhitehead.selftest import (aut_identity_counterexample,
-                                 check_blowup_correspondence,
+from gwhitehead.selftest import (check_blowup_correspondence,
                                  check_blowup_roundtrip, check_coset_identity,
                                  check_crossing_inequalities,
                                  check_inclusion_exclusion,
@@ -27,7 +26,7 @@ from gwhitehead.selftest import (aut_identity_counterexample,
                                  check_norm_consistency, check_pushing_lemma,
                                  check_shrinking_lemma,
                                  check_star_retraction, coset_cases,
-                                 out_identity_holds, reduce_to_forest_free)
+                                 dot_identity_holds, reduce_to_forest_free)
 
 H = 4
 WITNESS_DIR = pathlib.Path(__file__).parent / "_witnesses"
@@ -60,18 +59,16 @@ def test_criterion_02_inclusion_exclusion():
         edges = list(range(m.graph.n_edges))
         A = frozenset(rng.sample(edges, rng.randrange(1, len(edges))))
         rest = [e for e in edges if e not in A]
-        if not rest:
-            continue
         B = frozenset(rng.sample(rest, rng.randrange(1, len(rest) + 1)))
         for kind in ("out", "aut"):
             check_inclusion_exclusion(m, A, B, kind, H)
-        assert out_identity_holds(m, A, H)
+        assert dot_identity_holds(m, A, "out", H)
         draws += 1
     # recorded aut counterexamples (hand-verified: a one-step basis path
     # contributes to |A|_aut but has no interior turn to count)
     recorded = {"FIX-R2": {0}, "FIX-R2-SWAP": {0},
                 "FIX-THETA": {1}, "FIX-R2W": {0}}
-    assert any(aut_identity_counterexample(all_fixtures()[n], frozenset(A), 3)
+    assert any(not dot_identity_holds(all_fixtures()[n], frozenset(A), "aut", 3)
                for n, A in recorded.items())
     _ok(2, "inclusion-exclusion exact on 1000 draws; out identity; "
            "aut counterexample recorded")

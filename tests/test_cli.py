@@ -1,7 +1,13 @@
 """File format round trips, command behavior, exit codes, determinism."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import gwhitehead
 from gwhitehead import cli
 from gwhitehead.errors import InternalInconsistency, ParseError
 from gwhitehead.fixtures import all_fixtures, fix_r2w, fix_theta
@@ -80,6 +86,59 @@ def test_parse_errors_carry_positions():
     assert e.value.line == 1
     with pytest.raises(ParseError):
         cli.parse(THETA_TEXT + "x3 = nosuch\n")
+
+
+def test_an_unknown_edge_in_a_gen_line_reports_that_line():
+    # line 10 is the gen line
+    for bad in ("e2->e3, e3->e9", "~e9->e2"):
+        with pytest.raises(ParseError) as e:
+            cli.parse(THETA_TEXT.replace("e2->e3, e3->e2", bad))
+        assert (e.value.line, e.value.message) == (10, "unknown edge 'e9'")
+
+
+def test_move_with_an_unknown_edge_is_a_validation_error(tmp_path, capsys):
+    path = _write(tmp_path, cli.serialize(fix_r2w()))
+    assert cli.main(["move", path, "--vertex", "*",
+                     "--alpha", "~a,zz", "--collapse", "~a"]) == 1
+    assert capsys.readouterr().err == "validation error: unknown edge 'zz'\n"
+
+
+def _file_error(capsys, argv):
+    """Run the CLI; it must exit 1 with one `file error` line on stderr."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("file error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_a_missing_file_is_a_file_error(tmp_path, capsys):
+    missing = str(tmp_path / "nosuch.txt")
+    assert missing in _file_error(capsys, ["validate", missing])
+    # and the console entry point prints no traceback either
+    src = str(pathlib.Path(gwhitehead.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-m", "gwhitehead.cli", "norm", missing],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("file error: ") and run.stderr.count("\n") == 1
+
+
+def test_a_directory_is_a_file_error(tmp_path, capsys):
+    _file_error(capsys, ["star", str(tmp_path)])
+
+
+def test_a_non_utf8_file_is_a_file_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(THETA_TEXT.replace("e1", "\xe91").encode("latin-1"))
+    assert "utf-8" in _file_error(capsys, ["validate", str(path)])
+
+
+def test_an_unwritable_out_path_is_a_file_error(tmp_path, capsys):
+    path = _write(tmp_path, cli.serialize(fix_r2w()))
+    out = str(tmp_path / "nodir" / "out.txt")
+    assert out in _file_error(capsys, ["reduce", path, "--out", out])
 
 
 def test_unreduced_marking_warns_but_parses(tmp_path, capsys):

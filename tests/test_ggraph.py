@@ -2,20 +2,25 @@
 
 import dataclasses
 import itertools
+import pathlib
 
 import pytest
 
+from gwhitehead.cli import canonicalize, parse
+from gwhitehead.errors import ValidationError
 from gwhitehead.fixtures import (all_fixtures, fix_r2_swap, fix_theta,
                                  random_instance)
-from gwhitehead.ggraph import (GGraph, Group, collapse, invariant_forests,
-                               is_reduced, maximal_invariant_forest,
-                               pair_orbits, rev)
+from gwhitehead.ggraph import (GGraph, Group, _acyclic, collapse,
+                               invariant_forests, is_reduced,
+                               maximal_invariant_forest, pair_orbits, rev)
 from gwhitehead.idealedges import (IdealEdge, canonical_rep,
                                    enumerate_ideal_edges, inverse_orbit,
                                    is_invertible, orbit_union, translate_at,
                                    translate_through, translates)
-from gwhitehead.marking import MarkedGGraph
+from gwhitehead.marking import (MarkedGGraph, is_consecutive, reduce_path,
+                                spanning_tree)
 from gwhitehead.moves import blow_up
+from gwhitehead.selftest import reduce_to_forest_free
 
 import oracles
 
@@ -159,6 +164,38 @@ def test_rose_is_reduced():
     assert is_reduced(fix_r2_swap().graph)
 
 
+def caterpillar(k):
+    """Trivial group on the path * = 0 - 1 - ... - k, with a loop at every
+    vertex: the k path pairs give 2^k - 1 invariant forests."""
+    term = tuple(t for i in range(k) for t in (i + 1, i))
+    term += tuple(t for v in range(k + 1) for t in (v, v))
+    return GGraph(k + 1, 0, term, Group.trivial(), (tuple(range(len(term))),))
+
+
+def test_is_reduced_answers_without_listing_the_forests():
+    g = caterpillar(30)
+    assert not g.validate()
+    assert not is_reduced(g)
+    assert maximal_invariant_forest(g) == frozenset(range(30))
+
+
+INSTANCES = pathlib.Path(__file__).parent / "instances"
+
+
+def test_is_reduced_iff_no_invariant_forest():
+    # s3_tripod among the table graphs has a forest orbit of three pairs
+    # and no forest orbit of one pair
+    marked = (list(all_fixtures().values())
+              + [parse(p.read_text()) for p in sorted(INSTANCES.glob("*.txt"))]
+              + [random_instance(s) for s in range(20000, 20400)])
+    graphs = [g for m in marked
+              for g in (m.graph, reduce_to_forest_free(m).graph)]
+    graphs += _table_graphs() + [caterpillar(6)]
+    assert {is_reduced(g) for g in graphs} == {True, False}
+    for g in graphs:
+        assert is_reduced(g) == (not invariant_forests(g))
+
+
 def test_s3_graphs_are_valid():
     for m in (s3_theta(), s3_tripod()):
         assert not m.validate()
@@ -220,6 +257,61 @@ def test_orbit_tables_match_scans():
                         if inv else None)
                     assert orbit_union(g, alpha) == frozenset().union(
                         *(s for _, s in want))
+
+
+def test_spanning_tree_is_the_breadth_first_tree():
+    for g in _table_graphs():
+        paths = spanning_tree(g)
+        order = list(paths)
+        index = {v: i for i, v in enumerate(order)}
+        assert order[0] == g.basepoint and paths[g.basepoint] == ()
+        assert sorted(order) == list(range(g.n_vertices))
+        for v, path in paths.items():
+            assert is_consecutive(g, path, g.basepoint)
+            assert reduce_path(path) == path
+            assert g.term[path[-1]] == v if path else v == g.basepoint
+        tree = {paths[v][-1] // 2 for v in order[1:]}
+        assert len(tree) == g.n_vertices - 1 and _acyclic(g, tree)
+        # each vertex hangs off its first neighbour in the order, by the
+        # least edge from it, and vertices come in order of that edge
+        hooks = []
+        for w in order[1:]:
+            e = paths[w][-1]
+            assert paths[w] == paths[g.init(e)] + (e,)
+            hook = (index[g.init(e)], e)
+            assert hook == min((index[g.init(a)], a)
+                               for a in range(g.n_edges) if g.term[a] == w)
+            hooks.append(hook)
+        assert hooks == sorted(hooks)
+
+
+def test_a_disconnected_graph_has_no_spanning_tree():
+    # a loop at * and a loop at v, with nothing between them
+    g = GGraph(2, 0, (0, 0, 1, 1), Group.trivial(), ((0, 1, 2, 3),))
+    with pytest.raises(ValidationError, match="not connected"):
+        spanning_tree(g)
+    with pytest.raises(ValidationError, match="not connected"):
+        canonicalize(MarkedGGraph(g, ((0,),)))
+
+
+def test_collapse_merges_exactly_the_forest_components():
+    for g in _table_graphs():
+        for forest in invariant_forests(g):
+            _, vmap, _ = collapse(g, forest)
+            assert sorted(set(vmap)) == list(range(g.n_vertices - len(forest)))
+            neighbours = {v: set() for v in range(g.n_vertices)}
+            for p in forest:
+                u, w = g.term[2 * p], g.term[2 * p + 1]
+                neighbours[u].add(w)
+                neighbours[w].add(u)
+            for v in range(g.n_vertices):
+                component, stack = {v}, [v]
+                while stack:
+                    for w in neighbours[stack.pop()] - component:
+                        component.add(w)
+                        stack.append(w)
+                assert component == {u for u in range(g.n_vertices)
+                                     if vmap[u] == vmap[v]}
 
 
 THETA_REPR = (
