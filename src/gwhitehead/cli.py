@@ -16,9 +16,9 @@ Format (comments start with #):
 A `gen` line permutes the edge pairs (unlisted pairs are fixed, `~e`
 reverses orientation); the group is the closure of the generators and the
 vertex permutation is inferred from the edge action.  Exit codes:
-0 ok, 1 validation/parse or an unreadable/unwritable file, 2 indeterminate
-at horizon, 3 hypothesis not met, 4 property violation, 5 internal
-inconsistency.
+0 ok, 1 validation/parse, a malformed command line or an
+unreadable/unwritable file, 2 indeterminate at horizon, 3 hypothesis not
+met, 4 property violation, 5 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -462,8 +462,18 @@ def cmd_selftest(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, the code of malformed
+    input, so that exit code 2 means only an indeterminate verdict.  Its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gwhitehead",
         description="Equivariant Whitehead moves and star complexes for "
                     "pointed marked G-graphs.")

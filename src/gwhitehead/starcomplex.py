@@ -12,10 +12,10 @@ contraction to {mu}, is checked by the one verifier _Engine.verify: the
 pointwise conditions on every forest, monotonicity of f and g on the
 one-step pairs of S(C), which join every comparable pair by a chain (see
 verify), and g(f(S(C))) = S(C').  A failed claim raises a hard error with
-a witness.  Each elimination hands its S(C') on as the next step's S(C),
-so each family is enumerated once.  The forest search and the one-step
-pairs work on int bitmasks over the family's orbits; IdealForest is what
-they return.
+a witness.  The engine's forests are int masks over one numbering, bit
+i for orbit i of closure_pm(R) sorted by key; being an ideal forest does
+not depend on the family, so the one forest search gives S(closure_pm(R))
+and each S(C') is S(C) filtered.  IdealForest is only at the API boundary.
 """
 
 from __future__ import annotations
@@ -85,16 +85,20 @@ def forest_violations(m, orbits):
     return bad
 
 
-def is_ideal_forest(m, orbits) -> bool:
-    return not forest_violations(m, orbits)
-
-
 def enumerate_ideal_forests(m, restrict_to):
     """All nonempty ideal forests over the given orbit reps, sorted by
-    (size, key).
+    (size, key); see _forest_masks."""
+    pool = sorted(set(restrict_to), key=lambda a: a.key())
+    return [IdealForest(tuple(pool[i] for i in _bits(x)))
+            for x in _forest_masks(m, pool)]
 
-    Orbit i of the pool, sorted by key, is bit i of a forest's mask.  Each
-    pair of orbits is tested once: compatible when both are at *,
+
+def _forest_masks(m, pool):
+    """The ideal forests over pool, a list of orbit reps sorted by key, as
+    int masks: orbit i of the pool is bit i.  Sorted by (bit count, bit
+    indices), which is (size, key) order.
+
+    Each pair of orbits is tested once: compatible when both are at *,
     pre-compatible when both are away from it, and always allowed when one
     is at * and one is not.  That gives one adjacency mask per orbit.
     Orbits that no forest can hold are dropped first: a rep that is not
@@ -111,7 +115,6 @@ def enumerate_ideal_forests(m, restrict_to):
     order, which checks the count on entering each set, puts the cap.
     """
     g = m.graph
-    pool = sorted(set(restrict_to), key=lambda a: a.key())
     bit = {a: 1 << i for i, a in enumerate(pool)}
     need = [0] * len(pool)
     usable = 0
@@ -151,9 +154,8 @@ def enumerate_ideal_forests(m, restrict_to):
             grow(here, want, rest)
 
     grow(0, 0, usable)
-    out = [IdealForest(tuple(pool[i] for i in _bits(x))) for x in found]
-    out.sort(key=lambda f: (len(f.orbits), f.key()))
-    return out
+    found.sort(key=lambda x: (x.bit_count(), tuple(_bits(x))))
+    return found
 
 
 def _bits(mask):
@@ -343,24 +345,39 @@ class RetractionTrace:
 
 class _Engine:
     """The retraction of S(R); an orbit is reductive when its canonical rep
-    is in R."""
+    is in R.  Forests are masks over pool, the orbits of closure_pm(R)."""
 
     def __init__(self, m, R, homology):
         self.m = m
-        self.g = m.graph
+        self.g = g = m.graph
         self.R = R
         self.homology = homology
         self.steps = []
+        self.pool = sorted(closure_pm(m, R), key=lambda a: a.key())
+        self.bit = {a: 1 << i for i, a in enumerate(self.pool)}
+        # a one-step pair drops an orbit, or an orbit and its inverse
+        self.drops = []
+        for a, b in self.bit.items():
+            ainv = inverse_orbit(g, a) if a.vertex != g.basepoint else None
+            self.drops.append(
+                (b, b | self.bit[ainv]) if ainv in self.bit and ainv != a
+                else (b,))
 
     # -- helpers ---------------------------------------------------------
 
-    def forests(self, C):
-        return enumerate_ideal_forests(self.m, C)
+    def mask(self, orbits):
+        return sum(self.bit[a] for a in orbits)
+
+    def orbits(self, x):
+        return [self.pool[i] for i in _bits(x)]
+
+    def key(self, x):
+        return tuple(a.key() for a in self.orbits(x))
 
     def betti_of(self, forests):
         if not self.homology:
             return None
-        K = order_complex(forests, lambda a, b: a <= b)
+        K = order_complex(forests, lambda a, b: not a & ~b)
         return reduced_homology(K)
 
     def choose(self, alpha, candidates, mu):
@@ -389,11 +406,11 @@ class _Engine:
     def verify(self, stage, before, f, g, after):
         """Check one Poset-Lemma double step S(C) -f-> S(C) -g-> S(C').
 
-        before is all of S(C) and after all of S(C').  On every forest:
-        Phi <= f(Phi) with f(Phi) in S(C), and g(Psi) <= Psi a nonempty
-        ideal forest for Psi in f(S(C)).  f and g are monotone on every
-        one-step pair of S(C), and g(f(S(C))) is exactly S(C').  f and g
-        are applied once per forest.
+        before is all of S(C) and after all of S(C'), as masks.  On every
+        forest: Phi <= f(Phi) with f(Phi) in S(C), and g(Psi) <= Psi a
+        nonempty ideal forest for Psi in f(S(C)).  f and g are monotone on
+        every one-step pair of S(C), and g(f(S(C))) is exactly S(C').  f
+        and g are applied once per forest.
 
         One-step pairs suffice.  Every condition on an ideal forest but
         inverse closure is a condition on each orbit or each pair of
@@ -410,19 +427,19 @@ class _Engine:
         image = []
         for phi in before:
             fi = f(phi)
-            if not phi <= fi:
+            if phi & ~fi:
                 raise PropertyViolation(f"[{stage}] f does not satisfy Phi <= f(Phi)")
             if fi not in index:
-                bad = forest_violations(self.m, fi.orbits)
+                bad = forest_violations(self.m, self.orbits(fi))
                 raise PropertyViolation(
                     f"[{stage}] f(Phi) is not an ideal forest over the family "
-                    f"for Phi={phi.key()}: {'; '.join(bad) or 'not enumerated'}")
+                    f"for Phi={self.key(phi)}: {'; '.join(bad) or 'not enumerated'}")
             image.append(index[fi])
         steps = self.one_steps(before)
 
         def monotone(name, ys):
             for i, j in steps:
-                if not ys[i] <= ys[j]:
+                if ys[i] & ~ys[j]:
                     raise PropertyViolation(f"[{stage}] {name} is not monotone")
 
         monotone("f", [before[i] for i in image])
@@ -430,70 +447,51 @@ class _Engine:
         members = set(after)
         for i in image:
             psi, gi = before[i], back[i]
-            if not gi.orbits:
+            if not gi:
                 raise PropertyViolation(
-                    f"[{stage}] g empties the forest {psi.key()}")
-            if not gi <= psi:
+                    f"[{stage}] g empties the forest {self.key(psi)}")
+            if gi & ~psi:
                 raise PropertyViolation(f"[{stage}] g does not satisfy g(Psi) <= Psi")
             if gi not in members:
-                bad = forest_violations(self.m, gi.orbits)
+                bad = forest_violations(self.m, self.orbits(gi))
                 if bad:
                     raise PropertyViolation(
                         f"[{stage}] g(Psi) is not an ideal forest for "
-                        f"Psi={psi.key()}: {'; '.join(bad)}")
+                        f"Psi={self.key(psi)}: {'; '.join(bad)}")
         monotone("g", back)
         got = {back[i] for i in image}
         if got != members:
             raise PropertyViolation(
                 f"[{stage}] g(f(S(C))) != S(C - eliminated): "
-                f"{sorted(x.key() for x in got ^ members)[:3]} ...")
+                f"{sorted(self.key(x) for x in got ^ members)[:3]} ...")
 
     def one_steps(self, forests):
         """(i, j) for each pair of forests where forests[j] adds to
         forests[i] one orbit a, or a and its inverse when a is invertible
         and away from *.  Each is found from forests[j] by taking a, or a
-        and its inverse, away; forests are bitmasks over their orbits here."""
-        g = self.g
-        bit = {}
-        for phi in forests:
-            for a in phi.orbits:
-                bit.setdefault(a, 1 << len(bit))
-        drops = {}
-        for a, b in bit.items():
-            ainv = inverse_orbit(g, a) if a.vertex != g.basepoint else None
-            drops[a] = (b, b | bit[ainv]) if ainv in bit and ainv != a else (b,)
-        masks = [sum(bit[a] for a in phi.orbits) for phi in forests]
-        index = {x: i for i, x in enumerate(masks)}
-        return [(index[y & ~d], j)
-                for j, (phi, y) in enumerate(zip(forests, masks))
-                for a in phi.orbits for d in drops[a] if y & ~d in index]
+        and its inverse, away."""
+        index = {x: i for i, x in enumerate(forests)}
+        return [(index[y & ~d], j) for j, y in enumerate(forests)
+                for i in _bits(y) for d in self.drops[i] if y & ~d in index]
 
     def eliminate(self, C, S, targets, alpha0s, stage, pre=False):
         """One Poset-Lemma double step on the family C with forests S: f
         adds alpha0s to forests meeting targets, g strips targets.  Checks
         compatibility transfer first (pre-compatibility when pre).  Returns
-        the new family and its forests."""
+        the new family and its forests, those of S without targets."""
         self.check_claim(C, targets, alpha0s, stage, pre)
         targets, alpha0s = frozenset(targets), frozenset(alpha0s)
-        newC = C - targets
-        after = self.forests(newC)
-
-        def f_map(phi):
-            if targets.isdisjoint(phi.orbits):
-                return phi
-            return IdealForest(phi.orbits + tuple(alpha0s.difference(phi.orbits)))
-
-        def g_map(psi):
-            return IdealForest(tuple(a for a in psi.orbits if a not in targets))
-
-        self.verify(stage, S, f_map, g_map, after)
+        T, A = self.mask(targets), self.mask(alpha0s)
+        after = [x for x in S if not x & T]
+        self.verify(stage, S, lambda x: x | A if x & T else x,
+                    lambda x: x & ~T, after)
         self.steps.append(RetractionStep(
             stage,
             tuple(sorted(a.key() for a in targets)),
             tuple(sorted(a.key() for a in alpha0s)),
             len(S), len(after),
             self.betti_of(after)))
-        return newC, after
+        return C - targets, after
 
     # -- stage A: S(R) -> S(C1) -----------------------------------------
 
@@ -642,15 +640,13 @@ class _Engine:
 
     def contract_to_point(self, S, mu, stage):
         """Add mu to every forest of S, then send everything to {mu}."""
-        point = IdealForest((mu,))
-        self.verify(
-            stage, S,
-            lambda phi: phi if mu in phi.orbits else IdealForest(phi.orbits + (mu,)),
-            lambda psi: point, [point])
+        point = self.bit[mu]
+        self.verify(stage, S, lambda phi: phi | point, lambda psi: point,
+                    [point])
         self.steps.append(RetractionStep(
             stage, (mu.key(),), (mu.key(),), len(S), 1,
             self.betti_of([point])))
-        return [point]
+        return IdealForest((mu,))
 
 
 def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace:
@@ -659,15 +655,14 @@ def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace
     R and the maximal pair come from one reductive_scan and are recorded
     in the trace, whatever its status.  Every poset map used is verified
     on every forest (monotone on the one-step pairs, hence on all pairs,
-    pointwise comparable, image inside the complex); any failed lemma claim raises PropertyViolation with a
-    witness.  When the maximal pair is away from the basepoint the case is
-    reported as out of scope.
+    pointwise comparable, image inside the complex); any failed lemma
+    claim raises PropertyViolation with a witness.  When the maximal pair
+    is away from the basepoint the case is reported as out of scope.
     """
     if not is_reduced(m.graph):
         raise HypothesisNotMet("the marked graph is not reduced")
     g = m.graph
     R, best = reductive_scan(m, horizon)
-    eng = _Engine(m, R, homology)
     if best is None:
         return RetractionTrace("degenerate", "no reductive ideal edges", R, None)
     pair = best[0]
@@ -678,7 +673,7 @@ def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace
             "the maximally reductive pair is not at the basepoint", R, pair)
     gamma = gamma_edge(m, R)
     if mu == gamma:
-        forests = eng.forests(R)
+        forests = enumerate_ideal_forests(m, R)
         if forests != [IdealForest((mu,))]:
             raise PropertyViolation(
                 "the maximal edge is the lone non-invertible full-stabilizer "
@@ -687,11 +682,11 @@ def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace
                                R, pair, [], (forests[0],))
 
     C0, C0p, C1 = nested_families(g, R, mu, mhat)
-    C = closure_pm(m, R)
-    S = eng.forests(C)
+    eng = _Engine(m, R, homology)
+    C, S = frozenset(eng.pool), _forest_masks(m, eng.pool)
     C, S = eng.stage_shrink(C, S, closure_pm(m, C1), mu, mhat, "R->C1")
     C, S = eng.stage_push(C, S, closure_pm(m, C0p), mu, mhat, "C1->C0p")
     C, S = eng.stage_final(C, S, closure_pm(m, C0), mu, mhat, gamma, "C0p->C0")
     final = eng.contract_to_point(S, mu, "C0->point")
     return RetractionTrace("done", "retracted to a single forest",
-                           R, pair, eng.steps, tuple(final))
+                           R, pair, eng.steps, (final,))

@@ -141,6 +141,23 @@ def test_an_unwritable_out_path_is_a_file_error(tmp_path, capsys):
     assert out in _file_error(capsys, ["reduce", path, "--out", out])
 
 
+@pytest.mark.parametrize("argv", [["norm"], ["norm", "x", "--horizon", "z"]])
+def test_a_malformed_command_line_exits_1(argv, capsys):
+    # exit code 2 is left to an indeterminate verdict
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gwhitehead norm") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gwhitehead norm")
+
+
 def test_unreduced_marking_warns_but_parses(tmp_path, capsys):
     text = THETA_TEXT.replace("x1 = e1 ~e2", "x1 = e1 ~e1 e1 ~e2")
     assert cli.parse(text).basis_paths[0] == (0, 3)

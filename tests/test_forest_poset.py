@@ -3,9 +3,10 @@
 enumerate_ideal_forests is compared with oracles.walk_ideal_forests, the
 depth-first walk that tests every pairwise-allowed set of orbits whole,
 and _Engine.verify, which checks monotonicity on one-step pairs only, with
-oracles.all_pairs_verify, which checks every comparable pair.  The corpus
-is the fixtures, the saved instances, random_instance(20000..20399) made
-forest-free and two rank-4 roses.
+oracles.all_pairs_verify, which checks every comparable pair.  The engine
+works on int masks; the oracle gets them back as IdealForests.  The
+corpus is the fixtures, the saved instances, random_instance(20000..20399)
+made forest-free and rank-4 roses.
 """
 
 import functools
@@ -31,10 +32,18 @@ INSTANCES = pathlib.Path(__file__).parent / "instances"
 # Trivial-group roses of rank 4, each scrambled by 6 Nielsen moves; the
 # markings x1..x4 as words in the petals p1..p4.
 RANK4 = {
+    0: ["p2 p1 p2 p3", "p1 p2 p3 p1 p4", "p1 p2 p3", "~p3 ~p2 ~p1 ~p1"],
     1: ["~p4 p3 p1", "p3 p1 ~p2 p3 p1 ~p2 ~p3 p4", "p3", "p2 ~p1 ~p3"],
+    2: ["p4 p1 ~p4 p2", "~p4 p2 ~p4 ~p2 p3", "~p4 ~p2 p3", "p4"],
+    3: ["p4", "~p3 p2 ~p4 ~p4", "~p1 p3", "~p1 ~p3 p2 ~p4 ~p4"],
+    4: ["p2 p3 p3 ~p4", "p2 p3 p2 p3 p3 ~p4", "p1 p2 p3 p4 ~p3 ~p3 ~p2",
+        "p4"],
     5: ["~p2", "~p2 ~p4 ~p4 p3 p2 ~p1", "p1 ~p2 ~p3 p4 p4 p2 ~p4 p3",
         "~p2 ~p4 ~p4 p3"],
+    6: ["~p4 p2 ~p3", "p2", "p3 ~p2 p4 p3 ~p2 p4 p3 ~p2 p1 ~p2", "p1 ~p2"],
+    7: ["p1", "~p3 ~p4 p2 ~p4 ~p1", "p2 ~p4 ~p1", "~p4 ~p1"],
     8: ["p2 ~p1 p3", "~p2", "~p3", "p1 ~p2 p4 p2 p1 ~p2 p3"],
+    9: ["p4 ~p2 p1 p4 ~p3 ~p2", "~p4", "p2", "p2 p3 ~p4"],
 }
 
 
@@ -117,6 +126,25 @@ def test_search_cap_raises_where_the_walk_raised(monkeypatch):
     assert at_cap_plus_one == {True, False}
 
 
+def _as_forests(eng, stage, before, f, g, after):
+    """The arguments of _Engine.verify, which are masks over the engine's
+    numbering, as all_pairs_verify takes them: IdealForests, with f and g
+    wrapped to map forests to forests."""
+    def forest(x):
+        return IdealForest(tuple(eng.orbits(x)))
+
+    def wrap(h):
+        return lambda phi: forest(h(eng.mask(phi.orbits)))
+
+    return (eng.m, stage, [forest(x) for x in before], wrap(f), wrap(g),
+            [forest(x) for x in after])
+
+
+def _checks(eng):
+    """The engine's verifier and the all-pairs oracle, both on masks."""
+    return eng.verify, lambda *args: all_pairs_verify(*_as_forests(eng, *args))
+
+
 def _both_verifiers(monkeypatch):
     """Make _Engine.verify run the all-pairs oracle too and compare their
     verdicts: None, or the message of the PropertyViolation."""
@@ -126,7 +154,8 @@ def _both_verifiers(monkeypatch):
     def both(self, stage, before, f, g, after):
         verdicts = []
         for check in (lambda: verify(self, stage, before, f, g, after),
-                      lambda: all_pairs_verify(self.m, stage, before, f, g, after)):
+                      lambda: all_pairs_verify(
+                          *_as_forests(self, stage, before, f, g, after))):
             try:
                 check()
                 verdicts.append(None)
@@ -166,22 +195,24 @@ def _same(x):
 
 
 def _probe():
+    """An engine numbering all ideal edges of the two-petal rose, and its
+    25 forests as masks."""
     m = fix_r2()
-    return starcomplex._Engine(m, frozenset(), False), enumerate_ideal_forests(
-        m, enumerate_ideal_edges(m))
+    edges = enumerate_ideal_edges(m)
+    eng = starcomplex._Engine(m, frozenset(edges), False)
+    return eng, [eng.mask(f.orbits) for f in enumerate_ideal_forests(m, edges)]
 
 
 def test_a_non_monotone_g_is_caught_by_both_checks():
     eng, S = _probe()
-    psi = next(p for p in S if len(p.orbits) == 2)
-    a, b = psi.orbits
-    smaller = IdealForest((a,))
+    psi = next(p for p in S if p.bit_count() == 2)
+    smaller = psi & -psi
 
     def g_map(x):
         return smaller if x == psi else x
 
     after = [x for x in S if x != psi]
-    for check in (eng.verify, lambda *args: all_pairs_verify(eng.m, *args)):
+    for check in _checks(eng):
         with pytest.raises(PropertyViolation, match=r"^\[probe\] g is not monotone"):
             check("probe", S, _same, g_map, after)
 
@@ -189,8 +220,8 @@ def test_a_non_monotone_g_is_caught_by_both_checks():
 def test_a_non_monotone_f_is_caught_by_both_checks():
     eng, S = _probe()
     p1, q = next((p1, q) for p1, p2, q in itertools.product(S, repeat=3)
-                 if p1 <= p2 and p1 != p2 and p1 <= q and not q <= p2)
-    for check in (eng.verify, lambda *args: all_pairs_verify(eng.m, *args)):
+                 if not p1 & ~p2 and p1 != p2 and not p1 & ~q and q & ~p2)
+    for check in _checks(eng):
         with pytest.raises(PropertyViolation, match=r"^\[probe\] f is not monotone"):
             check("probe", S, lambda phi: q if phi == p1 else phi, _same, S)
 
@@ -199,17 +230,17 @@ def test_failure_verdicts_match_all_pairs():
     """Each pointwise failure gives the same first message either way."""
     eng, S = _probe()
     a, b = IdealEdge(0, frozenset({0, 2})), IdealEdge(0, frozenset({0, 3}))
-    phi = IdealForest((a,))
+    phi = eng.mask([a])
     cases = {
         "f does not satisfy": (S, lambda x: S[0], _same, S),
-        "f(Phi) is not an ideal forest": ([phi], lambda x: IdealForest((a, b)), _same, [phi]),
-        "g empties": (S, _same, lambda x: IdealForest(()), S),
+        "f(Phi) is not an ideal forest": ([phi], lambda x: eng.mask([a, b]), _same, [phi]),
+        "g empties": (S, _same, lambda x: 0, S),
         "g does not satisfy": (S, _same, lambda x: S[-1], S),
         "g(f(S(C))) != S": (S, _same, _same, S[1:]),
     }
     for start, (before, f, g, after) in cases.items():
         messages = []
-        for check in (eng.verify, lambda *args: all_pairs_verify(eng.m, *args)):
+        for check in _checks(eng):
             with pytest.raises(PropertyViolation) as exc:
                 check("probe", before, f, g, after)
             messages.append(str(exc.value))
@@ -223,27 +254,110 @@ def test_one_step_pairs_generate_the_order():
     sizes = []
     for label, m in corpus():
         for pool in pools(m):
-            S = enumerate_ideal_forests(m, pool)
-            if len(S) > 150:
+            forests = enumerate_ideal_forests(m, pool)
+            if len(forests) > 150:
                 continue
-            eng = starcomplex._Engine(m, frozenset(), False)
+            eng = starcomplex._Engine(m, frozenset(pool), False)
+            S = [eng.mask(f.orbits) for f in forests]
             above = [set() for _ in S]
             for i, j in eng.one_steps(S):
-                assert S[i] <= S[j] and S[i] != S[j], label
+                assert not S[i] & ~S[j] and S[i] != S[j], label
                 above[i].add(j)
-            for i in sorted(range(len(S)), key=lambda i: -len(S[i].orbits)):
+            for i in sorted(range(len(S)), key=lambda i: -S[i].bit_count()):
                 for j in list(above[i]):
                     above[i] |= above[j]
-            assert above == [{j for j, y in enumerate(S) if x <= y and x != y}
+            assert above == [{j for j, y in enumerate(S) if not x & ~y and x != y}
                              for x in S], label
             sizes.append(len(S))
     assert max(sizes) > 100
 
 
+def test_eliminate_reads_the_new_forests_off_the_old(monkeypatch):
+    """Each elimination reads S(C') off S(C), as the forests without the
+    eliminated orbits; that is the list a forest search over C' gives."""
+    eliminate = starcomplex._Engine.eliminate
+    checked = []
+
+    def searched(self, *args, **kwargs):
+        C, S = eliminate(self, *args, **kwargs)
+        assert [IdealForest(tuple(self.orbits(x))) for x in S] == (
+            enumerate_ideal_forests(self.m, C))
+        checked.append(len(S))
+        return C, S
+
+    monkeypatch.setattr(starcomplex._Engine, "eliminate", searched)
+    for label, m in corpus() + [(seed, rose4(seed)) for seed in (1, 3, 7, 8)]:
+        run_retractions(m, 3)
+    # 16 steps in the corpus, 12 at seed 3 and 8 at seed 7
+    assert len(checked) == 36 and max(checked) == 2095
+
+
+# (stage, alpha, alpha0, forests before, forests after) of each step of
+# the rank-4 roses that retract, and the key of the final forest.
+FROZEN_RANK4 = {
+    1: [("C0->point", ((0, (1, 4)),), ((0, (1, 4)),), 4203, 1)],
+    3: [("C0p->C0", ((0, (1, 4, 7)),), ((0, (4, 7)),), 2051, 1875),
+        ("C0p->C0", ((0, (0, 2, 3, 5, 6)),), ((0, (0, 1, 2, 3, 5, 6)),), 1875, 1811),
+        ("C0p->C0", ((0, (1, 2, 6)),), ((0, (2, 6)),), 1811, 1587),
+        ("C0p->C0", ((0, (0, 3, 4, 5, 7)),), ((0, (0, 1, 3, 4, 5, 7)),), 1587, 1507),
+        ("C0p->C0", ((0, (0, 1, 4, 7)),), ((0, (0, 4, 7)),), 1507, 1411),
+        ("C0p->C0", ((0, (2, 3, 5, 6)),), ((0, (1, 2, 3, 5, 6)),), 1411, 1331),
+        ("C0p->C0", ((0, (0, 1, 2, 6)),), ((0, (0, 2, 6)),), 1331, 1267),
+        ("C0p->C0", ((0, (3, 4, 5, 7)),), ((0, (1, 3, 4, 5, 7)),), 1267, 1219),
+        ("C0p->C0", ((0, (1, 2, 4, 6, 7)),), ((0, (2, 4, 6, 7)),), 1219, 1171),
+        ("C0p->C0", ((0, (0, 3, 5)),), ((0, (0, 1, 3, 5)),), 1171, 1107),
+        ("C0p->C0", ((0, (0, 1, 2, 4, 6, 7)),), ((0, (3, 5)),), 1107, 1003),
+        ("C0p->C0", ((0, (0, 2, 3, 4, 6, 7)),), ((0, (1, 5)),), 1003, 899),
+        ("C0->point", ((0, (1, 3, 5)),), ((0, (1, 3, 5)),), 899, 1)],
+    4: [("C0->point", ((0, (2, 5)),), ((0, (2, 5)),), 5967, 1)],
+    6: [("C0p->C0", ((0, (0, 5, 6)),), ((0, (5, 6)),), 5111, 4735),
+        ("C0p->C0", ((0, (1, 2, 3, 4, 7)),), ((0, (0, 1, 2, 3, 4, 7)),), 4735, 4607),
+        ("C0p->C0", ((0, (0, 3, 7)),), ((0, (3, 7)),), 4607, 4335),
+        ("C0p->C0", ((0, (1, 2, 4, 5, 6)),), ((0, (0, 1, 2, 4, 5, 6)),), 4335, 4239),
+        ("C0p->C0", ((0, (1, 3, 4, 7)),), ((0, (1, 3, 7)),), 4239, 4143),
+        ("C0p->C0", ((0, (0, 2, 5, 6)),), ((0, (0, 2, 4, 5, 6)),), 4143, 4063),
+        ("C0p->C0", ((0, (0, 1, 5, 6)),), ((0, (1, 5, 6)),), 4063, 3959),
+        ("C0p->C0", ((0, (2, 3, 4, 7)),), ((0, (0, 2, 3, 4, 7)),), 3959, 3887),
+        ("C0p->C0", ((0, (0, 1, 3, 7)),), ((0, (1, 3, 7)),), 3887, 3671),
+        ("C0p->C0", ((0, (2, 4, 5, 6)),), ((0, (0, 2, 4, 5, 6)),), 3671, 3511),
+        ("C0p->C0", ((0, (0, 3, 5, 6, 7)),), ((0, (3, 5, 6, 7)),), 3511, 3391),
+        ("C0p->C0", ((0, (1, 2, 4)),), ((0, (0, 1, 2, 4)),), 3391, 3207),
+        ("C0p->C0", ((0, (0, 1, 3, 6, 7)),), ((0, (1, 3, 6, 7)),), 3207, 3111),
+        ("C0p->C0", ((0, (2, 4, 5)),), ((0, (0, 2, 4, 5)),), 3111, 2967),
+        ("C0p->C0", ((0, (0, 1, 3, 5, 7)),), ((0, (1, 3, 5, 7)),), 2967, 2871),
+        ("C0p->C0", ((0, (2, 4, 6)),), ((0, (0, 2, 4, 6)),), 2871, 2727),
+        ("C0p->C0", ((0, (0, 1, 3, 5, 6)),), ((0, (1, 3, 5, 6)),), 2727, 2631),
+        ("C0p->C0", ((0, (2, 4, 7)),), ((0, (0, 2, 4, 7)),), 2631, 2487),
+        ("C0p->C0", ((0, (0, 1, 3, 5, 6, 7)),), ((0, (2, 4)),), 2487, 2263),
+        ("C0p->C0", ((0, (1, 3, 4, 5, 6, 7)),), ((0, (0, 2)),), 2263, 2039),
+        ("C0->point", ((0, (0, 2, 4)),), ((0, (0, 2, 4)),), 2039, 1)],
+    7: [("C0p->C0", ((0, (0, 3, 5, 7)),), ((0, (0, 3, 7)),), 2287, 2095),
+        ("C0p->C0", ((0, (1, 2, 4, 6)),), ((0, (1, 2, 4, 5, 6)),), 2095, 1975),
+        ("C0p->C0", ((0, (0, 1, 3, 5, 7)),), ((0, (0, 1, 3, 7)),), 1975, 1903),
+        ("C0p->C0", ((0, (2, 4, 6)),), ((0, (2, 4, 5, 6)),), 1903, 1775),
+        ("C0p->C0", ((0, (0, 1, 2, 3, 7)),), ((0, (0, 1, 3, 7)),), 1775, 1703),
+        ("C0p->C0", ((0, (4, 5, 6)),), ((0, (2, 4, 5, 6)),), 1703, 1575),
+        ("C0p->C0", ((0, (0, 1, 2, 3, 4, 7)),), ((0, (5, 6)),), 1575, 1447),
+        ("C0p->C0", ((0, (0, 1, 3, 4, 5, 7)),), ((0, (2, 6)),), 1447, 1319),
+        ("C0->point", ((0, (2, 5, 6)),), ((0, (2, 5, 6)),), 1319, 1)],
+    8: [("C0->point", ((0, (0, 2)),), ((0, (0, 2)),), 2843, 1)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_RANK4))
+def test_rank4_trace_frozen(seed):
+    trace = run_retractions(rose4(seed), 3)
+    assert (trace.status, trace.detail) == ("done", "retracted to a single forest")
+    assert [(s.stage, s.alpha, s.alpha0, s.n_before, s.n_after)
+            for s in trace.steps] == FROZEN_RANK4[seed]
+    assert [f.key() for f in trace.final_forests] == [FROZEN_RANK4[seed][-1][2]]
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5, 9])
 @pytest.mark.xfail(strict=True, raises=PropertyViolation,
                    reason="C0p->C0 finds a leftover edge that misses the "
                           "maximal collapse edge on a valid rank-4 rose")
-def test_rank4_seed5_retracts():
-    m = rose4(5)
+def test_rank4_retracts(seed):
+    m = rose4(seed)
     assert m.validate() == [] and m.graph.group.order == 1
     assert run_retractions(m, 3).status == "done"
