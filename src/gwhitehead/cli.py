@@ -425,10 +425,10 @@ def cmd_star(args):
     print(f"forests ({len(forests)}):")
     for f in forests:
         print("  [" + "; ".join(_edge_label(g, a) for a in f.orbits) + "]")
-    # K.faces is downward closed, so f is maximal iff no f | {v} is a face
-    maximal = sum(1 for f in K.faces
-                  if not any(f | {v} in K.faces
-                             for v in range(len(forests)) if v not in f))
+    # K.faces is downward closed, so x is maximal iff no x | 1 << v is a face
+    maximal = sum(1 for x in K.faces
+                  if not any(x | 1 << v in K.faces
+                             for v in range(len(forests)) if not x >> v & 1))
     print(f"maximal faces: {maximal}, dimension {K.dim}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -73,9 +73,11 @@ class MarkedGGraph:
     realization: tuple = None  # optional: one FreeAutomorphism per group element
 
     def __post_init__(self):
-        # moves.reductive_scan's (R, best) per (horizon, kind).  A plain
-        # attribute, not a field, so equality, hashing and repr ignore it.
+        # moves.reductive_scan's (R, best) per (horizon, kind), and
+        # starcomplex._forest_masks's forests per (sorted pool, cap).  Plain
+        # attributes, not fields, so equality, hashing and repr ignore them.
         object.__setattr__(self, "_scans", {})
+        object.__setattr__(self, "_forests", {})
 
     @property
     def n(self):

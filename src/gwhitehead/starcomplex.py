@@ -15,7 +15,10 @@ verify), and g(f(S(C))) = S(C').  A failed claim raises a hard error with
 a witness.  The engine's forests are int masks over one numbering, bit
 i for orbit i of closure_pm(R) sorted by key; being an ideal forest does
 not depend on the family, so the one forest search gives S(closure_pm(R))
-and each S(C') is S(C) filtered.  IdealForest is only at the API boundary.
+and each S(C') is S(C) filtered, and so are its one-step pairs.  The
+search is kept on the marked graph, so star_complex and run_retractions
+share it.  IdealForest is only at the API boundary.  Simplicial complexes
+hold their faces as int masks over their vertex indices too.
 """
 
 from __future__ import annotations
@@ -98,6 +101,20 @@ def _forest_masks(m, pool):
     int masks: orbit i of the pool is bit i.  Sorted by (bit count, bit
     indices), which is (size, key) order.
 
+    The tuple is kept on m per (pool, MAX_FORESTS), so star_complex and
+    run_retractions on one marked graph search once; a search that raises
+    keeps nothing.
+    """
+    key = (tuple(pool), MAX_FORESTS)
+    found = m._forests.get(key)
+    if found is None:
+        found = m._forests[key] = _search_forests(m, pool)
+    return found
+
+
+def _search_forests(m, pool):
+    """The forest search behind _forest_masks.
+
     Each pair of orbits is tested once: compatible when both are at *,
     pre-compatible when both are away from it, and always allowed when one
     is at * and one is not.  That gives one adjacency mask per orbit.
@@ -155,7 +172,7 @@ def _forest_masks(m, pool):
 
     grow(0, 0, usable)
     found.sort(key=lambda x: (x.bit_count(), tuple(_bits(x))))
-    return found
+    return tuple(found)
 
 
 def _bits(mask):
@@ -172,80 +189,131 @@ def _bits(mask):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Vertex labels plus a downward-closed set of nonempty faces."""
+    """Vertex labels plus a downward-closed set of nonempty faces.
+
+    A face is an int mask over the vertex indices: bit v stands for
+    vertices[v].  Every face is a positive int with no bit at or beyond
+    len(vertices), and dropping any one vertex of a face, x ^ low for a
+    set bit low of x, gives a face again unless it empties it; by
+    induction every nonempty subset of a face is a face.
+    """
 
     vertices: tuple
-    faces: frozenset  # frozensets of vertex indices
+    faces: frozenset  # int masks over vertex indices
 
     def __post_init__(self):
-        for f in self.faces:
-            if not f:
-                raise ValidationError("empty face is excluded")
-            if len(f) > 1 and any(f - {v} not in self.faces for v in f):
-                raise ValidationError("faces are not downward closed")
+        faces, top = self.faces, 1 << len(self.vertices)
+        for x in faces:
+            if not (isinstance(x, int) and 0 < x < top):
+                raise ValidationError(self._bad_face(x))
+            if x & (x - 1):
+                y = x
+                while y:
+                    low = y & -y
+                    if x ^ low not in faces:
+                        raise ValidationError("faces are not downward closed")
+                    y ^= low
+
+    def _bad_face(self, x):
+        if not isinstance(x, int):
+            return f"face {x!r} is not an int mask"
+        if x < 0:
+            return f"face {x} is negative"
+        if not x:
+            return "empty face is excluded"
+        return f"face {x:#b} has a vertex beyond the {len(self.vertices)} vertices"
 
     @property
     def dim(self):
-        return max((len(f) - 1 for f in self.faces), default=-1)
+        return max((x.bit_count() for x in self.faces), default=0) - 1
 
 
 def order_complex(elements, leq) -> SimplicialComplex:
-    """Chains of a finite poset, as a simplicial complex."""
-    n = len(elements)
-    below = [[j for j in range(n) if j != i
-              and leq(elements[j], elements[i])] for i in range(n)]
-    faces = set()
+    """Chains of a finite poset, as a simplicial complex on int masks.
 
-    def chains(top, chain):
-        faces.add(frozenset(chain))
-        for j in below[top]:
-            chains(j, chain + [j])
+    below[i] is the mask of the elements strictly below element i.  A chain
+    is grown from its top element down: a chain whose lowest element is j
+    becomes chain | 1 << i for each i below j, so each chain is made once.
+    """
+    n = len(elements)
+    below = [sum(1 << j for j in range(n)
+                 if j != i and leq(elements[j], elements[i]))
+             for i in range(n)]
+    faces = []
+
+    def chains(chain, under):
+        faces.append(chain)
+        while under:
+            low = under & -under
+            chains(chain | low, below[low.bit_length() - 1])
+            under ^= low
 
     for i in range(n):
-        chains(i, [i])
+        chains(1 << i, below[i])
     return SimplicialComplex(tuple(elements), frozenset(faces))
 
 
 def reduced_homology(K: SimplicialComplex):
     """Reduced Betti numbers over the rationals, degrees 0..dim.
 
-    Exact sparse elimination over Q: each boundary map is a list of sparse
-    columns {row: +-1}, one per face, and each column is reduced against
-    the pivot columns kept by their highest row.  A new pivot column is
-    scaled so that its pivot entry is 1, through Fraction only when that
-    entry is not +-1, so an integer pivot such as the 2 of RP^2 is divided
-    out exactly rather than treated as zero the way mod-2 arithmetic would.
+    Exact sparse elimination over Q: each boundary map d_k is a list of
+    sparse columns {row: +-1}, one per k-face x in increasing mask order,
+    whose rows are the facets x ^ low, indexed by their own place in that
+    order, with sign (-1)^i for the i-th set bit low of x.  Each column is
+    reduced against the pivot columns kept by their highest row.  A new
+    pivot column is scaled so that its pivot entry is 1, through Fraction
+    only when that entry is not +-1, so an integer pivot such as the 2 of
+    RP^2 is divided out exactly rather than treated as zero the way mod-2
+    arithmetic would.
+
+    The maps are reduced from the top dimension down, with clearing: a
+    column of d_k whose face is a pivot row p of d_(k+1) is skipped.  The
+    reduced column of d_(k+1) with pivot p is a boundary, so a cycle z,
+    whose highest row is p with a nonzero entry.  d_k z = 0 then puts the
+    column d_k e_p in the span of the columns d_k e_r with r < p.  By
+    induction on p, skipping these columns leaves the span of the columns
+    met so far unchanged, so each skipped column would have reduced to
+    zero, and the rank of d_k is unchanged.
     """
     if not K.faces:
         return ()
-    by_dim = {}
-    for f in K.faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    layers = [sorted(by_dim[k]) for k in range(max(by_dim) + 1)]
+    layers = [[] for _ in range(K.dim + 1)]
+    for x in K.faces:
+        layers[x.bit_count() - 1].append(x)
+    for layer in layers:
+        layer.sort()
     # the augmentation maps every vertex to the formal empty simplex
-    ranks = [1]
-    for lower, layer in zip(layers, layers[1:]):
-        index = {f: i for i, f in enumerate(lower)}
+    ranks = [1] + [0] * len(layers)
+    cleared = set()
+    for k in range(len(layers) - 1, 0, -1):
+        index = {x: i for i, x in enumerate(layers[k - 1])}
         pivots = {}
-        for f in layer:
-            col = {index[f[:i] + f[i + 1:]]: (-1) ** i for i in range(len(f))}
+        for i, x in enumerate(layers[k]):
+            if i in cleared:
+                continue
+            col, sign, y = {}, 1, x
+            while y:
+                low = y & -y
+                col[index[x ^ low]] = sign
+                sign = -sign
+                y ^= low
             while col and (p := max(col)) in pivots:
                 c = col[p]
-                for r, x in pivots[p].items():
-                    y = col.get(r, 0) - c * x
-                    if y:
-                        col[r] = y
+                for r, v in pivots[p].items():
+                    w = col.get(r, 0) - c * v
+                    if w:
+                        col[r] = w
                     else:
                         del col[r]
             if col:
                 c = col[p]
                 if c == -1:
-                    col = {r: -x for r, x in col.items()}
+                    col = {r: -v for r, v in col.items()}
                 elif c != 1:
-                    col = {r: x / Fraction(c) for r, x in col.items()}
+                    col = {r: v / Fraction(c) for r, v in col.items()}
                 pivots[p] = col
-        ranks.append(len(pivots))
-    ranks.append(0)
+        ranks[k] = len(pivots)
+        cleared = pivots.keys()
     return tuple(len(layer) - ranks[k] - ranks[k + 1]
                  for k, layer in enumerate(layers))
 
@@ -315,8 +383,7 @@ def family(m, which, horizon):
 
 def star_complex(m, C) -> SimplicialComplex:
     """Order complex of the poset of ideal forests with orbits in C."""
-    forests = enumerate_ideal_forests(m, C)
-    return order_complex(forests, lambda f1, f2: f1 <= f2)
+    return order_complex(enumerate_ideal_forests(m, C), IdealForest.__le__)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +412,8 @@ class RetractionTrace:
 
 class _Engine:
     """The retraction of S(R); an orbit is reductive when its canonical rep
-    is in R.  Forests are masks over pool, the orbits of closure_pm(R)."""
+    is in R.  Forests are masks over pool, the orbits of closure_pm(R), and
+    pairs holds the one-step pairs of the current S(C) (see start)."""
 
     def __init__(self, m, R, homology):
         self.m = m
@@ -362,6 +430,14 @@ class _Engine:
             self.drops.append(
                 (b, b | self.bit[ainv]) if ainv in self.bit and ainv != a
                 else (b,))
+        self.pairs = None
+
+    def start(self):
+        """The family closure_pm(R) and its forests, from the one forest
+        search; their one-step pairs go to self.pairs."""
+        S = _forest_masks(self.m, self.pool)
+        self.pairs = self.one_steps(S)
+        return frozenset(self.pool), S
 
     # -- helpers ---------------------------------------------------------
 
@@ -403,10 +479,11 @@ class _Engine:
                             f"[{stage}] {beta.key()} is compatible with the "
                             f"eliminated edge but not with {a0.key()}")
 
-    def verify(self, stage, before, f, g, after):
+    def verify(self, stage, before, f, g, after, pairs):
         """Check one Poset-Lemma double step S(C) -f-> S(C) -g-> S(C').
 
-        before is all of S(C) and after all of S(C'), as masks.  On every
+        before is all of S(C) and after all of S(C'), as masks, and pairs
+        are the one-step pairs of before, as one_steps gives them.  On every
         forest: Phi <= f(Phi) with f(Phi) in S(C), and g(Psi) <= Psi a
         nonempty ideal forest for Psi in f(S(C)).  f and g are monotone on
         every one-step pair of S(C), and g(f(S(C))) is exactly S(C').  f
@@ -435,10 +512,9 @@ class _Engine:
                     f"[{stage}] f(Phi) is not an ideal forest over the family "
                     f"for Phi={self.key(phi)}: {'; '.join(bad) or 'not enumerated'}")
             image.append(index[fi])
-        steps = self.one_steps(before)
 
         def monotone(name, ys):
-            for i, j in steps:
+            for i, j in pairs:
                 if ys[i] & ~ys[j]:
                     raise PropertyViolation(f"[{stage}] {name} is not monotone")
 
@@ -478,13 +554,21 @@ class _Engine:
         """One Poset-Lemma double step on the family C with forests S: f
         adds alpha0s to forests meeting targets, g strips targets.  Checks
         compatibility transfer first (pre-compatibility when pre).  Returns
-        the new family and its forests, those of S without targets."""
+        the new family and its forests, those of S without targets.
+
+        The one-step pairs of S(C') are those of S(C) whose larger end
+        misses targets, and then so does the smaller, renumbered: place[i]
+        is the count of such forests before S[i].  They come in the order
+        one_steps(after) gives."""
         self.check_claim(C, targets, alpha0s, stage, pre)
         targets, alpha0s = frozenset(targets), frozenset(alpha0s)
         T, A = self.mask(targets), self.mask(alpha0s)
         after = [x for x in S if not x & T]
         self.verify(stage, S, lambda x: x | A if x & T else x,
-                    lambda x: x & ~T, after)
+                    lambda x: x & ~T, after, self.pairs)
+        place = list(itertools.accumulate((not x & T for x in S), initial=0))
+        self.pairs = [(place[i], place[j]) for i, j in self.pairs
+                      if not S[j] & T]
         self.steps.append(RetractionStep(
             stage,
             tuple(sorted(a.key() for a in targets)),
@@ -642,7 +726,7 @@ class _Engine:
         """Add mu to every forest of S, then send everything to {mu}."""
         point = self.bit[mu]
         self.verify(stage, S, lambda phi: phi | point, lambda psi: point,
-                    [point])
+                    [point], self.pairs)
         self.steps.append(RetractionStep(
             stage, (mu.key(),), (mu.key(),), len(S), 1,
             self.betti_of([point])))
@@ -683,7 +767,7 @@ def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace
 
     C0, C0p, C1 = nested_families(g, R, mu, mhat)
     eng = _Engine(m, R, homology)
-    C, S = frozenset(eng.pool), _forest_masks(m, eng.pool)
+    C, S = eng.start()
     C, S = eng.stage_shrink(C, S, closure_pm(m, C1), mu, mhat, "R->C1")
     C, S = eng.stage_push(C, S, closure_pm(m, C0p), mu, mhat, "C1->C0p")
     C, S = eng.stage_final(C, S, closure_pm(m, C0), mu, mhat, gamma, "C0p->C0")

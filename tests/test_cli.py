@@ -259,11 +259,37 @@ def test_star_command_on_a_heavy_rose(tmp_path, capsys):
     m = cli.parse(HEAVY_ROSE_TEXT)
     K = star_complex(m, family(m, "R", 2))
     assert len(K.vertices) == 31
-    brute = sum(1 for f in K.faces if not any(f < h for h in K.faces))
+    brute = sum(1 for f in K.faces
+                if not any(f != h and not f & ~h for h in K.faces))
     assert f"maximal faces: {brute}, dimension {K.dim}" in out
     betti = out.split("reduced Betti numbers: [")[1].split("]")[0].split(", ")
     assert len(betti) == K.dim + 1 and set(betti) == {"0"}
     assert "retraction: done" in out
+
+
+# stdout of `star FILE --family R --homology --retract --horizon 2` on the
+# fixtures, the saved instances and the heavy rose, frozen: it pins the
+# maximal-face count, the dimension, the Betti line and the retraction
+# steps
+INSTANCES = pathlib.Path(__file__).parent / "instances"
+STAR_CASES = {name: cli.serialize(m) for name, m in all_fixtures().items()}
+STAR_CASES.update((p.stem, p.read_text()) for p in INSTANCES.glob("*.txt"))
+STAR_CASES["HEAVY-ROSE"] = HEAVY_ROSE_TEXT
+
+
+def test_every_star_case_has_a_frozen_output():
+    assert {p.stem for p in (INSTANCES / "star-out").glob("*.out")} == set(STAR_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(STAR_CASES))
+def test_star_stdout_frozen(name, tmp_path, capsys):
+    path = _write(tmp_path, STAR_CASES[name])
+    code = cli.main(["star", path, "--family", "R", "--homology", "--retract",
+                     "--horizon", "2"])
+    # FIX-THETA is not reduced, so its retraction stops with exit code 3
+    assert code == (3 if name == "FIX-THETA" else 0)
+    want = (INSTANCES / "star-out" / f"{name}.out").read_text()
+    assert capsys.readouterr().out == want
 
 
 def test_star_command_without_reductive_edges(tmp_path):

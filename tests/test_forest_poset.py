@@ -127,9 +127,9 @@ def test_search_cap_raises_where_the_walk_raised(monkeypatch):
 
 
 def _as_forests(eng, stage, before, f, g, after):
-    """The arguments of _Engine.verify, which are masks over the engine's
-    numbering, as all_pairs_verify takes them: IdealForests, with f and g
-    wrapped to map forests to forests."""
+    """The arguments of _Engine.verify but the one-step pairs, which are
+    masks over the engine's numbering, as all_pairs_verify takes them:
+    IdealForests, with f and g wrapped to map forests to forests."""
     def forest(x):
         return IdealForest(tuple(eng.orbits(x)))
 
@@ -141,8 +141,10 @@ def _as_forests(eng, stage, before, f, g, after):
 
 
 def _checks(eng):
-    """The engine's verifier and the all-pairs oracle, both on masks."""
-    return eng.verify, lambda *args: all_pairs_verify(*_as_forests(eng, *args))
+    """The engine's verifier, given the one-step pairs of the forests it
+    checks, and the all-pairs oracle, both on masks."""
+    return (lambda *args: eng.verify(*args, eng.one_steps(args[1])),
+            lambda *args: all_pairs_verify(*_as_forests(eng, *args)))
 
 
 def _both_verifiers(monkeypatch):
@@ -151,9 +153,9 @@ def _both_verifiers(monkeypatch):
     verify = starcomplex._Engine.verify
     checked = []
 
-    def both(self, stage, before, f, g, after):
+    def both(self, stage, before, f, g, after, pairs):
         verdicts = []
-        for check in (lambda: verify(self, stage, before, f, g, after),
+        for check in (lambda: verify(self, stage, before, f, g, after, pairs),
                       lambda: all_pairs_verify(
                           *_as_forests(self, stage, before, f, g, after))):
             try:
@@ -290,6 +292,26 @@ def test_eliminate_reads_the_new_forests_off_the_old(monkeypatch):
         run_retractions(m, 3)
     # 16 steps in the corpus, 12 at seed 3 and 8 at seed 7
     assert len(checked) == 36 and max(checked) == 2095
+
+
+def test_filtered_one_steps_match_a_fresh_search(monkeypatch):
+    """After each elimination the engine holds the one-step pairs of S(C'),
+    filtered from those of S(C); they are the pairs one_steps finds
+    afresh, in the same order."""
+    eliminate = starcomplex._Engine.eliminate
+    checked = []
+
+    def fresh(self, *args, **kwargs):
+        C, S = eliminate(self, *args, **kwargs)
+        assert self.pairs == self.one_steps(S)
+        checked.append(len(self.pairs))
+        return C, S
+
+    monkeypatch.setattr(starcomplex._Engine, "eliminate", fresh)
+    for label, m in corpus() + [(seed, rose4(seed)) for seed in (3, 7)]:
+        run_retractions(m, 3)
+    # 16 steps in the corpus, 12 at seed 3 and 8 at seed 7
+    assert len(checked) == 36 and max(checked) > 5000
 
 
 # (stage, alpha, alpha0, forests before, forests after) of each step of

@@ -42,6 +42,8 @@ from oracles import dense_reduced_homology
 
 
 def _complex(faces):
+    """The closure of the given faces, as int masks over the sorted
+    vertex labels."""
     verts = tuple(sorted({v for f in faces for v in f}))
     idx = {v: i for i, v in enumerate(verts)}
     closed = set()
@@ -49,8 +51,15 @@ def _complex(faces):
         f = tuple(f)
         for r in range(1, len(f) + 1):
             for sub in itertools.combinations(f, r):
-                closed.add(frozenset(idx[v] for v in sub))
+                closed.add(sum(1 << idx[v] for v in sub))
     return SimplicialComplex(verts, frozenset(closed))
+
+
+def _sets(K):
+    """The faces of K as frozensets of vertex indices, as the dense oracle
+    takes them."""
+    return frozenset(frozenset(i for i in range(len(K.vertices)) if x >> i & 1)
+                     for x in K.faces)
 
 
 def test_homology_point():
@@ -120,13 +129,13 @@ def test_reduced_homology_matches_dense_oracle():
         faces = [rng.sample(range(n), rng.randint(1, min(n, 5)))
                  for _ in range(rng.randint(1, 10))]
         K = _complex(faces)
-        assert reduced_homology(K) == dense_reduced_homology(K.faces), faces
+        assert reduced_homology(K) == dense_reduced_homology(_sets(K)), faces
     instances = list(all_fixtures().values())
     instances += [random_instance(s) for s in range(7000, 7020)]
     for m in instances:
         m = reduce_to_forest_free(m)
         K = star_complex(m, reductive_orbits(m, "tot", HORIZON))
-        assert reduced_homology(K) == dense_reduced_homology(K.faces)
+        assert reduced_homology(K) == dense_reduced_homology(_sets(K))
     # the corpus above is mostly reduced (empty R); these three-petal roses
     # have S(R) of 11, 19 and 31 forests at horizon 2
     for images, forests in ((["p1", "p2 p3", "p3"], 11),
@@ -135,12 +144,12 @@ def test_reduced_homology_matches_dense_oracle():
         m = _rose3(images)
         K = star_complex(m, reductive_orbits(m, "tot", 2))
         assert len(K.vertices) == forests
-        assert reduced_homology(K) == dense_reduced_homology(K.faces)
+        assert reduced_homology(K) == dense_reduced_homology(_sets(K))
 
 
 def test_complex_rejects_non_closed_face_sets():
     with pytest.raises(ValidationError):
-        SimplicialComplex(("a", "b"), frozenset({frozenset({0, 1})}))
+        SimplicialComplex(("a", "b"), frozenset({0b11}))
 
 
 def test_order_complex_of_a_chain_is_contractible():
@@ -153,6 +162,92 @@ def test_order_complex_of_an_antichain_is_discrete():
     K = order_complex(["a", "b", "c"], lambda x, y: x == y)
     assert K.dim == 0
     assert reduced_homology(K) == (2,)
+
+
+@pytest.mark.parametrize("face, message", [
+    (frozenset({0}), "is not an int mask"),
+    (-1, "is negative"),
+    (0, "empty face is excluded"),
+    (0b100, "has a vertex beyond the 2 vertices"),
+])
+def test_complex_rejects_a_face_that_is_not_a_mask_over_its_vertices(
+        face, message):
+    with pytest.raises(ValidationError, match=message):
+        SimplicialComplex(("a", "b"), frozenset({0b1, 0b10, face}))
+
+
+def test_complex_rejects_a_triangle_missing_an_edge():
+    triangle = {0b1, 0b10, 0b100, 0b11, 0b101, 0b110, 0b111}
+    SimplicialComplex(("a", "b", "c"), frozenset(triangle))
+    with pytest.raises(ValidationError, match="not downward closed"):
+        SimplicialComplex(("a", "b", "c"), frozenset(triangle - {0b110}))
+
+
+def _random_order(rng, n, p):
+    """A random partial order on range(n): the transitive closure of pairs
+    i < j drawn with probability p, read through a shuffle of the labels."""
+    less = [[i < j and rng.random() < p for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        less[i][j] = less[i][j] or (less[i][k] and less[k][j])
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return labels, lambda a, b: a == b or less[a][b]
+
+
+def test_order_complex_faces_are_the_totally_ordered_subsets():
+    rng = random.Random(1)
+    posets = [(list(range(8)), lambda a, b: a <= b),
+              (list(range(8)), lambda a, b: a == b)]
+    posets += [_random_order(rng, rng.randint(1, 8), rng.random())
+               for _ in range(60)]
+    for elements, leq in posets:
+        n = len(elements)
+        brute = {x for x in range(1, 1 << n)
+                 if all(leq(elements[i], elements[j]) or leq(elements[j], elements[i])
+                        for i, j in itertools.combinations(range(n), 2)
+                        if x >> i & 1 and x >> j & 1)}
+        K = order_complex(elements, leq)
+        assert K.vertices == tuple(elements) and K.faces == brute
+    assert len(order_complex(*posets[0]).faces) == 255
+    assert len(order_complex(*posets[1]).faces) == 8
+
+
+TORUS7 = ([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+          + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+
+# (maximal faces, unreduced Betti numbers over Q)
+PIECES = [
+    ([(0,)], (1,)),
+    ([(0, 1), (1, 2), (0, 2)], (1, 1)),
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], (1, 1)),
+    (list(itertools.combinations(range(4), 3)), (1, 0, 1)),
+    (TORUS7, (1, 2, 1)),
+    (RP2_TRIANGLES, (1, 0, 0)),
+    ([(0, 1, 2)], (1, 0, 0)),
+    (list(itertools.combinations(range(5), 4)), (1, 0, 0, 1)),
+    ([(0, 1, 2, 3)], (1, 0, 0, 0)),
+]
+
+
+def test_homology_in_several_degrees_matches_the_dense_oracle():
+    """Disjoint unions of points, circles, 2- and 3-spheres, tori, RP^2 and
+    balls, on shuffled vertex labels: Betti numbers add up over the
+    pieces."""
+    rng = random.Random(2)
+    several = 0
+    for _ in range(60):
+        faces, total = [], [0, 0, 0, 0]
+        for piece, betti in rng.choices(PIECES, k=rng.randint(2, 4)):
+            base = 1 + max((v for f in faces for v in f), default=0)
+            faces += [tuple(base + v for v in f) for f in piece]
+            total = [t + b for t, b in itertools.zip_longest(total, betti, fillvalue=0)]
+        labels = list(range(1 + max(v for f in faces for v in f)))
+        rng.shuffle(labels)
+        K = _complex([tuple(labels[v] for v in f) for f in faces])
+        want = tuple([total[0] - 1] + total[1:K.dim + 1])
+        assert reduced_homology(K) == dense_reduced_homology(_sets(K)) == want
+        several += sum(b != 0 for b in want) > 1
+    assert several > 30
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +377,39 @@ def test_star_complex_of_reductive_family_is_acyclic(named_instance):
     assert all(b == 0 for b in betti)
 
 
+def test_one_forest_search_per_marked_graph_and_pool(monkeypatch):
+    searched = []
+    search = starcomplex._search_forests
+
+    def counted(m, pool):
+        searched.append(tuple(pool))
+        return search(m, pool)
+
+    monkeypatch.setattr(starcomplex, "_search_forests", counted)
+    images = ["p2 p1 p3", "p2", "p3"]
+    m = _rose3(images)
+    R = reductive_orbits(m, "tot", 2)
+    assert closure_pm(m, R) == R  # every orbit is at *
+    assert len(star_complex(m, R).vertices) == 31
+    assert run_retractions(m, 2, homology=True).status == "done"
+    assert searched == [tuple(sorted(R, key=lambda a: a.key()))]
+    # an equal but fresh marked graph, or another pool, searches again
+    fresh = _rose3(images)
+    assert fresh == m
+    assert enumerate_ideal_forests(fresh, R) == enumerate_ideal_forests(m, R)
+    assert len(searched) == 2
+    enumerate_ideal_forests(m, sorted(R, key=lambda a: a.key())[1:])
+    assert len(searched) == 3
+    # a search that raises keeps nothing, so it raises again
+    monkeypatch.setattr(starcomplex, "MAX_FORESTS", 5)
+    for count in (4, 5):
+        with pytest.raises(HypothesisNotMet):
+            enumerate_ideal_forests(fresh, R)
+        assert len(searched) == count
+    monkeypatch.setattr(starcomplex, "MAX_FORESTS", 20000)
+    assert len(enumerate_ideal_forests(fresh, R)) == 31 and len(searched) == 5
+
+
 def test_run_retractions_requires_reduced_input():
     with pytest.raises(HypothesisNotMet):
         run_retractions(all_fixtures()["FIX-THETA"], HORIZON)
@@ -376,7 +504,8 @@ def test_verifier_rejects_a_non_monotone_f():
     p1, q = next((p1, q) for p1, p2, q in itertools.product(S, repeat=3)
                  if not p1 & ~p2 and p1 != p2 and not p1 & ~q and q & ~p2)
     with pytest.raises(PropertyViolation, match=r"^\[probe\] f is not monotone"):
-        eng.verify("probe", S, lambda phi: q if phi == p1 else phi, _same, S)
+        eng.verify("probe", S, lambda phi: q if phi == p1 else phi, _same, S,
+                   eng.one_steps(S))
 
 
 def test_verifier_rejects_an_f_image_outside_the_complex():
@@ -385,21 +514,22 @@ def test_verifier_rejects_an_f_image_outside_the_complex():
     phi = eng.mask([a])
     with pytest.raises(PropertyViolation,
                        match=r"^\[probe\] f\(Phi\) is not an ideal forest.*incompatible"):
-        eng.verify("probe", [phi], lambda p: eng.mask([a, b]), _same, [phi])
+        eng.verify("probe", [phi], lambda p: eng.mask([a, b]), _same, [phi],
+                   eng.one_steps([phi]))
 
 
 def test_verifier_rejects_a_g_that_empties_a_forest():
     eng, S = _probe()
     with pytest.raises(PropertyViolation, match=r"^\[probe\] g empties the forest"):
-        eng.verify("probe", S, _same, lambda psi: 0, S)
+        eng.verify("probe", S, _same, lambda psi: 0, S, eng.one_steps(S))
 
 
 def test_verifier_rejects_a_g_image_other_than_the_new_complex():
     eng, S = _probe()
     with pytest.raises(PropertyViolation,
                        match=r"^\[probe\] g\(f\(S\(C\)\)\) != S\(C - eliminated\)"):
-        eng.verify("probe", S, _same, _same, S[1:])
-    eng.verify("probe", S, _same, _same, S)
+        eng.verify("probe", S, _same, _same, S[1:], eng.one_steps(S))
+    eng.verify("probe", S, _same, _same, S, eng.one_steps(S))
 
 
 def _count_scans(monkeypatch):
