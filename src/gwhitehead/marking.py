@@ -57,11 +57,14 @@ def act_path(g: GGraph, x, steps):
 
 
 def cyclic_canonical(steps):
-    """Lex-least rotation; canonical form of a cyclically reduced loop."""
+    """Lex-least rotation; canonical form of a cyclically reduced loop.
+
+    The least rotation starts at a least step, so only those are tried.
+    """
     if not steps:
         return ()
-    rots = [steps[i:] + steps[:i] for i in range(len(steps))]
-    return min(rots)
+    low = min(steps)
+    return min(steps[i:] + steps[:i] for i, e in enumerate(steps) if e == low)
 
 
 @dataclass(frozen=True)

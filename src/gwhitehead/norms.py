@@ -30,11 +30,15 @@ or the sentinel ``n_edges`` past its end), and ``bytes.translate`` with a
 one-hot table turns a column into the packed 0/1 indicator of each edge
 there.  An edge's occurrence int is the sum of its indicators over the
 positions, and a turn's the sum of the ANDs of the indicators at adjacent
-positions.  Edge ids and the sentinel must each fit in one byte, so a
-graph may have at most MAX_EDGES directed edges.  edge_abs, set_abs and
-dot are then a few big-int sums over those ints, and one ``int.to_bytes``
-plus ``memoryview.cast`` unpacks the result into the coordinate tuple.
-tot is the out coordinates followed by the aut ones.
+positions.  The occurrences and the check that every item is reduced are
+made at build time; the turns are counted on the first query that reads
+them (set_abs, dot, abs_sign), so a calculator read only through norm,
+all_norms or edge_abs never counts them.  Edge ids and the sentinel must
+each fit in one byte, so a graph may have at most MAX_EDGES directed
+edges.  edge_abs, set_abs and dot are then a few big-int sums over those
+ints, and one ``int.to_bytes`` plus ``memoryview.cast`` unpacks the result
+into the coordinate tuple.  tot is the out coordinates followed by the aut
+ones.
 
 Lexicographic sign.  No lane of an edge or set_abs int ever carries or
 borrows (see _pack), so lane i of such an int is coordinate i exactly.
@@ -49,9 +53,10 @@ comparison with ``edge[a]``, the aut part only when the out part is equal.
 Memo.  A calculator computes each distinct |C| (per frozenset C and kind)
 and its cross-checked pair of norms once: set_abs and all_norms keep their
 answers, which are frozen NormVectors and safe to share, for the life of
-the calculator, so ``calculator.cache_clear()`` drops them with it.
-norm(kind) is deliberately unmemoised: each call repeats the direct count
-and the half edge_abs sum and compares them.  abs_sign packs its |C| afresh.
+the calculator, so ``calculator.cache_clear()`` drops them with it, as it
+drops each kind's turn table.  norm(kind) is deliberately unmemoised: each
+call repeats the direct count and the half edge_abs sum and compares them.
+abs_sign packs its |C| afresh.
 """
 
 from __future__ import annotations
@@ -287,6 +292,11 @@ class _Lanes:
     the indicators of e over the columns, and T[(u, rev w)] sums the AND of
     the indicator of u at one position with that of w at the next.  A
     cyclic item adds one wrap column, its last step, against the first.
+
+    ``__init__`` makes ``edge`` and rejects an unreduced item: per edge u at
+    a position, one AND with the indicator of rev u at the next.  It keeps
+    the adjacent indicator pairs, from which ``turns`` is counted on its
+    first read.
     """
 
     def __init__(self, items, cyclic, actions):
@@ -305,22 +315,33 @@ class _Lanes:
         if cyclic and cols:
             last = bytes(steps[-1] if steps else n_edges for steps in items)
             adjacent.append((self._indicators(last, n_edges), ind[0]))
-        T = defaultdict(int)
         for here, there in adjacent:
+            for u, x in here.items():
+                if x & there.get(rev(u), 0):
+                    raise InternalInconsistency("unreduced path reached the norm layer")
+        osym = [sum(O.get(act[e], 0) for act in actions) for e in range(n_edges)]
+        self.edge = [osym[e] + osym[rev(e)] for e in range(n_edges)]
+        self._adjacent = adjacent
+        self._actions = actions
+
+    @functools.cached_property
+    def turns(self):
+        """Tsym, counted from the adjacent indicator pairs on the first read,
+        which then drops them."""
+        T = defaultdict(int)
+        for here, there in self._adjacent:
             for u, x in here.items():
                 for w, y in there.items():
                     t = x & y
                     if t:
                         T[u, rev(w)] += t
-        if any(u == w for u, w in T):
-            raise InternalInconsistency("unreduced path reached the norm layer")
-        osym = [sum(O.get(act[e], 0) for act in actions) for e in range(n_edges)]
-        self.edge = [osym[e] + osym[rev(e)] for e in range(n_edges)]
-        self.turns = {}
+        del self._adjacent
+        turns = {}
         for (u, w), t in T.items():
-            for act in actions:
-                row = self.turns.setdefault(act[u], {})
+            for act in self._actions:
+                row = turns.setdefault(act[u], {})
                 row[act[w]] = row.get(act[w], 0) + t
+        return turns
 
     def _indicators(self, col, sentinel):
         """{e: packed 0/1 vector of the items whose byte in col is e}, over

@@ -5,9 +5,11 @@ import random
 from gwhitehead import freegroup as fg
 from gwhitehead.fixtures import fix_r2, fix_r2w, fix_theta
 from gwhitehead.ggraph import maximal_invariant_forest
-from gwhitehead.marking import (MarkedGGraph, collapse_marked, loop_of_class,
-                                lyndon_length, marked_isomorphic,
+from gwhitehead.marking import (MarkedGGraph, collapse_marked, cyclic_canonical,
+                                loop_of_class, lyndon_length, marked_isomorphic,
                                 path_of_word, reduce_path, verify_realization)
+
+from oracles import rotations
 
 
 def _random_words(n, count, max_len, seed=7):
@@ -110,3 +112,13 @@ def test_verify_realization_detects_wrong_claim():
     wrong = (m.realization[0], fg.FreeAutomorphism.identity(2))
     bad = MarkedGGraph(m.graph, m.basis_paths, wrong)
     assert verify_realization(bad)
+
+
+def test_cyclic_canonical_is_the_least_of_all_rotations():
+    # ties and periodic loops: several rotations start at the least step
+    for steps in [(), (5,), (0, 1, 0, 2), (0, 0, 1), (0, 1, 0, 1), (2, 1, 1, 2, 1)]:
+        assert cyclic_canonical(steps) == min(rotations(steps))
+    rng = random.Random(29)
+    for _ in range(10 ** 5):
+        steps = tuple(rng.choices(range(rng.randrange(1, 5)), k=rng.randrange(14)))
+        assert cyclic_canonical(steps) == min(rotations(steps))

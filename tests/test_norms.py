@@ -7,6 +7,7 @@ and each coordinate is just the cyclic loop length, giving
 (1,1,1,1,2,2,2,2,2,2,2,2).
 """
 
+import itertools
 import random
 
 import pytest
@@ -290,6 +291,39 @@ def test_cyclic_loop_of_one_step_turns_onto_itself():
     assert {u: {w: lanes.unpack(t) for w, t in row.items()}
             for u, row in lanes.turns.items()} == {0: {1: (1, 0)}, 2: {3: (0, 1)}}
     assert _Lanes([(0,), (2,)], False, fix_r2().graph.edge_action).turns == {}
+
+
+def test_norms_and_edge_abs_leave_the_turns_uncounted():
+    for m in list(all_fixtures().values()) + [random_instance(s) for s in range(7000, 7010)]:
+        calc = NormCalculator(m, 3)
+        calc.all_norms()
+        for e in range(m.graph.n_edges):
+            for kind in KINDS:
+                calc.edge_abs(e, kind)
+        for kind in ("out", "aut"):
+            assert "turns" not in calc._lanes[kind].__dict__
+
+
+_TURN_QUERIES = {
+    "set_abs": lambda calc, C, kind: calc.set_abs(C, kind),
+    "dot": lambda calc, C, kind: calc.dot(C, {0}, kind),
+    "abs_sign": lambda calc, C, kind: calc.abs_sign(C, kind)(0),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_TURN_QUERIES)))
+def test_turns_counted_on_first_query_match_scan_lanes(order):
+    for m in list(all_fixtures().values()) + [random_instance(s) for s in range(7000, 7010)]:
+        calc = NormCalculator(m, 3)
+        C = frozenset(range(0, m.graph.n_edges, 2))
+        for query in order:
+            for kind in KINDS:
+                _TURN_QUERIES[query](calc, C, kind)
+            for kind in ("out", "aut"):
+                lanes = calc._lanes[kind]
+                assert "turns" in lanes.__dict__
+                assert (lanes.edge, lanes.turns) == scan_lanes(
+                    calc.items[kind], kind == "out", m.graph.edge_action, lanes.code)
 
 
 def test_lanes_reject_unreduced_item():
