@@ -203,9 +203,14 @@ def generates_free_group(words, k) -> bool:
     """Whether the given words generate the free group on k letters.
 
     Stallings folding: build the wedge of word-loops, fold, and test that
-    every basis letter traces a loop at the base state.
+    every basis letter traces a loop at the base state.  Each state keeps
+    one transition per signed letter (an edge u -l-> v is l out of u and
+    -l out of v); a second transition for a letter it already has queues
+    the two targets to be identified.  Identifying two states moves the
+    smaller table into the larger, which may queue more pairs, so the
+    folding ends when the queue is empty, with no rescan of the edges.
     """
-    parent = [0]
+    parent, table = [], []
 
     def find(x):
         while parent[x] != x:
@@ -213,57 +218,38 @@ def generates_free_group(words, k) -> bool:
             x = parent[x]
         return x
 
-    def union(x, y):
-        x, y = find(x), find(y)
-        if x != y:
-            parent[y] = x
-        return x
-
     def new_state():
         parent.append(len(parent))
+        table.append({})
         return len(parent) - 1
 
-    # positive-letter transitions as a list of [src, letter, dst]
-    edges = []
+    queue = []
+
+    def link(u, letter, v):
+        w = table[u].setdefault(letter, v)
+        if w != v:
+            queue.append((w, v))
+
+    base = new_state()
     for w in words:
-        prev = 0
+        prev = base
         for i, l in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else new_state()
-            if l > 0:
-                edges.append([prev, l, nxt])
-            else:
-                edges.append([nxt, -l, prev])
+            nxt = base if i == len(w) - 1 else new_state()
+            link(prev, l, nxt)
+            link(nxt, -l, prev)
             prev = nxt
 
-    changed = True
-    while changed:
-        changed = False
-        out = {}
-        into = {}
-        for idx, (u, l, v) in enumerate(edges):
-            u, v = find(u), find(v)
-            edges[idx] = [u, l, v]
-            if (u, l) in out and out[(u, l)] != v:
-                union(out[(u, l)], v)
-                changed = True
-                break
-            out[(u, l)] = v
-            if (v, l) in into and into[(v, l)] != u:
-                union(into[(v, l)], u)
-                changed = True
-                break
-            into[(v, l)] = u
-        if changed:
+    while queue:
+        x, y = map(find, queue.pop())
+        if x == y:
             continue
-        # drop duplicate edges
-        seen = set()
-        dedup = []
-        for u, l, v in edges:
-            if (u, l, v) not in seen:
-                seen.add((u, l, v))
-                dedup.append([u, l, v])
-        edges = dedup
+        if len(table[x]) < len(table[y]):
+            x, y = y, x
+        parent[y] = x
+        for letter, v in table[y].items():
+            link(x, letter, v)
+        table[y] = None
 
-    base = find(0)
-    loops = {(find(u), l, find(v)) for u, l, v in edges}
-    return all((base, l, base) in loops for l in range(1, k + 1))
+    base = find(base)
+    loops = table[base]
+    return all(l in loops and find(loops[l]) == base for l in range(1, k + 1))

@@ -123,19 +123,24 @@ class GGraph:
             object.__setattr__(
                 self, "pair_names", tuple(f"e{p}" for p in range(self.n_pairs)))
         # Orbit tables, built once per graph: E_v per vertex as (tuple,
-        # frozenset), the vertex action _vertex_action[g][v], the stabilizer
-        # _stab_edge[e] of each directed edge, and the memo of
-        # idealedges.translates and orbit_union.  They are plain attributes,
-        # not fields, so equality, hashing, repr and dataclasses.fields/asdict
-        # ignore them.
+        # frozenset), the bit _edge_bit[e] of each directed edge in the
+        # masks over its E_v, the vertex action _vertex_action[g][v], the
+        # stabilizer _stab_edge[e] of each directed edge, the memo of
+        # idealedges.translates and orbit_union, and a one-slot holder for
+        # the idealedges orbit table, filled on its first read.  They are
+        # plain attributes, not fields, so equality, hashing, repr and
+        # dataclasses.fields/asdict ignore them.
         # They take the input as it is: validate() reports what is wrong
         # with it, so building them must not raise.
         at = [[] for _ in range(self.n_vertices)]
+        bit = [0] * len(self.term)
         for e, v in enumerate(self.term):
             if 0 <= v < self.n_vertices:
+                bit[e] = 1 << len(at[v])
                 at[v].append(e)
         object.__setattr__(self, "_incidence",
                            tuple((tuple(es), frozenset(es)) for es in at))
+        object.__setattr__(self, "_edge_bit", tuple(bit))
         # g moves v where it moves the terminal vertex of the first edge at v
         object.__setattr__(self, "_vertex_action", tuple(
             tuple(self._image_of_end(perm, es[0]) if es else v
@@ -148,6 +153,7 @@ class GGraph:
                     fixers[e].append(g)
         object.__setattr__(self, "_stab_edge", tuple(map(tuple, fixers)))
         object.__setattr__(self, "_translates", {})
+        object.__setattr__(self, "_orbit_table", [])
 
     def _image_of_end(self, perm, e):
         """term[perm[e]], or None where an index is out of range."""
@@ -177,6 +183,15 @@ class GGraph:
     def edge_set_at(self, v):
         """E_v as a frozenset."""
         return self._incidence[v][1]
+
+    def edge_masks(self, edges):
+        """{v: mask over E_v} of the given directed edges, for each vertex
+        they end at; bit i of the mask at v stands for edges_at(v)[i]."""
+        masks = {}
+        for e in edges:
+            v = self.term[e]
+            masks[v] = masks.get(v, 0) | self._edge_bit[e]
+        return masks
 
     def valence(self, v):
         return len(self.edges_at(v))

@@ -4,11 +4,21 @@ An ideal edge is a subset of the directed edges ending at one vertex,
 subject to cardinality bounds (relaxed at the basepoint, where all but
 one edge may be pulled away) and coherence under the vertex stabilizer.
 Orbits of ideal edges are the vertices of the blow-up poset.
+
+Orbit table.  Each graph keeps one table of its ideal edges on int masks
+over E_v (bit i stands for ``edges_at(v)[i]``), built on the first read.
+The group acts on masks through per-element bit maps.  The table tests
+every mask at every vertex once, in key order, and files each ideal one
+with all its translates under one orbit, which holds the translates
+(their number is [G:stab alpha]) and the orbit union per vertex; the
+first mask of an orbit met is its canonical rep, so the reps come out in
+key order.  enumerate_ideal_edges, is_ideal_edge and d_set are reads of
+it, and moves.reductive_scan takes each rep with D(rep) from it
+(orbit_targets) without making an IdealEdge.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .ggraph import GGraph, rev
@@ -32,39 +42,177 @@ class IdealPair:
     collapse_target: int
 
 
-def _card_ok(g: GGraph, v, edges):
-    comp = len(g.edges_at(v)) - len(edges)
-    if v == g.basepoint:
-        return len(edges) >= 2 and comp >= 1
-    return len(edges) >= 2 and comp >= 2
+class _Orbit:
+    """One orbit of ideal edges: its distinct translates as (vertex, mask)
+    pairs, and its union as the mask, per vertex, of the edges some
+    translate covers."""
+
+    __slots__ = ("translates", "union")
+
+    def __init__(self, translates, union):
+        self.translates = translates
+        self.union = union
+
+
+def _image(bits, mask):
+    """The image of a mask under a bit map (None: the identity on E_v)."""
+    if bits is None:
+        return mask
+    out = 0
+    for i, b in enumerate(bits):
+        if mask >> i & 1:
+            out |= b
+    return out
+
+
+def _key_order(d):
+    """The nonempty masks over d bits in the order of their sorted bit
+    positions, a prefix first: the key order of the edge sets at a vertex."""
+    out = []
+
+    def walk(mask, start):
+        for i in range(start, d):
+            out.append(mask | 1 << i)
+            walk(mask | 1 << i, i + 1)
+
+    walk(0, 0)
+    return out
+
+
+class _OrbitTable:
+    """The ideal edges of one graph on masks; see the module docstring.
+
+    ``at[v]`` holds (e, the bit of e, the vertex of rev e, the bit of rev e
+    there) for each e in E_v, increasing.  ``maps[v]`` holds,
+    per group element x, (x v, bit map of x on E_v): the bit of x e at x v
+    for each e in E_v, or None where x fixes v and every edge at it.
+    ``stab[v]`` holds the other bit maps of the elements fixing v, and
+    ``by_stab[v]`` maps each edge-stabilizer order to the mask of the edges
+    at v with it.  ``ideal[v]`` maps each ideal mask at v to its _Orbit,
+    and ``reps`` lists the canonical rep (vertex, mask) of each orbit in
+    key order.
+
+    The masks are tested vertex by vertex, each vertex's in key order, and
+    the translates of an ideal one are filed with it.  An orbit is thus
+    first met at its canonical rep: at the least vertex it reaches, and
+    there at the least edge set of its translates.
+    """
+
+    def __init__(self, g: GGraph):
+        # no reference back to g, which holds the table
+        self.basepoint, self.order = g.basepoint, g.group.order
+        bit = g._edge_bit
+        self.at, self.maps, self.stab, self.by_stab = [], [], [], []
+        for v in range(g.n_vertices):
+            ev = g.edges_at(v)
+            self.at.append(tuple((e, bit[e], g.term[rev(e)], bit[rev(e)]) for e in ev))
+            ident = tuple(bit[e] for e in ev)
+            maps = []
+            for x, act in enumerate(g.edge_action):
+                w = g.act_vertex(x, v)
+                bits = tuple(bit[act[e]] for e in ev)
+                maps.append((w, None if w == v and bits == ident else bits))
+            self.maps.append(tuple(maps))
+            self.stab.append(tuple(bits for w, bits in maps if w == v and bits))
+            by_stab = {}
+            for e in ev:
+                k = len(g.stab_edge(e))
+                by_stab[k] = by_stab.get(k, 0) | bit[e]
+            self.by_stab.append(by_stab)
+        self.ideal = [{} for _ in range(g.n_vertices)]
+        self.reps = []
+        for v, found in enumerate(self.ideal):
+            for mask in _key_order(len(self.at[v])):
+                if mask in found or not self.is_ideal(v, mask):
+                    continue
+                orbit = self.orbit(v, mask)
+                for w, m in orbit.translates:
+                    self.ideal[w][m] = orbit
+                self.reps.append((v, mask))
+        self.rep_edges = None  # the IdealEdge reps, made by enumerate_ideal_edges
+
+    def edges(self, v, mask):
+        """The edges of a mask at v, increasing."""
+        return tuple([e for e, b, _, _ in self.at[v] if mask & b])
+
+    def is_ideal(self, v, mask):
+        """Cardinality bounds, coherence under the stabilizer of v (each
+        image equal to mask or disjoint from it) and the residual bound."""
+        d = len(self.at[v])
+        k = mask.bit_count()
+        base = v == self.basepoint
+        if k < 2 or d - k < (1 if base else 2):
+            return False
+        images = {mask}
+        for bits in self.stab[v]:
+            img = _image(bits, mask)
+            if img != mask and img & mask:
+                return False
+            images.add(img)
+        covered = 0
+        for img in images:
+            covered |= img
+        # the blown-up vertex must stay admissible: it keeps the edges not
+        # covered by any translate plus one new edge per translate
+        return d - covered.bit_count() + len(images) >= (2 if base else 3)
+
+    def orbit(self, v, mask):
+        """The _Orbit of the mask at v."""
+        trans = {(w, _image(bits, mask)) for w, bits in self.maps[v]}
+        union = [0] * len(self.at)
+        for w, m in trans:
+            union[w] |= m
+        return _Orbit(tuple(trans), tuple(union))
+
+    def d(self, v, mask, orbit):
+        """D of the ideal edge (v, mask) in orbit, as increasing edges."""
+        todo = mask & self.by_stab[v].get(self.order // len(orbit.translates), 0)
+        return tuple([a for a, b, w, rb in self.at[v]
+                      if todo & b and not orbit.union[w] & rb])
+
+
+def _mask(g: GGraph, v, edges):
+    """The mask of edges over E_v, or None when one of them is not in E_v."""
+    if not g.edge_set_at(v).issuperset(edges):
+        return None
+    return g.edge_masks(edges).get(v, 0)
+
+
+def _table(g: GGraph) -> _OrbitTable:
+    if not g._orbit_table:
+        g._orbit_table.append(_OrbitTable(g))
+    return g._orbit_table[0]
 
 
 def is_ideal_edge(g: GGraph, v, edges) -> bool:
-    """Cardinality bounds plus orbit coherence under the vertex stabilizer."""
-    edges = frozenset(edges)
-    ev = g.edge_set_at(v)
-    if not edges <= ev:
-        return False
-    if not _card_ok(g, v, edges):
-        return False
-    trans = set()
-    for x in g.group.elements:
-        if g.act_vertex(x, v) == v:
-            img = g.act_edge_set(x, edges)
-            if img != edges and img & edges:
-                return False
-            trans.add(img)
-    # the blown-up vertex must stay admissible: it keeps the edges not
-    # covered by any translate plus one new edge per translate
-    covered = frozenset().union(*trans)
-    residual = len(ev - covered)
-    need = 2 if v == g.basepoint else 3
-    return residual + len(trans) >= need
+    """Cardinality bounds plus orbit coherence under the vertex stabilizer,
+    read off the orbit table (_OrbitTable.is_ideal)."""
+    mask = _mask(g, v, edges)
+    return mask is not None and mask in _table(g).ideal[v]
 
 
 def stab_set(g: GGraph, edges):
     edges = frozenset(edges)
     return tuple(x for x in g.group.elements if g.act_edge_set(x, edges) == edges)
+
+
+def _orbit_of(g: GGraph, alpha: IdealEdge):
+    """(mask, _Orbit) of alpha: the table's entry when alpha is ideal, else
+    its orbit found afresh."""
+    t = _table(g)
+    mask = _mask(g, alpha.vertex, alpha.edges)
+    return mask, t.ideal[alpha.vertex].get(mask) or t.orbit(alpha.vertex, mask)
+
+
+def _memo(g: GGraph, orbit: _Orbit):
+    """(translates, orbit union) of an orbit as IdealEdges sorted by key and
+    a frozenset, kept in the graph's memo under every translate."""
+    t = _table(g)
+    trans = tuple(IdealEdge(v, frozenset(edges))
+                  for v, edges in sorted((w, t.edges(w, m)) for w, m in orbit.translates))
+    out = (trans, frozenset().union(*(a.edges for a in trans)))
+    g._translates.update(dict.fromkeys(trans, out))
+    return out
 
 
 def _orbit(g: GGraph, alpha: IdealEdge):
@@ -73,14 +221,7 @@ def _orbit(g: GGraph, alpha: IdealEdge):
     Every translate of alpha has the same pair, so one miss fills the
     entries of the whole orbit.
     """
-    seen = {}
-    for x in g.group.elements:
-        s = g.act_edge_set(x, alpha.edges)
-        seen[(g.act_vertex(x, alpha.vertex), tuple(sorted(s)))] = s
-    trans = tuple(IdealEdge(v, s) for (v, _), s in sorted(seen.items()))
-    out = (trans, frozenset().union(*seen.values()))
-    g._translates.update(dict.fromkeys(trans, out))
-    return out
+    return _memo(g, _orbit_of(g, alpha)[1])
 
 
 def translates(g: GGraph, alpha: IdealEdge):
@@ -111,17 +252,24 @@ def translate_through(g: GGraph, alpha: IdealEdge, e):
 
 
 def enumerate_ideal_edges(m: MarkedGGraph):
-    """All ideal edge orbits, one canonical representative each."""
-    g = m.graph
-    reps = {}
-    for v in range(g.n_vertices):
-        ev = g.edges_at(v)
-        for r in range(2, len(ev) + 1):
-            for combo in itertools.combinations(ev, r):
-                if is_ideal_edge(g, v, combo):
-                    rep = canonical_rep(g, IdealEdge(v, frozenset(combo)))
-                    reps[rep.key()] = rep
-    return [reps[k] for k in sorted(reps)]
+    """All ideal edge orbits, one canonical representative each, in key
+    order: a read of the orbit table.  The first call makes the reps, which
+    fills the graph's translates memo for every translate."""
+    t = _table(m.graph)
+    if t.rep_edges is None:
+        t.rep_edges = tuple(_memo(m.graph, t.ideal[v][mask])[0][0] for v, mask in t.reps)
+    return list(t.rep_edges)
+
+
+def orbit_targets(g: GGraph):
+    """(vertex, edges, D) of the canonical rep of each ideal edge orbit
+    with D nonempty, in key order, edges and D increasing: read off the
+    orbit table, making no IdealEdge."""
+    t = _table(g)
+    for v, mask in t.reps:
+        targets = t.d(v, mask, t.ideal[v][mask])
+        if targets:
+            yield v, t.edges(v, mask), targets
 
 
 def d_set(m: MarkedGGraph, alpha: IdealEdge):
@@ -131,13 +279,8 @@ def d_set(m: MarkedGGraph, alpha: IdealEdge):
     disjoint, so stab(a) lies inside stab(alpha) for a in alpha, and the
     two are equal exactly when |stab a| [G:stab alpha] = |G|.
     """
-    g = m.graph
-    trans, union = g._translates.get(alpha) or _orbit(g, alpha)
-    stab_order = g.group.order // len(trans)
-    return frozenset(
-        a for a in alpha.edges
-        if len(g.stab_edge(a)) == stab_order and rev(a) not in union
-    )
+    mask, orbit = _orbit_of(m.graph, alpha)
+    return frozenset(_table(m.graph).d(alpha.vertex, mask, orbit))
 
 
 def is_invertible(g: GGraph, alpha: IdealEdge):

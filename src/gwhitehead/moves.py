@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import GGraph, rev
 from .idealedges import (IdealEdge, IdealPair, d_set, enumerate_ideal_edges,
-                         is_ideal_edge, translates)
+                         is_ideal_edge, orbit_targets, translates)
 from .marking import MarkedGGraph, collapse_marked, reduce_path
 from .norms import NormVector, Order, calculator, compare
 from . import ggraph
@@ -211,22 +211,26 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
     horizon, equal values resolved by the least (vertex, sorted edges,
     collapse target) key so runs are reproducible.  The pairs come in
     increasing key order, as in candidate_pairs, so the first of equal
-    values is kept.  |alpha| is packed once per orbit rep, and unpacked
-    once per orbit rep in R.  The answer is kept on m, so a second scan of
-    the same marked graph at the same horizon and kind reads it back.
+    values is kept.  The reps and their D(alpha) are read off the graph's
+    orbit table on masks (idealedges.orbit_targets), and an IdealEdge is
+    made only for the reps in R.  abs_sign reads |alpha| once per rep with
+    D(alpha) nonempty, from the calculator's subset tables, and |alpha| is
+    unpacked once per rep in R.  The answer is kept on m, so a second scan
+    of the same marked graph at the same horizon and kind reads it back.
     """
     scan = m._scans.get((horizon, kind))
     if scan is not None:
         return scan
-    R, best = set(), None
-    for alpha in enumerate_ideal_edges(m):
-        targets = sorted(d_set(m, alpha))
-        if not targets:
-            continue
-        sign = calculator(m, horizon).abs_sign(alpha.edges, kind)
+    R, best, calc = set(), None, None
+    for vertex, edges, targets in orbit_targets(m.graph):
+        calc = calc or calculator(m, horizon)
+        edges = frozenset(edges)
+        sign = calc.abs_sign(edges, kind)
         reductive = [a for a in targets if sign(a) > 0]
-        if reductive:
-            R.add(alpha)
+        if not reductive:
+            continue
+        alpha = IdealEdge(vertex, edges)
+        R.add(alpha)
         for a, r in zip(reductive, _reductivities(m, alpha, reductive, kind, horizon)):
             if best is None or compare(r.value, best[1].value) == Order.GREATER:
                 best = (IdealPair(alpha, a), r)

@@ -56,7 +56,9 @@ answers, which are frozen NormVectors and safe to share, for the life of
 the calculator, so ``calculator.cache_clear()`` drops them with it, as it
 drops each kind's turn table.  norm(kind) is deliberately unmemoised: each
 call repeats the direct count and the half edge_abs sum and compares them.
-abs_sign packs its |C| afresh.
+abs_sign reads its packed |C| from one table per (part, vertex) that holds
+|C| for every subset C of E_v, made by one subset recurrence on the first
+read and kept on the calculator as well (_Lanes.subset_abs).
 """
 
 from __future__ import annotations
@@ -164,6 +166,7 @@ class NormCalculator:
         self._lanes = {kind: _Lanes(self.items[kind], kind == "out", m.graph.edge_action)
                        for kind in ("out", "aut")}
         self._set_abs = {}  # (frozenset C, kind) -> |C|
+        self._subset_abs = {}  # (part, vertex v) -> packed |C| per mask C over E_v
         self._all_norms = None
 
     def _vec(self, kind, packed_fn):
@@ -194,12 +197,19 @@ class NormCalculator:
         """a -> the sign (1, 0 or -1) of the first nonzero coordinate of
         edge_abs(a, kind) - set_abs(C, kind), decided on the packed ints.
 
-        |C| is packed once per part of kind; each call then looks up
-        ``edge[a]`` and makes at most one comparison per part.
+        Per part of kind, the packed |C| is the sum of the subset-table
+        entries of C's edges at each vertex they end at (_subset_table);
+        each call then looks up ``edge[a]`` and makes at most one
+        comparison per part.
         """
-        C = frozenset(C)
-        parts = [(lanes.edge, lanes.set_abs(C), lanes.sign)
-                 for lanes in map(self._lanes.__getitem__, _parts(kind))]
+        masks = self.m.graph.edge_masks(C).items()
+        parts = []
+        for part in _parts(kind):
+            packed_c = 0
+            for v, mask in masks:
+                packed_c += self._subset_table(part, v)[mask]
+            lanes = self._lanes[part]
+            parts.append((lanes.edge, packed_c, lanes.sign))
 
         def sign(a):
             for edge, packed_c, lane_sign in parts:
@@ -209,6 +219,15 @@ class NormCalculator:
             return 0
 
         return sign
+
+    def _subset_table(self, part, v):
+        """Packed |C| for every mask C over E_v in one part, made on the
+        first read and then kept (see _Lanes.subset_abs)."""
+        table = self._subset_abs.get((part, v))
+        if table is None:
+            table = self._subset_abs[part, v] = self._lanes[part].subset_abs(
+                self.m.graph.edges_at(v))
+        return table
 
     def norm(self, kind) -> NormVector:
         """Norm, computed both directly and as half the edge_abs sum.
@@ -358,6 +377,44 @@ class _Lanes:
         """Packed |C| for the frozenset C."""
         edge = self.edge
         return sum(edge[c] for c in C) - 2 * self.turns_between(C, C)
+
+    def subset_abs(self, E):
+        """Packed |C| for every subset C of the edges E, as a list indexed by
+        mask (bit i stands for E[i]), for E inside one E_v.
+
+        A turn joins two edges that end at the same vertex, so the turn
+        table is block-diagonal by vertex and |C| needs only the turns
+        inside E.  With c the lowest edge of C,
+
+            |C| = |C - c| + (edge[c] - 2 T[c][c])
+                  - 2 sum over b in C - c of (T[c][b] + T[b][c]).
+
+        Taking the same step for C - r, r the second-lowest edge, and
+        subtracting leaves one term of the sum:
+
+            |C| = |C - c| + |C - r| - |C - c - r| - 2 (T[c][r] + T[r][c]),
+
+        so each entry is three big-int sums over entries before it, and
+        a one-edge entry is edge[c] - 2 T[c][c].  (T[c][c] counts the
+        backtracks c, rev c, so it is 0 on the reduced items of a
+        calculator; with it the entries equal set_abs on any turn table.)
+        Every entry is itself a packed |C'|, a count in every lane, so no
+        entry's lane borrows (see _pack).
+        """
+        rows = [self.turns.get(c, {}) for c in E]
+        pair = [[2 * (rows[i].get(b, 0) + rows[j].get(c, 0)) for j, b in enumerate(E)]
+                for i, c in enumerate(E)]
+        table = [0] * (1 << len(E))
+        for i, c in enumerate(E):
+            table[1 << i] = self.edge[c] - 2 * rows[i].get(c, 0)
+        for C in range(3, len(table)):
+            low = C & -C
+            rest = C ^ low
+            if rest:
+                r = rest & -rest
+                table[C] = (table[rest] + table[C ^ r] - table[rest ^ r]
+                            - pair[low.bit_length() - 1][r.bit_length() - 1])
+        return table
 
     def sign(self, x, y):
         """The sign of the first nonzero lane of x - y (0 when x == y), for

@@ -12,7 +12,9 @@ from collections import defaultdict
 from fractions import Fraction
 
 from gwhitehead.errors import HypothesisNotMet, PropertyViolation
-from gwhitehead.idealedges import compatible, pre_compatible
+from gwhitehead.idealedges import IdealEdge, IdealPair, compatible, pre_compatible
+from gwhitehead.moves import Reductivity
+from gwhitehead.norms import NormCalculator, Order, compare
 from gwhitehead.starcomplex import IdealForest, forest_violations
 
 
@@ -120,6 +122,140 @@ def scan_d_set(g, alpha):
         *(s for _, s in scan_translates(g, alpha.vertex, alpha.edges)))
     return frozenset(a for a in alpha.edges
                      if stab(frozenset({a})) == stab(alpha.edges) and a ^ 1 not in union)
+
+
+def scan_is_ideal_edge(g, v, edges):
+    """Cardinality bounds, coherence of the translates under the stabilizer
+    of v (equal or disjoint) and the residual bound, on frozensets."""
+    edges = frozenset(edges)
+    ev = frozenset(scan_edges_at(g, v))
+    if not edges <= ev:
+        return False
+    comp = len(ev) - len(edges)
+    if len(edges) < 2 or comp < (1 if v == g.basepoint else 2):
+        return False
+    trans = set()
+    for x in g.group.elements:
+        if scan_act_vertex(g, x, v) == v:
+            img = frozenset(g.edge_action[x][e] for e in edges)
+            if img != edges and img & edges:
+                return False
+            trans.add(img)
+    # the blown-up vertex keeps the edges no translate covers plus one new
+    # edge per translate
+    residual = len(ev - frozenset().union(*trans))
+    return residual + len(trans) >= (2 if v == g.basepoint else 3)
+
+
+def scan_ideal_edges(m):
+    """The canonical rep of every ideal edge orbit, sorted by key: every
+    combination of at least two edges at every vertex is tested, and each
+    ideal one is replaced by its least translate."""
+    g = m.graph
+    reps = {}
+    for v in range(g.n_vertices):
+        ev = scan_edges_at(g, v)
+        for r in range(2, len(ev) + 1):
+            for combo in itertools.combinations(ev, r):
+                if scan_is_ideal_edge(g, v, combo):
+                    u, s = scan_translates(g, v, combo)[0]
+                    reps[u, tuple(sorted(s))] = IdealEdge(u, s)
+    return [reps[k] for k in sorted(reps)]
+
+
+def scan_reductive(m, horizon, kind):
+    """(R, best) of moves.reductive_scan, one orbit rep at a time.
+
+    For each rep alpha of scan_ideal_edges and each a in scan_d_set, in
+    key order, the reductivity [G:stab alpha] (|a| - |alpha|) comes from
+    the unpacked edge_abs and set_abs of a fresh NormCalculator (which
+    test_norms compares with scan_edge_abs and scan_set_abs).  R holds the
+    reps with a reductive target; best is the first pair of the greatest
+    reductivity, or None.
+    """
+    g = m.graph
+    calc = NormCalculator(m, horizon)
+    R, best = set(), None
+    for alpha in scan_ideal_edges(m):
+        idx = len(scan_translates(g, alpha.vertex, alpha.edges))
+        for a in sorted(scan_d_set(g, alpha)):
+            value = (calc.edge_abs(a, kind) - calc.set_abs(alpha.edges, kind)).scale(idx)
+            red = Reductivity(kind, value)
+            if not red.is_reductive:
+                continue
+            R.add(alpha)
+            if best is None or compare(value, best[1].value) == Order.GREATER:
+                best = (IdealPair(alpha, a), red)
+    return frozenset(R), best
+
+
+def scan_generates_free_group(words, k):
+    """Stallings folding that rescans every edge after each fold: build the
+    wedge of word loops, fold until no two edges with one label leave or
+    enter a state for different states, and test that every basis letter
+    is a loop at the base state."""
+    parent = [0]
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        x, y = find(x), find(y)
+        if x != y:
+            parent[y] = x
+        return x
+
+    def new_state():
+        parent.append(len(parent))
+        return len(parent) - 1
+
+    # positive-letter transitions as a list of [src, letter, dst]
+    edges = []
+    for w in words:
+        prev = 0
+        for i, l in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else new_state()
+            if l > 0:
+                edges.append([prev, l, nxt])
+            else:
+                edges.append([nxt, -l, prev])
+            prev = nxt
+
+    changed = True
+    while changed:
+        changed = False
+        out = {}
+        into = {}
+        for idx, (u, l, v) in enumerate(edges):
+            u, v = find(u), find(v)
+            edges[idx] = [u, l, v]
+            if (u, l) in out and out[(u, l)] != v:
+                union(out[(u, l)], v)
+                changed = True
+                break
+            out[(u, l)] = v
+            if (v, l) in into and into[(v, l)] != u:
+                union(into[(v, l)], u)
+                changed = True
+                break
+            into[(v, l)] = u
+        if changed:
+            continue
+        # drop duplicate edges
+        seen = set()
+        dedup = []
+        for u, l, v in edges:
+            if (u, l, v) not in seen:
+                seen.add((u, l, v))
+                dedup.append([u, l, v])
+        edges = dedup
+
+    base = find(0)
+    loops = {(find(u), l, find(v)) for u, l, v in edges}
+    return all((base, l, base) in loops for l in range(1, k + 1))
 
 
 def _letter_key(letter):

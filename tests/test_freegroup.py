@@ -1,5 +1,7 @@
 """Word arithmetic: reduction, conjugacy, automorphisms, enumerations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,45 @@ def test_generates_free_group():
     assert fg.generates_free_group([(1,), (2, 1)], 2)
     assert not fg.generates_free_group([(1,), (2, 2)], 2)
     assert not fg.generates_free_group([(1,)], 2)
+
+
+def _nielsen_basis(rng, k, moves):
+    """The basis x1..xk pushed through random Nielsen moves: inversions,
+    swaps and transvections x_i -> x_i x_j^+-1 or x_j^+-1 x_i."""
+    basis = [(i,) for i in range(1, k + 1)]
+    for _ in range(moves):
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        kind = rng.randrange(3)
+        if kind == 0:
+            basis[i] = fg.word_inv(basis[i])
+        elif kind == 1:
+            basis[i], basis[j] = basis[j], basis[i]
+        elif i != j:
+            other = basis[j] if rng.random() < 0.5 else fg.word_inv(basis[j])
+            pair = (basis[i], other) if rng.random() < 0.5 else (other, basis[i])
+            basis[i] = fg.reduce_word(pair[0] + pair[1])
+    return basis
+
+
+def test_worklist_folding_matches_the_rescanning_fold():
+    rng = random.Random(5)
+    for _ in range(400):
+        k = rng.randrange(1, 5)
+        basis = _nielsen_basis(rng, k, rng.randrange(12))
+        assert fg.generates_free_group(basis, k)
+        assert oracles.scan_generates_free_group(basis, k)
+        # a basis word squared, or a word dropped, spans a proper subgroup
+        i = rng.randrange(k)
+        for words in (basis[:i] + [fg.reduce_word(basis[i] * 2)] + basis[i + 1:],
+                      basis[:i] + basis[i + 1:]):
+            assert not fg.generates_free_group(words, k)
+            assert not oracles.scan_generates_free_group(words, k)
+        # random words: the two folds agree either way
+        words = [fg.reduce_word(rng.choice([l for l in range(-k, k + 1) if l])
+                                for _ in range(rng.randrange(6)))
+                 for _ in range(rng.randrange(k + 2))]
+        assert (fg.generates_free_group(words, k)
+                == oracles.scan_generates_free_group(words, k)), words
 
 
 def test_is_inverse_pair():

@@ -222,6 +222,71 @@ def test_abs_sign_matches_unpacked_verdict():
     assert (zeros, aut_decided) == (6112, 328)
 
 
+def test_subset_tables_match_set_abs_on_every_mask():
+    # every subset of every E_v in both parts; the wide-lane rose comes last
+    instances = (list(all_fixtures().values())
+                 + [random_instance(s) for s in range(7000, 7050)]
+                 + [_wide_lane_rose()])
+    for m in instances:
+        g = m.graph
+        for horizon in (2, 3):
+            calc = NormCalculator(m, horizon)
+            for v in range(g.n_vertices):
+                ev = g.edges_at(v)
+                for part in ("out", "aut"):
+                    table = calc._subset_table(part, v)
+                    assert len(table) == 1 << len(ev)
+                    for mask, packed in enumerate(table):
+                        C = frozenset(e for i, e in enumerate(ev) if mask >> i & 1)
+                        assert packed == calc._lanes[part].set_abs(C), (
+                            m, horizon, v, part, C)
+    assert calc._lanes["aut"].code == "H"
+
+
+def test_subset_recurrence_is_the_set_abs_formula_on_any_turn_table():
+    # a reduced item never turns back (c then rev c), so the tables of a
+    # calculator have no diagonal; random tables with one check each term
+    rng = random.Random(19)
+    lanes = _Lanes([(0,)], False, fix_r2().graph.edge_action)
+    for _ in range(40):
+        E = sorted(rng.sample(range(12), rng.randrange(1, 7)))
+        lanes.edge = [rng.randrange(1000) for _ in range(12)]
+        lanes.__dict__["turns"] = {u: {w: rng.randrange(1, 50) for w in E
+                                       if rng.random() < 0.6} for u in E}
+        table = lanes.subset_abs(E)
+        for mask in range(1 << len(E)):
+            C = frozenset(e for i, e in enumerate(E) if mask >> i & 1)
+            assert table[mask] == lanes.set_abs(C), (E, mask)
+
+
+def test_only_a_verdict_builds_subset_tables():
+    for m in list(all_fixtures().values()) + [random_instance(s) for s in range(7000, 7010)]:
+        calc = NormCalculator(m, 3)
+        calc.all_norms()
+        for e in range(m.graph.n_edges):
+            for kind in KINDS:
+                calc.edge_abs(e, kind)
+        assert calc._subset_abs == {}
+        # a verdict builds the tables of the parts and vertices it reads
+        C = frozenset(m.graph.edges_at(m.graph.basepoint)[:2])
+        calc.abs_sign(C, "out")
+        assert list(calc._subset_abs) == [("out", m.graph.basepoint)]
+
+
+def test_cache_clear_starts_the_subset_tables_cold():
+    m = all_fixtures()["FIX-THETA"]
+    calculator.cache_clear()
+    calc = calculator(m, 2)
+    for alpha in enumerate_ideal_edges(m):
+        calc.abs_sign(alpha.edges, "tot")
+    # every rep of the theta lies at the basepoint
+    assert set(calc._subset_abs) == {("out", 0), ("aut", 0)}
+    assert calculator(m, 2) is calc
+    calculator.cache_clear()
+    fresh = calculator(m, 2)
+    assert fresh is not calc and fresh._subset_abs == {}
+
+
 def _rose3_deep_junction():
     """Rank-3 rose with x3 -> ~b ~a c: the path of x1 x2 x3 is just c, so the
     junction that appends x3 cancels the whole paths of x1 and x2."""

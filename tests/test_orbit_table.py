@@ -1,0 +1,99 @@
+"""The orbit table on masks against the combination scan it replaced.
+
+enumerate_ideal_edges, is_ideal_edge and d_set read one table per graph,
+and moves.reductive_scan takes its candidates from the same table and its
+|alpha| from the calculator's subset tables.  Each is compared here with
+the frozenset computation in `oracles` (scan_ideal_edges,
+scan_is_ideal_edge, scan_d_set and scan_reductive) on the fixtures, the
+S_3 graphs, random_instance(7000..7299) raw and forest-free, the saved
+instances, and scrambled trivial-group roses of rank 4 and 5.
+"""
+
+import functools
+import itertools
+import pathlib
+
+import pytest
+
+from gwhitehead import cli
+from gwhitehead.fixtures import all_fixtures, random_instance
+from gwhitehead.idealedges import d_set, enumerate_ideal_edges, is_ideal_edge
+from gwhitehead.moves import reductive_scan
+from gwhitehead.norms import KINDS
+from gwhitehead.selftest import reduce_to_forest_free
+
+from oracles import (scan_d_set, scan_ideal_edges, scan_is_ideal_edge,
+                     scan_reductive)
+from test_ggraph import s3_theta, s3_tripod
+
+INSTANCES = pathlib.Path(__file__).parent / "instances"
+
+# perfbench/instances.scrambled_rose(random.Random(seed), rank, 6): the
+# markings x1..xn as words in the petals p1..pn.
+ROSES = {
+    (4, 0): ["p2 p1 p2 p3", "p1 p2 p3 p1 p4", "p1 p2 p3", "~p3 ~p2 ~p1 ~p1"],
+    (4, 1): ["~p4 p3 p1", "p3 p1 ~p2 p3 p1 ~p2 ~p3 p4", "p3", "p2 ~p1 ~p3"],
+    (4, 2): ["p4 p1 ~p4 p2", "~p4 p2 ~p4 ~p2 p3", "~p4 ~p2 p3", "p4"],
+    (4, 3): ["p4", "~p3 p2 ~p4 ~p4", "~p1 p3", "~p1 ~p3 p2 ~p4 ~p4"],
+    (4, 4): ["p2 p3 p3 ~p4", "p2 p3 p2 p3 p3 ~p4", "p1 p2 p3 p4 ~p3 ~p3 ~p2",
+             "p4"],
+    (4, 5): ["~p2", "~p2 ~p4 ~p4 p3 p2 ~p1", "p1 ~p2 ~p3 p4 p4 p2 ~p4 p3",
+             "~p2 ~p4 ~p4 p3"],
+    (5, 0): ["~p4 ~p1 ~p1", "p1 p4 p1 p4 p3", "p1 p4 p3 p2 ~p4 ~p1", "p1 p4",
+             "~p5"],
+    (5, 1): ["~p2 ~p1", "p2", "~p1 p3", "~p1 ~p2 ~p5", "p2 ~p1 ~p4"],
+    (5, 2): ["p5 ~p3 p5", "p4 ~p5 p3", "~p4 p2", "p4", "p5 p1 ~p3 p5 ~p4"],
+}
+
+
+def rose(rank, seed):
+    return cli.parse("\n".join(
+        ["[graph]", "basepoint = *", "vertex *"]
+        + [f"edge p{i} : * -> *" for i in range(1, rank + 1)]
+        + ["[group]", "order = 1", "[marking]"]
+        + [f"x{i} = {w}" for i, w in enumerate(ROSES[rank, seed], 1)]) + "\n")
+
+
+def _random(seeds):
+    return [random_instance(s) for s in seeds]
+
+
+PARTS = {
+    "fixtures": lambda: list(all_fixtures().values()) + [s3_theta(), s3_tripod()],
+    "random-raw": lambda: _random(range(7000, 7300)),
+    "random-forest-free": lambda: [reduce_to_forest_free(m)
+                                   for m in _random(range(7000, 7300))],
+    "saved": lambda: [cli.parse(p.read_text()) for p in sorted(INSTANCES.glob("*.txt"))],
+    "rank4": lambda: [rose(4, s) for s in range(6)],
+    "rank5": lambda: [rose(5, s) for s in range(3)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def corpus(part):
+    return PARTS[part]()
+
+
+@pytest.mark.parametrize("part", sorted(PARTS))
+def test_orbit_table_matches_the_combination_scan(part):
+    for m in corpus(part):
+        g = m.graph
+        reps = enumerate_ideal_edges(m)
+        assert reps == scan_ideal_edges(m), m
+        for alpha in reps:
+            assert d_set(m, alpha) == scan_d_set(g, alpha), (m, alpha)
+        for v in range(g.n_vertices):
+            ev = g.edges_at(v)
+            for r in range(len(ev) + 1):
+                for edges in itertools.combinations(ev, r):
+                    assert is_ideal_edge(g, v, edges) == scan_is_ideal_edge(
+                        g, v, edges), (m, v, edges)
+
+
+@pytest.mark.parametrize("part", sorted(PARTS))
+def test_reductive_scan_matches_the_per_orbit_scan(part):
+    for m in corpus(part):
+        for horizon in (2, 3):
+            for kind in KINDS:
+                assert reductive_scan(m, horizon, kind) == scan_reductive(
+                    m, horizon, kind), (m, horizon, kind)
