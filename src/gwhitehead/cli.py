@@ -33,7 +33,7 @@ from .ggraph import GGraph, Group, rev
 from .idealedges import (IdealEdge, d_set, enumerate_ideal_edges,
                          is_invertible, stab_set)
 from .marking import MarkedGGraph, reduce_path, spanning_tree
-from .moves import edge_reductivity, greedy_reduce, whitehead
+from .moves import VERDICTS, greedy_reduce, whitehead
 from .norms import calculator
 from .selftest import run_suites
 from .starcomplex import (family, reduced_homology, run_retractions,
@@ -358,10 +358,15 @@ def cmd_ideal_edges(args):
     for alpha in enumerate_ideal_edges(m):
         names = ",".join(sorted(g.edge_name(e) for e in alpha.edges))
         stab = len(stab_set(g, alpha.edges))
-        D = ",".join(sorted(g.edge_name(e) for e in d_set(m, alpha)))
+        targets = d_set(m, alpha)
+        D = ",".join(sorted(g.edge_name(e) for e in targets))
         inv = "yes" if is_invertible(g, alpha)[0] else "no"
-        best = edge_reductivity(m, alpha, "tot", args.horizon)
-        verdict = best[0].verdict if best else "no-collapse-edge"
+        # [G:stab alpha] > 0 keeps each sign, so the greatest sign is the
+        # sign of the lexicographically greatest reductivity
+        verdict = "no-collapse-edge"
+        if targets:
+            sign = calculator(m, args.horizon).abs_sign(alpha.edges, "tot")
+            verdict = VERDICTS[max(map(sign, targets))]
         print(f"{g.vertex_names[alpha.vertex]} : {{{names}}} stab={stab} "
               f"D={{{D}}} inv={inv} {verdict}")
     return 0

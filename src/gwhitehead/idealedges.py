@@ -13,8 +13,8 @@ with all its translates under one orbit, which holds the translates
 (their number is [G:stab alpha]) and the orbit union per vertex; the
 first mask of an orbit met is its canonical rep, so the reps come out in
 key order.  enumerate_ideal_edges, is_ideal_edge and d_set are reads of
-it, and moves.reductive_scan takes each rep with D(rep) from it
-(orbit_targets) without making an IdealEdge.
+it, and moves.reductive_scan takes each rep with D(rep) and [G:stab rep]
+from it (orbit_targets) without making an IdealEdge.
 """
 
 from __future__ import annotations
@@ -262,14 +262,16 @@ def enumerate_ideal_edges(m: MarkedGGraph):
 
 
 def orbit_targets(g: GGraph):
-    """(vertex, edges, D) of the canonical rep of each ideal edge orbit
-    with D nonempty, in key order, edges and D increasing: read off the
-    orbit table, making no IdealEdge."""
+    """(vertex, edges, D, [G:stab alpha]) of the canonical rep alpha of each
+    ideal edge orbit with D nonempty, in key order, edges and D increasing:
+    read off the orbit table, making no IdealEdge.  The index is the number
+    of translates the orbit holds."""
     t = _table(g)
     for v, mask in t.reps:
-        targets = t.d(v, mask, t.ideal[v][mask])
+        orbit = t.ideal[v][mask]
+        targets = t.d(v, mask, orbit)
         if targets:
-            yield v, t.edges(v, mask), targets
+            yield v, t.edges(v, mask), targets, len(orbit.translates)
 
 
 def d_set(m: MarkedGGraph, alpha: IdealEdge):

@@ -30,6 +30,10 @@ class BlowUpInfo:
         return self.new_edges[self.translate_sets.index(tset)]
 
 
+# The verdict word of the sign of the first nonzero reductivity coordinate.
+VERDICTS = {1: "reductive", 0: "null-at-horizon", -1: "not-reductive"}
+
+
 @dataclass(frozen=True)
 class Reductivity:
     kind: str
@@ -37,12 +41,7 @@ class Reductivity:
 
     @property
     def verdict(self):
-        for c in self.value.coords:
-            if c > 0:
-                return "reductive"
-            if c < 0:
-                return "not-reductive"
-        return "null-at-horizon"
+        return VERDICTS[next((1 if c > 0 else -1 for c in self.value.coords if c), 0)]
 
     @property
     def is_reductive(self):
@@ -144,42 +143,26 @@ def reductivity(m: MarkedGGraph, alpha: IdealEdge, a: int, kind, horizon) -> Red
     _require_ideal(m.graph, alpha)
     if a not in d_set(m, alpha):
         raise HypothesisNotMet("collapse edge is not in D(alpha)")
-    return next(_reductivities(m, alpha, (a,), kind, horizon))
+    index = len(translates(m.graph, alpha))  # [G:stab alpha], by orbit-stabilizer
+    return next(_reductivities(calculator(m, horizon), alpha, (a,), kind, index))
 
 
-def _reductivities(m, alpha, targets, kind, horizon):
+def _reductivities(calc, alpha, targets, kind, index):
     """The reductivity of each target in turn, for callers that took the
-    targets from D(alpha).
-
-    |alpha| and [G:stab(alpha)] are computed once, and not at all when
-    there are no targets.
-    """
-    if not targets:
-        return
-    calc = calculator(m, horizon)
-    idx = len(translates(m.graph, alpha))  # [G:stab alpha], by orbit-stabilizer
+    targets from D(alpha) and index = [G:stab alpha] from its orbit.
+    |alpha| is computed once, on the first target."""
     alpha_abs = calc.set_abs(alpha.edges, kind)
     for a in targets:
-        yield Reductivity(kind, (calc.edge_abs(a, kind) - alpha_abs).scale(idx))
-
-
-def edge_reductivity(m, alpha, kind, horizon):
-    """Max reductivity over collapse targets; None when D(alpha) is empty."""
-    best = None
-    targets = sorted(d_set(m, alpha))
-    for a, r in zip(targets, _reductivities(m, alpha, targets, kind, horizon)):
-        if best is None or compare(r.value, best[0].value) == Order.GREATER:
-            best = (r, a)
-    return best
+        yield Reductivity(kind, (calc.edge_abs(a, kind) - alpha_abs).scale(index))
 
 
 def is_reductive_edge(m, edges, vertex, kind, horizon):
     """Is (vertex, edges) an ideal edge with some reductive collapse target?
 
-    Agrees with edge_reductivity's maximum being reductive: a value whose
-    first nonzero coordinate is positive makes the lexicographic maximum so.
-    The verdicts are packed comparisons, and the first reductive target
-    ends the search.
+    That is the lexicographic maximum of the reductivities over D(alpha)
+    being reductive: a value whose first nonzero coordinate is positive
+    makes the maximum so.  The verdicts are packed comparisons, and the
+    first reductive target ends the search.
     """
     if not is_ideal_edge(m.graph, vertex, edges):
         return False
@@ -211,18 +194,19 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
     horizon, equal values resolved by the least (vertex, sorted edges,
     collapse target) key so runs are reproducible.  The pairs come in
     increasing key order, as in candidate_pairs, so the first of equal
-    values is kept.  The reps and their D(alpha) are read off the graph's
-    orbit table on masks (idealedges.orbit_targets), and an IdealEdge is
-    made only for the reps in R.  abs_sign reads |alpha| once per rep with
-    D(alpha) nonempty, from the calculator's subset tables, and |alpha| is
-    unpacked once per rep in R.  The answer is kept on m, so a second scan
-    of the same marked graph at the same horizon and kind reads it back.
+    values is kept.  The reps, their D(alpha) and [G:stab alpha] are read
+    off the graph's orbit table on masks (idealedges.orbit_targets), and an
+    IdealEdge is made only for the reps in R.  abs_sign reads |alpha| once
+    per rep with D(alpha) nonempty, from the calculator's subset tables,
+    and |alpha| is unpacked once per rep in R.  The answer is kept on m,
+    so a second scan of the same marked graph at the same horizon and kind
+    reads it back.
     """
     scan = m._scans.get((horizon, kind))
     if scan is not None:
         return scan
     R, best, calc = set(), None, None
-    for vertex, edges, targets in orbit_targets(m.graph):
+    for vertex, edges, targets, index in orbit_targets(m.graph):
         calc = calc or calculator(m, horizon)
         edges = frozenset(edges)
         sign = calc.abs_sign(edges, kind)
@@ -231,7 +215,7 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
             continue
         alpha = IdealEdge(vertex, edges)
         R.add(alpha)
-        for a, r in zip(reductive, _reductivities(m, alpha, reductive, kind, horizon)):
+        for a, r in zip(reductive, _reductivities(calc, alpha, reductive, kind, index)):
             if best is None or compare(r.value, best[1].value) == Order.GREATER:
                 best = (IdealPair(alpha, a), r)
     scan = m._scans[horizon, kind] = (frozenset(R), best)

@@ -35,12 +35,21 @@ made at build time; the turns are counted on the first query that reads
 them (set_abs, dot, abs_sign), so a calculator read only through norm,
 all_norms or edge_abs never counts them.  Edge ids and the sentinel must
 each fit in one byte, so a graph may have at most MAX_EDGES directed
-edges.  edge_abs, set_abs and dot are then a few big-int sums over those
-ints, and one ``int.to_bytes`` plus ``memoryview.cast`` unpacks the result
-into the coordinate tuple.  tot is the out coordinates followed by the aut
-ones.
+edges.  edge_abs and dot are then a few big-int sums over those ints, and
+one ``int.to_bytes`` plus ``memoryview.cast`` unpacks the result into the
+coordinate tuple.  tot is the out coordinates followed by the aut ones.
 
-Lexicographic sign.  No lane of an edge or set_abs int ever carries or
+Packed |C|.  A turn joins two edges that end at one vertex, so |C| is the
+sum of |C & E_v| over the vertices v that C's edges end at.  Each term is
+read from one table per (part, vertex) that holds the packed |C| of every
+subset C of E_v, made by one subset recurrence on the first read
+(_Lanes.subset_abs).  set_abs and abs_sign both take their packed |C|
+this way (_packed_abs), and nothing else computes it.  A table holds
+2^|E_v| entries, one per mask over E_v: the masks the graph's orbit table
+tests at v (idealedges).  Every benchmark workload and every command but
+``selftest --suite norms`` builds that orbit table as well.
+
+Lexicographic sign.  No lane of an edge or packed |C| int ever carries or
 borrows (see _pack), so lane i of such an int is coordinate i exactly.
 For two of them x != y, the lowest set bit of x ^ y therefore lies in the
 first lane, in coordinate order, where they differ; the lanes below it
@@ -50,15 +59,13 @@ coordinate of x - y, with no unpacking (``_Lanes.sign``).  abs_sign uses
 it for the sign of |a| - |C|: per part of the kind, one packed |C| and one
 comparison with ``edge[a]``, the aut part only when the out part is equal.
 
-Memo.  A calculator computes each distinct |C| (per frozenset C and kind)
-and its cross-checked pair of norms once: set_abs and all_norms keep their
-answers, which are frozen NormVectors and safe to share, for the life of
-the calculator, so ``calculator.cache_clear()`` drops them with it, as it
-drops each kind's turn table.  norm(kind) is deliberately unmemoised: each
-call repeats the direct count and the half edge_abs sum and compares them.
-abs_sign reads its packed |C| from one table per (part, vertex) that holds
-|C| for every subset C of E_v, made by one subset recurrence on the first
-read and kept on the calculator as well (_Lanes.subset_abs).
+Memo.  A calculator unpacks each distinct |C| (per frozenset C and kind)
+and computes its cross-checked pair of norms once: set_abs and all_norms
+keep their answers, which are frozen NormVectors and safe to share, for
+the life of the calculator.  The subset tables are kept on it as well, so
+``calculator.cache_clear()`` drops them all with it, as it drops each
+kind's turn table.  norm(kind) is deliberately unmemoised: each call
+repeats the direct count and the half edge_abs sum and compares them.
 """
 
 from __future__ import annotations
@@ -170,46 +177,43 @@ class NormCalculator:
         self._all_norms = None
 
     def _vec(self, kind, packed_fn):
-        """Apply packed_fn to the lanes of each part of kind and unpack."""
+        """Apply packed_fn to each part of kind and unpack in its lanes."""
         coords = ()
         for part in _parts(kind):
-            lanes = self._lanes[part]
-            coords += lanes.unpack(packed_fn(lanes))
+            coords += self._lanes[part].unpack(packed_fn(part))
         return NormVector(kind, self.m.n, self.horizon, coords)
 
     def edge_abs(self, e, kind) -> NormVector:
-        return self._vec(kind, lambda lanes: lanes.edge[e])
+        return self._vec(kind, lambda part: self._lanes[part].edge[e])
 
     def dot(self, A, B, kind) -> NormVector:
         A, B = frozenset(A), frozenset(B)
-        return self._vec(kind, lambda lanes: lanes.turns_between(A, B)
-                         + lanes.turns_between(B, A))
+        return self._vec(kind, lambda part: self._lanes[part].turns_between(A, B)
+                         + self._lanes[part].turns_between(B, A))
 
     def set_abs(self, C, kind) -> NormVector:
-        """|C|: edge occurrences of the translates of C minus twice their turns."""
+        """|C|: edge occurrences of the translates of C minus twice their
+        turns, unpacked from _packed_abs."""
         C = frozenset(C)
         v = self._set_abs.get((C, kind))
         if v is None:
-            v = self._set_abs[C, kind] = self._vec(kind, lambda lanes: lanes.set_abs(C))
+            masks = self.m.graph.edge_masks(C).items()
+            v = self._set_abs[C, kind] = self._vec(
+                kind, lambda part: self._packed_abs(part, masks))
         return v
 
     def abs_sign(self, C, kind):
         """a -> the sign (1, 0 or -1) of the first nonzero coordinate of
         edge_abs(a, kind) - set_abs(C, kind), decided on the packed ints.
 
-        Per part of kind, the packed |C| is the sum of the subset-table
-        entries of C's edges at each vertex they end at (_subset_table);
-        each call then looks up ``edge[a]`` and makes at most one
-        comparison per part.
+        Per part of kind, the packed |C| comes from _packed_abs; each call
+        then looks up ``edge[a]`` and makes at most one comparison per part.
         """
         masks = self.m.graph.edge_masks(C).items()
         parts = []
         for part in _parts(kind):
-            packed_c = 0
-            for v, mask in masks:
-                packed_c += self._subset_table(part, v)[mask]
             lanes = self._lanes[part]
-            parts.append((lanes.edge, packed_c, lanes.sign))
+            parts.append((lanes.edge, self._packed_abs(part, masks), lanes.sign))
 
         def sign(a):
             for edge, packed_c, lane_sign in parts:
@@ -219,6 +223,12 @@ class NormCalculator:
             return 0
 
         return sign
+
+    def _packed_abs(self, part, masks):
+        """Packed |C| in one part, for C given by its (vertex, mask) items
+        of ``edge_masks``: the sum of the subset-table entries of C & E_v
+        (see "Packed |C|" in the module docstring)."""
+        return sum(self._subset_table(part, v)[mask] for v, mask in masks)
 
     def _subset_table(self, part, v):
         """Packed |C| for every mask C over E_v in one part, made on the
@@ -239,7 +249,7 @@ class NormCalculator:
         order = self.m.graph.group.order
         direct = tuple(order * len(steps)
                        for part in _parts(kind) for steps in self.items[part])
-        total = self._vec(kind, lambda lanes: sum(lanes.edge))
+        total = self._vec(kind, lambda part: sum(self._lanes[part].edge))
         halved = []
         for c in total.coords:
             if c % 2:
@@ -277,12 +287,12 @@ def _pack(counts):
     longest item.  A raw count of one item (its occurrences of an edge, or
     its crossings of a turn) is at most L, so it fits every lane code and
     the sums over positions never carry.  No lane of an Osym or Tsym
-    vector, nor of a set_abs or dot result, exceeds 2 |G| L either: per g
-    and item, each step is counted at most twice (as an edge of gC and as
-    the reverse of one) and each turn at most twice.  So sums of packed
-    ints never carry from one lane into the next.  set_abs subtracts twice
-    the turn sum from the occurrence sum, and that never borrows: every
-    set_abs coordinate is a count, so it is >= 0 lane by lane (each turn
+    vector, nor of a packed |C| or dot result, exceeds 2 |G| L either: per
+    g and item, each step is counted at most twice (as an edge of gC and
+    as the reverse of one) and each turn at most twice.  So sums of packed
+    ints never carry from one lane into the next.  A packed |C| is the
+    occurrence sum minus twice the turn sum, and that never borrows: every
+    coordinate of |C| is a count, so it is >= 0 lane by lane (each turn
     inside gC uses up two distinct occurrences counted in the sum).
     """
     return int.from_bytes(counts, sys.byteorder)
@@ -373,11 +383,6 @@ class _Lanes:
                                else array(self.code, memoryview(hot)))
         return out
 
-    def set_abs(self, C):
-        """Packed |C| for the frozenset C."""
-        edge = self.edge
-        return sum(edge[c] for c in C) - 2 * self.turns_between(C, C)
-
     def subset_abs(self, E):
         """Packed |C| for every subset C of the edges E, as a list indexed by
         mask (bit i stands for E[i]), for E inside one E_v.
@@ -397,7 +402,8 @@ class _Lanes:
         so each entry is three big-int sums over entries before it, and
         a one-edge entry is edge[c] - 2 T[c][c].  (T[c][c] counts the
         backtracks c, rev c, so it is 0 on the reduced items of a
-        calculator; with it the entries equal set_abs on any turn table.)
+        calculator; with it the entries equal the occurrence sum minus
+        twice the turn sum on any turn table.)
         Every entry is itself a packed |C'|, a count in every lane, so no
         entry's lane borrows (see _pack).
         """

@@ -332,6 +332,12 @@ def scan_lanes(items, cyclic, actions, code):
     return edge, turns
 
 
+def packed_set_abs(lanes, C):
+    """Packed |C| over a norms._Lanes, from the definition: the edge sum
+    over C minus twice the turns inside C, with no subset table."""
+    return sum(lanes.edge[c] for c in C) - 2 * lanes.turns_between(C, C)
+
+
 def _scan(m, kind, horizon, count, translate):
     """Per item, the sum over g in G of count(steps, turns, translate(g))."""
     if kind == "tot":

@@ -10,10 +10,13 @@ import pytest
 import gwhitehead
 from gwhitehead import cli
 from gwhitehead.errors import InternalInconsistency, ParseError
-from gwhitehead.fixtures import all_fixtures, fix_r2w, fix_theta
+from gwhitehead.fixtures import all_fixtures, fix_r2w, fix_theta, random_instance
+from gwhitehead.idealedges import d_set, enumerate_ideal_edges
+from gwhitehead.moves import reductivity
 from gwhitehead.starcomplex import family, star_complex
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, HORIZON
+from test_forest_poset import rose4
 
 THETA_TEXT = """\
 [graph]
@@ -202,6 +205,45 @@ def test_ideal_edges_command(tmp_path, capsys):
     assert cli.main(["ideal-edges", path]) == 0
     out = capsys.readouterr().out
     assert "{~e2,~e3}" in out and "stab=2" in out
+
+
+def _ideal_edge_verdicts(monkeypatch, capsys, m, horizon):
+    """{line of ideal-edges: (printed verdict word, reference verdict)}.
+
+    The reference is the verdict of the lexicographic maximum of the
+    reductivities over D(alpha), or no-collapse-edge when D is empty.  The
+    command reads m itself: a random instance whose group acts with a
+    kernel has no text form."""
+    monkeypatch.setattr(cli, "_load", lambda path: m)
+    assert cli.main(["ideal-edges", "-", "--horizon", str(horizon)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    alphas = enumerate_ideal_edges(m)
+    assert len(lines) == len(alphas)
+    out = {}
+    for line, alpha in zip(lines, alphas):
+        values = [reductivity(m, alpha, a, "tot", horizon) for a in d_set(m, alpha)]
+        want = (max(values, key=lambda r: r.value.coords).verdict if values
+                else "no-collapse-edge")
+        out[line] = (line.rsplit(" ", 1)[1], want)
+    return out
+
+
+def test_ideal_edges_verdicts_are_those_of_the_greatest_reductivity(monkeypatch, capsys):
+    cases = ([(m, HORIZON) for m in all_fixtures().values()]
+             + [(random_instance(s), HORIZON) for s in range(7000, 7020)]
+             + [(rose4(0), 2), (rose4(5), 3)])
+    seen = set()
+    for m, horizon in cases:
+        for line, (printed, want) in _ideal_edge_verdicts(
+                monkeypatch, capsys, m, horizon).items():
+            assert printed == want, (m, horizon, line)
+            seen.add(printed)
+    assert seen == {"reductive", "not-reductive", "null-at-horizon",
+                    "no-collapse-edge"}
+    # two edge sets of rose4(0) equal their one collapse target at horizon 2
+    null = {line.split(" ")[2] for line, (printed, _) in _ideal_edge_verdicts(
+        monkeypatch, capsys, rose4(0), 2).items() if printed == "null-at-horizon"}
+    assert null == {"{p1,p4,~p4}", "{p2,p3,~p3}"}
 
 
 def test_move_command_and_bad_collapse_exit_code(tmp_path, capsys):

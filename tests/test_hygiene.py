@@ -1,6 +1,6 @@
 """No module imports a name it never uses, no frozen object is written to
-after it is built, and no package function but two keeps a module-level
-cache.
+after it is built, no package function but two keeps a module-level
+cache, and no package definition goes unnamed.
 
 A pure-stdlib AST scan (read only) of the package, the tests and the
 benchmark: every name an import binds must be referenced elsewhere in the
@@ -13,10 +13,16 @@ where a frozen dataclass finishes building itself.  Only
 carry `functools.lru_cache` or `functools.cache`.  Any other such cache
 would outlive `calculator.cache_clear()`, from which every benchmark
 operation starts as a fresh CLI process would, so a later pass would run a
-different program from the first.
+different program from the first.  Every function, method and class the
+package defines must be named somewhere in the package, the tests or the
+benchmark, other than by its own definition or in a docstring: as a name,
+an attribute, an imported name or an identifier inside a string (the
+benchmark's tracer names its layers in strings).  Dunder methods are
+called by the language and are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,3 +134,64 @@ def test_no_module_level_caches_but_the_cleared_ones():
              for line, name in cached_functions(path.read_text(encoding="utf-8"))
              if (path.stem, name) not in CACHED_FUNCTIONS]
     assert not found, "module-level cache on a package function:\n" + "\n".join(found)
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def named_identifiers(source):
+    """The identifiers a source names: its names, attributes and imported
+    names, and the identifiers inside its strings but for docstrings."""
+    tree = ast.parse(source)
+    docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.update(IDENTIFIER.findall(n.name))
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and id(n) not in docstrings):
+            found.update(IDENTIFIER.findall(n.value))
+    return found
+
+
+def dead_definitions(defining, sources):
+    """[(path, line, name)] of the functions, methods and classes defined in
+    the {path: source} of defining that no source of sources names; dunder
+    methods are exempt."""
+    used = set().union(*map(named_identifiers, sources))
+    return sorted((path, n.lineno, n.name) for path, source in defining.items()
+                  for n in ast.walk(ast.parse(source))
+                  if isinstance(n, DEFINITIONS) and n.name not in used
+                  and not (n.name.startswith("__") and n.name.endswith("__")))
+
+
+def test_scanner_finds_dead_definitions():
+    defining = ("class A:\n"
+                "    def __init__(self): pass\n"
+                "    def used(self): pass\n"
+                "    def traced(self): pass\n"
+                "    def documented(self):\n"
+                "        'named only in a docstring, as documented'\n"
+                "def imported(): pass\n"
+                "def unused(): pass\n"
+                "class B: pass\n")
+    referencing = ("from m import imported\n"
+                   "A().used()\n"
+                   "LAYERS = {'m': ['A.traced']}\n")
+    assert dead_definitions({"m.py": defining}, [defining, referencing]) == [
+        ("m.py", 5, "documented"), ("m.py", 8, "unused"), ("m.py", 9, "B")]
+
+
+def test_no_dead_definitions():
+    everything = sorted(p for d in ("src", "tests", "perfbench")
+                        for p in (ROOT / d).rglob("*.py"))
+    defining = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+                for p in everything if p.is_relative_to(ROOT / "src")}
+    found = [f"{path}:{line}: {name}" for path, line, name in dead_definitions(
+        defining, [p.read_text(encoding="utf-8") for p in everything])]
+    assert not found, "defined but never named:\n" + "\n".join(found)

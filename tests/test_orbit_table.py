@@ -6,7 +6,9 @@ and moves.reductive_scan takes its candidates from the same table and its
 the frozenset computation in `oracles` (scan_ideal_edges,
 scan_is_ideal_edge, scan_d_set and scan_reductive) on the fixtures, the
 S_3 graphs, random_instance(7000..7299) raw and forest-free, the saved
-instances, and scrambled trivial-group roses of rank 4 and 5.
+instances, and scrambled trivial-group roses of rank 4 and 5.  The index
+[G:stab alpha] that orbit_targets gives with each rep is compared with the
+number of translates.
 """
 
 import functools
@@ -17,13 +19,15 @@ import pytest
 
 from gwhitehead import cli
 from gwhitehead.fixtures import all_fixtures, random_instance
-from gwhitehead.idealedges import d_set, enumerate_ideal_edges, is_ideal_edge
+from gwhitehead.idealedges import (d_set, enumerate_ideal_edges, is_ideal_edge,
+                                   orbit_targets, translates)
 from gwhitehead.moves import reductive_scan
 from gwhitehead.norms import KINDS
 from gwhitehead.selftest import reduce_to_forest_free
 
 from oracles import (scan_d_set, scan_ideal_edges, scan_is_ideal_edge,
                      scan_reductive)
+from test_forest_poset import rose4
 from test_ggraph import s3_theta, s3_tripod
 
 INSTANCES = pathlib.Path(__file__).parent / "instances"
@@ -97,3 +101,19 @@ def test_reductive_scan_matches_the_per_orbit_scan(part):
             for kind in KINDS:
                 assert reductive_scan(m, horizon, kind) == scan_reductive(
                     m, horizon, kind), (m, horizon, kind)
+
+
+def test_orbit_targets_give_d_and_the_index_of_every_rep():
+    # [G:stab alpha] read off the orbit table is the number of translates
+    # made as IdealEdges, and D is d_set's, for every rep with D nonempty
+    instances = (list(all_fixtures().values()) + _random(range(7000, 7050))
+                 + [rose4(s) for s in range(10)])
+    indices = set()
+    for m in instances:
+        g = m.graph
+        want = [(alpha.vertex, tuple(sorted(alpha.edges)),
+                 tuple(sorted(d_set(m, alpha))), len(translates(g, alpha)))
+                for alpha in enumerate_ideal_edges(m) if d_set(m, alpha)]
+        assert list(orbit_targets(g)) == want, m
+        indices.update(index for *_, index in want)
+    assert indices > {1}
