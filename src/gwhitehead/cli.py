@@ -430,11 +430,16 @@ def cmd_star(args):
     print(f"forests ({len(forests)}):")
     for f in forests:
         print("  [" + "; ".join(_edge_label(g, a) for a in f.orbits) + "]")
-    # K.faces is downward closed, so x is maximal iff no x | 1 << v is a face
-    maximal = sum(1 for x in K.faces
-                  if not any(x | 1 << v in K.faces
-                             for v in range(len(forests)) if not x >> v & 1))
-    print(f"maximal faces: {maximal}, dimension {K.dim}")
+    # a face is not maximal iff it is a facet x ^ low of some face x
+    facets = set()
+    for x in K.faces:
+        y = x
+        while y:
+            low = y & -y
+            facets.add(x ^ low)
+            y ^= low
+    facets.discard(0)
+    print(f"maximal faces: {len(K.faces) - len(facets)}, dimension {K.dim}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(poset_dot(list(forests)))

@@ -8,17 +8,19 @@ come from one moves.reductive_scan.  run_retractions makes that scan
 once, records R and the pair in its trace, and collapses S(R) step by
 step to a single forest.  Each step is a Poset-Lemma double step
 S(C) -f-> S(C) -g-> S(C'), and every step, an elimination or the final
-contraction to {mu}, is checked by the one verifier _Engine.verify: the
-pointwise conditions on every forest, monotonicity of f and g on the
-one-step pairs of S(C), which join every comparable pair by a chain (see
-verify), and g(f(S(C))) = S(C').  A failed claim raises a hard error with
-a witness.  The engine's forests are int masks over one numbering, bit
-i for orbit i of closure_pm(R) sorted by key; being an ideal forest does
-not depend on the family, so the one forest search gives S(closure_pm(R))
-and each S(C') is S(C) filtered, and so are its one-step pairs.  The
-search is kept on the marked graph, so star_complex and run_retractions
-share it.  IdealForest is only at the API boundary.  Simplicial complexes
-hold their faces as int masks over their vertex indices too.
+contraction to {mu}, is checked by the one verifier _Engine.verify from
+its masks T (the orbits taken away) and A (the orbits added): f is x | A
+on forests meeting T and g is x & ~T, so both are monotone, x <= f(x)
+and g(x) <= x by their form, and what is left, f(x) in S(C) and g(f(x))
+a nonempty forest of S(C'), is checked on every forest that meets T (see
+verify).  A failed claim raises a hard error with a witness.  The
+engine's forests are int masks over one numbering, bit i for orbit i of
+closure_pm(R) sorted by key; being an ideal forest does not depend on
+the family, so the one forest search gives S(closure_pm(R)) and each
+S(C') is S(C) filtered.  The search is kept on the marked graph, so
+star_complex and run_retractions share it.  IdealForest is only at the
+API boundary.  Simplicial complexes hold their faces as int masks over
+their vertex indices too.
 """
 
 from __future__ import annotations
@@ -413,31 +415,21 @@ class RetractionTrace:
 class _Engine:
     """The retraction of S(R); an orbit is reductive when its canonical rep
     is in R.  Forests are masks over pool, the orbits of closure_pm(R), and
-    pairs holds the one-step pairs of the current S(C) (see start)."""
+    every step is checked by verify from its masks T and A alone."""
 
     def __init__(self, m, R, homology):
         self.m = m
-        self.g = g = m.graph
+        self.g = m.graph
         self.R = R
         self.homology = homology
         self.steps = []
         self.pool = sorted(closure_pm(m, R), key=lambda a: a.key())
         self.bit = {a: 1 << i for i, a in enumerate(self.pool)}
-        # a one-step pair drops an orbit, or an orbit and its inverse
-        self.drops = []
-        for a, b in self.bit.items():
-            ainv = inverse_orbit(g, a) if a.vertex != g.basepoint else None
-            self.drops.append(
-                (b, b | self.bit[ainv]) if ainv in self.bit and ainv != a
-                else (b,))
-        self.pairs = None
 
     def start(self):
         """The family closure_pm(R) and its forests, from the one forest
-        search; their one-step pairs go to self.pairs."""
-        S = _forest_masks(self.m, self.pool)
-        self.pairs = self.one_steps(S)
-        return frozenset(self.pool), S
+        search."""
+        return frozenset(self.pool), _forest_masks(self.m, self.pool)
 
     # -- helpers ---------------------------------------------------------
 
@@ -479,96 +471,51 @@ class _Engine:
                             f"[{stage}] {beta.key()} is compatible with the "
                             f"eliminated edge but not with {a0.key()}")
 
-    def verify(self, stage, before, f, g, after, pairs):
-        """Check one Poset-Lemma double step S(C) -f-> S(C) -g-> S(C').
+    def verify(self, stage, S, T, A):
+        """Check one Poset-Lemma double step S(C) -f-> S(C) -g-> S(C') and
+        return S(C'), the forests of S that miss T.
 
-        before is all of S(C) and after all of S(C'), as masks, and pairs
-        are the one-step pairs of before, as one_steps gives them.  On every
-        forest: Phi <= f(Phi) with f(Phi) in S(C), and g(Psi) <= Psi a
-        nonempty ideal forest for Psi in f(S(C)).  f and g are monotone on
-        every one-step pair of S(C), and g(f(S(C))) is exactly S(C').  f
-        and g are applied once per forest.
-
-        One-step pairs suffice.  Every condition on an ideal forest but
-        inverse closure is a condition on each orbit or each pair of
-        orbits.  Let Phi < Psi in S(C) and a in Psi - Phi, and add to Phi
-        the orbit a, and also its inverse when a is invertible and away
-        from *: Psi holds that inverse, whose own inverse is a.  The result
-        lies inside Psi, so its orbits and pairs pass, and it is inverse
-        closed, so it is again in S(C).  By induction on |Psi - Phi| every
-        comparable pair of S(C) is joined by a chain of one-step pairs in
-        S(C), and a map monotone on these is monotone on all of S(C).  g is
-        checked on all of S(C), which holds f(S(C)).
+        S is all of S(C), as masks; T masks the orbits the step takes away
+        and A those it adds.  f is x | A on forests meeting T and fixes the
+        rest, and g is x & ~T.  Maps of this form meet the order conditions
+        of the Poset Lemma by their form alone.  x <= f(x) and g(x) <= x.
+        g is monotone, and so is f: for x <= y, either x meets T and then
+        so does y, or f(x) = x <= y <= f(y).  Forests that miss T are fixed
+        by f and g, so S(C') lies in g(f(S(C))).  What is left is checked
+        on each forest x that meets T: f(x) is in S(C), and g(f(x)) is
+        nonempty and in S(C'), that is in S(C), as it misses T.  The
+        contraction to {mu} is the step with T all orbits but mu and
+        A = {mu}.
         """
-        index = {phi: i for i, phi in enumerate(before)}
-        image = []
-        for phi in before:
-            fi = f(phi)
-            if phi & ~fi:
-                raise PropertyViolation(f"[{stage}] f does not satisfy Phi <= f(Phi)")
-            if fi not in index:
-                bad = forest_violations(self.m, self.orbits(fi))
+        members = set(S)
+        moved = [x for x in S if x & T]
+        for x in moved:
+            if x | A not in members:
+                bad = forest_violations(self.m, self.orbits(x | A))
                 raise PropertyViolation(
                     f"[{stage}] f(Phi) is not an ideal forest over the family "
-                    f"for Phi={self.key(phi)}: {'; '.join(bad) or 'not enumerated'}")
-            image.append(index[fi])
-
-        def monotone(name, ys):
-            for i, j in pairs:
-                if ys[i] & ~ys[j]:
-                    raise PropertyViolation(f"[{stage}] {name} is not monotone")
-
-        monotone("f", [before[i] for i in image])
-        back = [g(psi) for psi in before]
-        members = set(after)
-        for i in image:
-            psi, gi = before[i], back[i]
-            if not gi:
+                    f"for Phi={self.key(x)}: {'; '.join(bad) or 'not enumerated'}")
+        for x in moved:
+            psi = x | A
+            y = psi & ~T
+            if not y:
                 raise PropertyViolation(
                     f"[{stage}] g empties the forest {self.key(psi)}")
-            if gi & ~psi:
-                raise PropertyViolation(f"[{stage}] g does not satisfy g(Psi) <= Psi")
-            if gi not in members:
-                bad = forest_violations(self.m, self.orbits(gi))
-                if bad:
-                    raise PropertyViolation(
-                        f"[{stage}] g(Psi) is not an ideal forest for "
-                        f"Psi={self.key(psi)}: {'; '.join(bad)}")
-        monotone("g", back)
-        got = {back[i] for i in image}
-        if got != members:
-            raise PropertyViolation(
-                f"[{stage}] g(f(S(C))) != S(C - eliminated): "
-                f"{sorted(self.key(x) for x in got ^ members)[:3]} ...")
-
-    def one_steps(self, forests):
-        """(i, j) for each pair of forests where forests[j] adds to
-        forests[i] one orbit a, or a and its inverse when a is invertible
-        and away from *.  Each is found from forests[j] by taking a, or a
-        and its inverse, away."""
-        index = {x: i for i, x in enumerate(forests)}
-        return [(index[y & ~d], j) for j, y in enumerate(forests)
-                for i in _bits(y) for d in self.drops[i] if y & ~d in index]
+            if y not in members:
+                bad = forest_violations(self.m, self.orbits(y))
+                raise PropertyViolation(
+                    f"[{stage}] g(Psi) is not an ideal forest for "
+                    f"Psi={self.key(psi)}: {'; '.join(bad) or 'not enumerated'}")
+        return [x for x in S if not x & T]
 
     def eliminate(self, C, S, targets, alpha0s, stage, pre=False):
         """One Poset-Lemma double step on the family C with forests S: f
         adds alpha0s to forests meeting targets, g strips targets.  Checks
         compatibility transfer first (pre-compatibility when pre).  Returns
-        the new family and its forests, those of S without targets.
-
-        The one-step pairs of S(C') are those of S(C) whose larger end
-        misses targets, and then so does the smaller, renumbered: place[i]
-        is the count of such forests before S[i].  They come in the order
-        one_steps(after) gives."""
+        the new family and its forests, those of S without targets."""
         self.check_claim(C, targets, alpha0s, stage, pre)
         targets, alpha0s = frozenset(targets), frozenset(alpha0s)
-        T, A = self.mask(targets), self.mask(alpha0s)
-        after = [x for x in S if not x & T]
-        self.verify(stage, S, lambda x: x | A if x & T else x,
-                    lambda x: x & ~T, after, self.pairs)
-        place = list(itertools.accumulate((not x & T for x in S), initial=0))
-        self.pairs = [(place[i], place[j]) for i, j in self.pairs
-                      if not S[j] & T]
+        after = self.verify(stage, S, self.mask(targets), self.mask(alpha0s))
         self.steps.append(RetractionStep(
             stage,
             tuple(sorted(a.key() for a in targets)),
@@ -725,11 +672,10 @@ class _Engine:
     def contract_to_point(self, S, mu, stage):
         """Add mu to every forest of S, then send everything to {mu}."""
         point = self.bit[mu]
-        self.verify(stage, S, lambda phi: phi | point, lambda psi: point,
-                    [point], self.pairs)
+        after = self.verify(stage, S, (1 << len(self.pool)) - 1 & ~point, point)
         self.steps.append(RetractionStep(
-            stage, (mu.key(),), (mu.key(),), len(S), 1,
-            self.betti_of([point])))
+            stage, (mu.key(),), (mu.key(),), len(S), len(after),
+            self.betti_of(after)))
         return IdealForest((mu,))
 
 
@@ -737,11 +683,12 @@ def run_retractions(m: MarkedGGraph, horizon, homology=False) -> RetractionTrace
     """Collapse S(R) to a single forest through S(C1), S(C0'), S(C0).
 
     R and the maximal pair come from one reductive_scan and are recorded
-    in the trace, whatever its status.  Every poset map used is verified
-    on every forest (monotone on the one-step pairs, hence on all pairs,
-    pointwise comparable, image inside the complex); any failed lemma
-    claim raises PropertyViolation with a witness.  When the maximal pair
-    is away from the basepoint the case is reported as out of scope.
+    in the trace, whatever its status.  Every double step is given by the
+    orbits it takes away and adds, which makes its maps monotone and
+    comparable with the identity, and its images are checked on every
+    forest that it moves; any failed lemma claim raises PropertyViolation
+    with a witness.  When the maximal pair is away from the basepoint the
+    case is reported as out of scope.
     """
     if not is_reduced(m.graph):
         raise HypothesisNotMet("the marked graph is not reduced")

@@ -2,16 +2,19 @@
 
 enumerate_ideal_forests is compared with oracles.walk_ideal_forests, the
 depth-first walk that tests every pairwise-allowed set of orbits whole,
-and _Engine.verify, which checks monotonicity on one-step pairs only, with
-oracles.all_pairs_verify, which checks every comparable pair.  The engine
-works on int masks; the oracle gets them back as IdealForests.  The
-corpus is the fixtures, the saved instances, random_instance(20000..20399)
-made forest-free and rank-4 roses.
+and _Engine.verify, which reads a step's maps f and g off its masks T and
+A and checks only what their form leaves open, with
+oracles.all_pairs_verify, which takes f and g as maps and checks them on
+every forest and monotonicity on every comparable pair.  The engine works
+on int masks; the oracle gets them back as IdealForests.  The corpus is
+the fixtures, the saved instances, random_instance(20000..20399) made
+forest-free and rank-4 roses.
 """
 
 import functools
 import itertools
 import pathlib
+import re
 
 import pytest
 
@@ -127,9 +130,9 @@ def test_search_cap_raises_where_the_walk_raised(monkeypatch):
 
 
 def _as_forests(eng, stage, before, f, g, after):
-    """The arguments of _Engine.verify but the one-step pairs, which are
-    masks over the engine's numbering, as all_pairs_verify takes them:
-    IdealForests, with f and g wrapped to map forests to forests."""
+    """The arguments of a double step on masks over the engine's numbering,
+    as all_pairs_verify takes them: IdealForests, with f and g wrapped to
+    map forests to forests."""
     def forest(x):
         return IdealForest(tuple(eng.orbits(x)))
 
@@ -140,11 +143,19 @@ def _as_forests(eng, stage, before, f, g, after):
             [forest(x) for x in after])
 
 
+def _all_pairs(eng, stage, S, T, A):
+    """all_pairs_verify on the step that _Engine.verify(stage, S, T, A)
+    checks: f adds A to the forests meeting T, g takes T away, and S(C')
+    is the forests of S that miss T."""
+    return all_pairs_verify(*_as_forests(
+        eng, stage, S, lambda x: x | A if x & T else x, lambda x: x & ~T,
+        [x for x in S if not x & T]))
+
+
 def _checks(eng):
-    """The engine's verifier, given the one-step pairs of the forests it
-    checks, and the all-pairs oracle, both on masks."""
-    return (lambda *args: eng.verify(*args, eng.one_steps(args[1])),
-            lambda *args: all_pairs_verify(*_as_forests(eng, *args)))
+    """The engine's verifier and the all-pairs oracle, both on (stage, S,
+    T, A)."""
+    return (eng.verify, lambda *args: _all_pairs(eng, *args))
 
 
 def _both_verifiers(monkeypatch):
@@ -153,20 +164,23 @@ def _both_verifiers(monkeypatch):
     verify = starcomplex._Engine.verify
     checked = []
 
-    def both(self, stage, before, f, g, after, pairs):
-        verdicts = []
-        for check in (lambda: verify(self, stage, before, f, g, after, pairs),
-                      lambda: all_pairs_verify(
-                          *_as_forests(self, stage, before, f, g, after))):
-            try:
-                check()
-                verdicts.append(None)
-            except PropertyViolation as exc:
-                verdicts.append(str(exc))
+    def both(self, stage, S, T, A):
+        verdicts, after = [], None
+        try:
+            after = verify(self, stage, S, T, A)
+            verdicts.append(None)
+        except PropertyViolation as exc:
+            verdicts.append(str(exc))
+        try:
+            _all_pairs(self, stage, S, T, A)
+            verdicts.append(None)
+        except PropertyViolation as exc:
+            verdicts.append(str(exc))
         assert verdicts[0] == verdicts[1], verdicts
         checked.append(verdicts[0])
         if verdicts[0] is not None:
             raise PropertyViolation(verdicts[0])
+        return after
 
     monkeypatch.setattr(starcomplex._Engine, "verify", both)
     return checked
@@ -196,17 +210,19 @@ def _same(x):
     return x
 
 
-def _probe():
-    """An engine numbering all ideal edges of the two-petal rose, and its
-    25 forests as masks."""
-    m = fix_r2()
+def _probe(m):
+    """An engine numbering all ideal edges of m, and its forests as
+    masks."""
     edges = enumerate_ideal_edges(m)
     eng = starcomplex._Engine(m, frozenset(edges), False)
     return eng, [eng.mask(f.orbits) for f in enumerate_ideal_forests(m, edges)]
 
 
 def test_a_non_monotone_g_is_caught_by_both_checks():
-    eng, S = _probe()
+    """A step given by masks has a monotone g by its form, so the engine
+    cannot be handed one that is not; the all-pairs oracle still catches
+    it."""
+    eng, S = _probe(fix_r2())
     psi = next(p for p in S if p.bit_count() == 2)
     smaller = psi & -psi
 
@@ -214,64 +230,53 @@ def test_a_non_monotone_g_is_caught_by_both_checks():
         return smaller if x == psi else x
 
     after = [x for x in S if x != psi]
-    for check in _checks(eng):
-        with pytest.raises(PropertyViolation, match=r"^\[probe\] g is not monotone"):
-            check("probe", S, _same, g_map, after)
+    with pytest.raises(PropertyViolation, match=r"^\[probe\] g is not monotone"):
+        all_pairs_verify(*_as_forests(eng, "probe", S, _same, g_map, after))
 
 
 def test_a_non_monotone_f_is_caught_by_both_checks():
-    eng, S = _probe()
+    """As for g: only the all-pairs oracle can be handed a non-monotone f."""
+    eng, S = _probe(fix_r2())
     p1, q = next((p1, q) for p1, p2, q in itertools.product(S, repeat=3)
                  if not p1 & ~p2 and p1 != p2 and not p1 & ~q and q & ~p2)
-    for check in _checks(eng):
-        with pytest.raises(PropertyViolation, match=r"^\[probe\] f is not monotone"):
-            check("probe", S, lambda phi: q if phi == p1 else phi, _same, S)
+    with pytest.raises(PropertyViolation, match=r"^\[probe\] f is not monotone"):
+        all_pairs_verify(*_as_forests(
+            eng, "probe", S, lambda phi: q if phi == p1 else phi, _same, S))
 
 
 def test_failure_verdicts_match_all_pairs():
-    """Each pointwise failure gives the same first message either way."""
-    eng, S = _probe()
+    """Each pointwise failure a step (T, A) can have gives the same first
+    message either way; the failures its form rules out are the oracle's
+    alone."""
+    eng, S = _probe(fix_r2())
     a, b = IdealEdge(0, frozenset({0, 2})), IdealEdge(0, frozenset({0, 3}))
-    phi = eng.mask([a])
+    # an invertible orbit away from * whose inverse T takes away alone
+    away, S_away = _probe(reduce_to_forest_free(random_instance(20000)))
+    g = away.g
+    c = next(c for c in away.pool if c.vertex != g.basepoint
+             and inverse_orbit(g, c) not in (None, c))
     cases = {
-        "f does not satisfy": (S, lambda x: S[0], _same, S),
-        "f(Phi) is not an ideal forest": ([phi], lambda x: eng.mask([a, b]), _same, [phi]),
-        "g empties": (S, _same, lambda x: 0, S),
-        "g does not satisfy": (S, _same, lambda x: S[-1], S),
-        "g(f(S(C))) != S": (S, _same, _same, S[1:]),
+        "f(Phi) is not an ideal forest": (eng, S, eng.mask([a]), eng.mask([b])),
+        "g empties": (eng, S, eng.mask([a]), 0),
+        "g(Psi) is not an ideal forest": (
+            away, S_away, away.bit[inverse_orbit(g, c)], 0),
     }
-    for start, (before, f, g, after) in cases.items():
+    for start, (engine, S_C, T, A) in cases.items():
         messages = []
-        for check in _checks(eng):
+        for check in _checks(engine):
             with pytest.raises(PropertyViolation) as exc:
-                check("probe", before, f, g, after)
+                check("probe", S_C, T, A)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"[probe] {start}")
-
-
-def test_one_step_pairs_generate_the_order():
-    """The transitive closure of the one-step pairs of S(C) is its strict
-    order: every comparable pair is joined by a chain of one-step pairs."""
-    sizes = []
-    for label, m in corpus():
-        for pool in pools(m):
-            forests = enumerate_ideal_forests(m, pool)
-            if len(forests) > 150:
-                continue
-            eng = starcomplex._Engine(m, frozenset(pool), False)
-            S = [eng.mask(f.orbits) for f in forests]
-            above = [set() for _ in S]
-            for i, j in eng.one_steps(S):
-                assert not S[i] & ~S[j] and S[i] != S[j], label
-                above[i].add(j)
-            for i in sorted(range(len(S)), key=lambda i: -S[i].bit_count()):
-                for j in list(above[i]):
-                    above[i] |= above[j]
-            assert above == [{j for j, y in enumerate(S) if not x & ~y and x != y}
-                             for x in S], label
-            sizes.append(len(S))
-    assert max(sizes) > 100
+    oracle_only = {
+        "f does not satisfy": (S, lambda x: S[0], _same, S),
+        "g does not satisfy": (S, _same, lambda x: S[-1], S),
+        "g(f(S(C))) != S": (S, _same, _same, S[1:]),
+    }
+    for start, (before, f, g_map, after) in oracle_only.items():
+        with pytest.raises(PropertyViolation, match=rf"^\[probe\] {re.escape(start)}"):
+            all_pairs_verify(*_as_forests(eng, "probe", before, f, g_map, after))
 
 
 def test_eliminate_reads_the_new_forests_off_the_old(monkeypatch):
@@ -292,26 +297,6 @@ def test_eliminate_reads_the_new_forests_off_the_old(monkeypatch):
         run_retractions(m, 3)
     # 16 steps in the corpus, 12 at seed 3 and 8 at seed 7
     assert len(checked) == 36 and max(checked) == 2095
-
-
-def test_filtered_one_steps_match_a_fresh_search(monkeypatch):
-    """After each elimination the engine holds the one-step pairs of S(C'),
-    filtered from those of S(C); they are the pairs one_steps finds
-    afresh, in the same order."""
-    eliminate = starcomplex._Engine.eliminate
-    checked = []
-
-    def fresh(self, *args, **kwargs):
-        C, S = eliminate(self, *args, **kwargs)
-        assert self.pairs == self.one_steps(S)
-        checked.append(len(self.pairs))
-        return C, S
-
-    monkeypatch.setattr(starcomplex._Engine, "eliminate", fresh)
-    for label, m in corpus() + [(seed, rose4(seed)) for seed in (3, 7)]:
-        run_retractions(m, 3)
-    # 16 steps in the corpus, 12 at seed 3 and 8 at seed 7
-    assert len(checked) == 36 and max(checked) > 5000
 
 
 # (stage, alpha, alpha0, forests before, forests after) of each step of

@@ -18,8 +18,8 @@ from gwhitehead.errors import (HypothesisNotMet, PropertyViolation,
                                ValidationError)
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
 from gwhitehead.idealedges import (IdealEdge, canonical_rep, d_set,
-                                   enumerate_ideal_edges, is_ideal_edge,
-                                   orbit_union)
+                                   enumerate_ideal_edges, inverse_orbit,
+                                   is_ideal_edge, orbit_union)
 from gwhitehead.marking import collapse_marked, marked_isomorphic
 from gwhitehead.moves import (blow_up, candidate_pairs, is_reductive_edge,
                               max_reductive_pair, reductivity)
@@ -33,7 +33,7 @@ from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
                                     star_complex)
 
 from conftest import HORIZON
-from oracles import dense_reduced_homology
+from oracles import all_pairs_verify, dense_reduced_homology
 
 
 # ---------------------------------------------------------------------------
@@ -482,53 +482,69 @@ def test_eliminate_trace_frozen(seed, monkeypatch):
     assert [f.key() for f in trace.final_forests] == [FROZEN_TRACES[seed][-1][2]]
 
 
-# Each side condition the engine's verifier checks, made to fail on the
-# 25 forests of the two-petal rose over all of its ideal edges, as masks
+# Each side condition the engine's verifier checks, made to fail by a step
+# (T, A) on the forests of a graph over all of its ideal edges, as masks
 # over the engine's numbering of those edges.
 
 
-def _probe():
-    m = fix_r2()
+def _probe(m):
     edges = enumerate_ideal_edges(m)
     eng = starcomplex._Engine(m, frozenset(edges), False)
     return eng, [eng.mask(f.orbits) for f in enumerate_ideal_forests(m, edges)]
 
 
-def _same(phi):
-    return phi
+# two incompatible orbits at the basepoint of the two-petal rose
+_A, _B = IdealEdge(0, frozenset({0, 2})), IdealEdge(0, frozenset({0, 3}))
 
 
 def test_verifier_rejects_a_non_monotone_f():
-    eng, S = _probe()
+    """A step (T, A) has a monotone f by its form, so the engine cannot be
+    handed one that is not; the all-pairs reference still catches it."""
+    m = fix_r2()
+    S = enumerate_ideal_forests(m, enumerate_ideal_edges(m))
     p1, q = next((p1, q) for p1, p2, q in itertools.product(S, repeat=3)
-                 if not p1 & ~p2 and p1 != p2 and not p1 & ~q and q & ~p2)
+                 if p1 <= p2 and p1 != p2 and p1 <= q and not q <= p2)
     with pytest.raises(PropertyViolation, match=r"^\[probe\] f is not monotone"):
-        eng.verify("probe", S, lambda phi: q if phi == p1 else phi, _same, S,
-                   eng.one_steps(S))
+        all_pairs_verify(m, "probe", S, lambda phi: q if phi == p1 else phi,
+                         lambda psi: psi, S)
 
 
 def test_verifier_rejects_an_f_image_outside_the_complex():
-    eng, _ = _probe()
-    a, b = IdealEdge(0, frozenset({0, 2})), IdealEdge(0, frozenset({0, 3}))
-    phi = eng.mask([a])
+    eng, S = _probe(fix_r2())
     with pytest.raises(PropertyViolation,
                        match=r"^\[probe\] f\(Phi\) is not an ideal forest.*incompatible"):
-        eng.verify("probe", [phi], lambda p: eng.mask([a, b]), _same, [phi],
-                   eng.one_steps([phi]))
+        eng.verify("probe", S, eng.mask([_A]), eng.mask([_B]))
+
+
+def test_verifier_rejects_a_contraction_to_an_incompatible_point():
+    """The contraction to {mu} is the step T = all orbits but mu, A = {mu};
+    a forest incompatible with mu has no image."""
+    eng, S = _probe(fix_r2())
+    point = eng.bit[_B]
+    match = r"^\[probe\] f\(Phi\) is not an ideal forest.*incompatible"
+    with pytest.raises(PropertyViolation, match=match):
+        eng.verify("probe", S, (1 << len(eng.pool)) - 1 & ~point, point)
+    with pytest.raises(PropertyViolation, match=match):
+        eng.contract_to_point(S, _B, "probe")
 
 
 def test_verifier_rejects_a_g_that_empties_a_forest():
-    eng, S = _probe()
+    eng, S = _probe(fix_r2())
     with pytest.raises(PropertyViolation, match=r"^\[probe\] g empties the forest"):
-        eng.verify("probe", S, _same, lambda psi: 0, S, eng.one_steps(S))
+        eng.verify("probe", S, eng.mask([_A]), 0)
 
 
 def test_verifier_rejects_a_g_image_other_than_the_new_complex():
-    eng, S = _probe()
+    """Taking away the inverse of an invertible orbit away from * alone
+    leaves the orbit without its inverse."""
+    eng, S = _probe(reduce_to_forest_free(random_instance(20000)))
+    g = eng.g
+    a = next(a for a in eng.pool if a.vertex != g.basepoint
+             and inverse_orbit(g, a) not in (None, a))
+    T = eng.bit[inverse_orbit(g, a)]
     with pytest.raises(PropertyViolation,
-                       match=r"^\[probe\] g\(f\(S\(C\)\)\) != S\(C - eliminated\)"):
-        eng.verify("probe", S, _same, _same, S[1:], eng.one_steps(S))
-    eng.verify("probe", S, _same, _same, S, eng.one_steps(S))
+                       match=r"^\[probe\] g\(Psi\) is not an ideal forest.*inverse"):
+        eng.verify("probe", S, T, 0)
 
 
 def _count_scans(monkeypatch):
