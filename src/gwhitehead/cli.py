@@ -472,6 +472,18 @@ def cmd_selftest(args):
     return 0
 
 
+def _int_at_least(low):
+    """An argparse type: an int no less than low, else a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors exit 1, the code of malformed
     input, so that exit code 2 means only an indeterminate verdict.  Its
@@ -496,13 +508,13 @@ def build_parser():
 
     p = sub.add_parser("norm", help="print a norm vector")
     p.add_argument("file")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=_int_at_least(1), default=4)
     p.add_argument("--kind", choices=["out", "aut", "tot"], default="out")
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("ideal-edges", help="list ideal edge orbits")
     p.add_argument("file")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=_int_at_least(1), default=4)
     p.set_defaults(fn=cmd_ideal_edges)
 
     p = sub.add_parser("move", help="apply a Whitehead move")
@@ -516,7 +528,7 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="greedy norm reduction")
     p.add_argument("file")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=_int_at_least(1), default=4)
     p.add_argument("--max-steps", type=int, default=500)
     p.add_argument("--log")
     p.add_argument("--out")
@@ -525,7 +537,7 @@ def build_parser():
     p = sub.add_parser("star", help="star complex, homology, retractions")
     p.add_argument("file")
     p.add_argument("--family", choices=["R", "C0", "C0p", "C1"], default="R")
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--horizon", type=_int_at_least(1), default=4)
     p.add_argument("--homology", action="store_true")
     p.add_argument("--retract", action="store_true")
     p.add_argument("--dot", help="write a DOT Hasse diagram of the poset")
@@ -535,8 +547,8 @@ def build_parser():
     p.add_argument("--suite", choices=["norms", "lemmas", "star", "all"],
                    default="all")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=4)
-    p.add_argument("--random-count", type=int, default=10)
+    p.add_argument("--horizon", type=_int_at_least(1), default=4)
+    p.add_argument("--random-count", type=_int_at_least(0), default=10)
     p.set_defaults(fn=cmd_selftest)
     return ap
 

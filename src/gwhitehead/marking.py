@@ -30,11 +30,13 @@ def join_reduced(head, tail):
     """Reduced product of two reduced paths: cancel at the junction only.
 
     Both halves are reduced, so the only backtracks are head[-1-i] against
-    tail[i] for the longest such run; what is left is reduced.
+    tail[i] for the longest such run; what is left is reduced.  The paths
+    are tuples or bytes of edge ids, and the product has their type.
     """
-    k = 0
-    limit = min(len(head), len(tail))
-    while k < limit and head[-1 - k] == rev(tail[k]):
+    if not (head and tail and head[-1] == tail[0] ^ 1):
+        return head + tail
+    k, limit = 1, min(len(head), len(tail))
+    while k < limit and head[-1 - k] == tail[k] ^ 1:
         k += 1
     return head[:len(head) - k] + tail[k:]
 
@@ -59,12 +61,20 @@ def act_path(g: GGraph, x, steps):
 def cyclic_canonical(steps):
     """Lex-least rotation; canonical form of a cyclically reduced loop.
 
-    The least rotation starts at a least step, so only those are tried.
+    The least rotation starts at a least step, so only the occurrences of
+    that step are tried.  steps is a tuple or bytes, and so is the result.
     """
     if not steps:
-        return ()
+        return steps
     low = min(steps)
-    return min(steps[i:] + steps[:i] for i, e in enumerate(steps) if e == low)
+    i = steps.index(low)
+    best = steps[i:] + steps[:i]
+    for _ in range(steps.count(low) - 1):
+        i = steps.index(low, i + 1)
+        rotation = steps[i:] + steps[:i]
+        if rotation < best:
+            best = rotation
+    return best
 
 
 @dataclass(frozen=True)
@@ -155,9 +165,10 @@ def path_of_word(m: MarkedGGraph, word):
 
 
 def cyclic_loop(steps):
-    """Rotation-canonical cyclic reduction of a reduced basepoint loop."""
+    """Rotation-canonical cyclic reduction of a reduced basepoint loop,
+    given as a tuple or bytes, in the same type."""
     k, end = 0, len(steps) - 1
-    while k < end - k and steps[k] == rev(steps[end - k]):
+    while k < end - k and steps[k] == steps[end - k] ^ 1:
         k += 1
     return cyclic_canonical(steps[k:end + 1 - k])
 

@@ -7,16 +7,19 @@ coordinate; only order comparisons can be indeterminate at the horizon.
 
 Items.  Coordinate i of aut is the reduced basepoint path of word i, and
 coordinate j of out the rotation-canonical cyclically reduced loop of
-class representative j.  Both come from the word tree of ``fg.word_tree``,
-which depends only on (n, horizon) and is memoised: the words in shortlex
-order, each with the index of its parent (the word minus its last letter)
-and the indices of the class representatives.  The path of w l is the
-parent's path joined to the basis path of l (or its inverse), and since
-both halves are reduced only the junction can cancel
-(``marking.join_reduced``).  A class representative is one of the words, so
-its loop is its own path with matching ends stripped and the lex-least
-rotation taken (``marking.cyclic_loop``); no word is realized twice.  A junction that cancelled too
-little would leave an unreduced item, which _Lanes rejects.
+class representative j.  Every item is a ``bytes`` string of edge ids,
+one byte per step.  Both kinds come from the word tree of
+``fg.word_tree``, which depends only on (n, horizon) and is memoised: the
+words in shortlex order, each with the index of its parent (the word
+minus its last letter) and the indices of the class representatives.
+The path of w l is the parent's path joined to the basis path of l (or
+its inverse), and since both halves are reduced only the junction can
+cancel (``marking.join_reduced``).  A class representative is one of the
+words, so its loop is its own path with matching ends stripped and the
+lex-least rotation taken (``marking.cyclic_loop``); no word is realized
+twice.  Both helpers are generic over tuples and bytes, and keep the
+type they are given.  A junction that cancelled too little would leave
+an unreduced item, which _Lanes rejects.
 
 Packed layout.  A NormCalculator builds, once per kind (out and aut), the
 G-orbit sums of the occurrence vector of each directed edge and of the
@@ -24,20 +27,24 @@ turn vector of each occurring turn, each packed into one Python int with
 one fixed-width lane per coordinate: lane i holds item i of
 ``items[kind]``, the lowest lane first, in the width of the narrowest
 ``array`` code that holds every value a kernel can produce.  The counts
-are made column by column, not step by step: the items are transposed
-into one ``bytes`` column per path position (byte i is step p of item i,
-or the sentinel ``n_edges`` past its end), and ``bytes.translate`` with a
-one-hot table turns a column into the packed 0/1 indicator of each edge
-there.  An edge's occurrence int is the sum of its indicators over the
-positions, and a turn's the sum of the ANDs of the indicators at adjacent
-positions.  The occurrences and the check that every item is reduced are
-made at build time; the turns are counted on the first query that reads
-them (set_abs, dot, abs_sign), so a calculator read only through norm,
-all_norms or edge_abs never counts them.  Edge ids and the sentinel must
-each fit in one byte, so a graph may have at most MAX_EDGES directed
-edges.  edge_abs and dot are then a few big-int sums over those ints, and
-one ``int.to_bytes`` plus ``memoryview.cast`` unpacks the result into the
-coordinate tuple.  tot is the out coordinates followed by the aut ones.
+are made column by column, not step by step: the items, each padded with
+the sentinel ``n_edges`` to the longest length L, are joined into one
+string, and its extended slice ``rows[p::L]`` is the ``bytes`` column of
+path position p (byte i is step p of item i, or the sentinel past its
+end).  The edges present in a column are found with ``e in col``, and
+``bytes.translate`` with a one-hot table turns the column into the packed
+0/1 indicator of each of them.  An edge's occurrence int is the sum of
+its indicators over the positions, and a turn's the sum of the ANDs of
+the indicators at adjacent positions.  The occurrences and the check that
+every item is reduced are made at build time; the turns are counted on
+the first query that reads them (set_abs, dot, abs_sign), so a calculator
+read only through norm, all_norms or edge_abs never counts them.  Edge
+ids and the sentinel must each fit in one byte, so a graph may have at
+most MAX_EDGES directed edges.  edge_abs and dot are then a few big-int
+sums over those ints, and one ``int.to_bytes`` plus ``memoryview.cast``
+unpacks the result into the coordinate tuple.  norm needs no unpacking:
+its cross-check compares packed ints (see NormCalculator.norm).  tot is
+the out coordinates followed by the aut ones.
 
 Packed |C|.  A turn joins two edges that end at one vertex, so |C| is the
 sum of |C & E_v| over the vertices v that C's edges end at.  Each term is
@@ -81,7 +88,6 @@ from dataclasses import dataclass
 
 from . import freegroup as fg
 from .errors import InternalInconsistency, ValidationError
-from .ggraph import rev
 from .marking import MarkedGGraph, cyclic_loop, join_reduced, path_inv
 
 KINDS = ("out", "aut", "tot")
@@ -161,9 +167,9 @@ class NormCalculator:
         self.classes = tuple(tree.words[i] for i in tree.classes)
         letter_path = {}
         for j, p in enumerate(m.basis_paths):
-            letter_path[j + 1] = p
-            letter_path[-j - 1] = path_inv(p)
-        paths = [()]
+            letter_path[j + 1] = bytes(p)
+            letter_path[-j - 1] = bytes(path_inv(p))
+        paths = [b""]
         for parent, w in zip(tree.parents[1:], self.words):
             paths.append(join_reduced(paths[parent], letter_path[w[-1]]))
         self.items = {
@@ -242,22 +248,34 @@ class NormCalculator:
     def norm(self, kind) -> NormVector:
         """Norm, computed both directly and as half the edge_abs sum.
 
-        The edge_abs sum is one sum of the packed edge ints per part,
-        unpacked once: lane i of it is 2 |G| times the length of item i,
-        which its lane holds (see _pack), so it never carries.
+        The edge_abs sum is one sum of the packed edge ints per part: lane
+        i of it is 2 |G| times the length of item i, which its lane holds
+        (see _pack), so it never carries.  Each part is checked by one
+        comparison of that sum with 2 |G| times each item's length, packed
+        into the same lanes (_Lanes.pack); neither side carries, so equal
+        packed ints mean equal coordinates.  Only on a mismatch is the sum
+        unpacked and halved coordinate by coordinate, which raises with
+        the message that names the fault.
         """
         order = self.m.graph.group.order
-        direct = tuple(order * len(steps)
-                       for part in _parts(kind) for steps in self.items[part])
-        total = self._vec(kind, lambda part: sum(self._lanes[part].edge))
-        halved = []
-        for c in total.coords:
-            if c % 2:
-                raise InternalInconsistency("edge_abs sum is odd")
-            halved.append(c // 2)
-        if tuple(halved) != direct:
-            raise InternalInconsistency(
-                f"direct norm {direct} != half edge_abs sum {tuple(halved)} ({kind})")
+        direct = ()
+        agree = True
+        for part in _parts(kind):
+            lanes = self._lanes[part]
+            part_direct = tuple([order * len(steps) for steps in self.items[part]])
+            direct += part_direct
+            agree = agree and sum(lanes.edge) == lanes.pack(
+                tuple(map(operator.add, part_direct, part_direct)))
+        if not agree:
+            total = self._vec(kind, lambda part: sum(self._lanes[part].edge))
+            halved = []
+            for c in total.coords:
+                if c % 2:
+                    raise InternalInconsistency("edge_abs sum is odd")
+                halved.append(c // 2)
+            if tuple(halved) != direct:
+                raise InternalInconsistency(
+                    f"direct norm {direct} != half edge_abs sum {tuple(halved)} ({kind})")
         return NormVector(kind, self.m.n, self.horizon, direct)
 
     def all_norms(self):
@@ -316,11 +334,13 @@ class _Lanes:
     u then rev w (a cyclic item also wraps around).  Only occurring turns
     are stored.
 
-    O and T are counted over the position-major byte columns of the items
-    (see the module docstring), so no Python loop runs per step: O[e] sums
-    the indicators of e over the columns, and T[(u, rev w)] sums the AND of
-    the indicator of u at one position with that of w at the next.  A
-    cyclic item adds one wrap column, its last step, against the first.
+    O and T are counted over the byte columns of the items, sliced from
+    their padded join (see the module docstring), so no Python loop runs
+    per step: O[e] sums the indicators of e over the columns, and
+    T[(u, rev w)] sums the AND of the indicator of u at one position with
+    that of w at the next.  A cyclic item adds one wrap column, its last
+    step, against the first.  Items are bytes; tuples of edge ids are
+    converted to bytes first.
 
     ``__init__`` makes ``edge`` and rejects an unreduced item: per edge u at
     a position, one AND with the indicator of rev u at the next.  It keeps
@@ -330,26 +350,42 @@ class _Lanes:
 
     def __init__(self, items, cyclic, actions):
         n_edges = len(actions[0])
-        longest = max((len(steps) for steps in items), default=0)
+        if items and not isinstance(items[0], bytes):
+            items = [bytes(steps) for steps in items]
+        longest = max(map(len, items), default=0)
         self.code = _lane_code(2 * len(actions) * longest)
         self.width = 8 * array(self.code).itemsize  # bits per lane
         self._n_bytes = len(items) * self.width // 8
-        cols = [bytes(c) for c in itertools.zip_longest(*items, fillvalue=n_edges)]
-        ind = [self._indicators(col, n_edges) for col in cols]
-        O = defaultdict(int)
-        for at in ind:
-            for e, x in at.items():
-                O[e] += x
-        adjacent = list(zip(ind, ind[1:]))
+        pad = bytes((n_edges,))
+        rows = b"".join(map(bytes.ljust, items, itertools.repeat(longest),
+                            itertools.repeat(pad)))
+        cols = [rows[p::longest] for p in range(longest)]
+        if cyclic and cols:  # the wrap column: each item's last step
+            cols.append(b"".join([steps[-1:] or pad for steps in items]))
+        narrow = self.code == "B"
+        ind = []
+        O = [0] * n_edges
+        for col in cols:
+            at = {}
+            for e in range(n_edges):
+                if e in col:
+                    hot = col.translate(_ONE_HOT[e])
+                    at[e] = x = int.from_bytes(  # _pack, inlined
+                        hot if narrow else array(self.code, memoryview(hot)), sys.byteorder)
+                    O[e] += x
+            ind.append(at)
+        adjacent = list(zip(ind, ind[1:longest]))
         if cyclic and cols:
-            last = bytes(steps[-1] if steps else n_edges for steps in items)
-            adjacent.append((self._indicators(last, n_edges), ind[0]))
+            wrap = ind.pop()
+            for e, x in wrap.items():  # the wrap column repeats occurrences
+                O[e] -= x
+            adjacent.append((wrap, ind[0]))
         for here, there in adjacent:
             for u, x in here.items():
-                if x & there.get(rev(u), 0):
+                if x & there.get(u ^ 1, 0):
                     raise InternalInconsistency("unreduced path reached the norm layer")
-        osym = [sum(O.get(act[e], 0) for act in actions) for e in range(n_edges)]
-        self.edge = [osym[e] + osym[rev(e)] for e in range(n_edges)]
+        osym = list(map(sum, zip(*[map(O.__getitem__, act) for act in actions])))
+        self.edge = [osym[e] + osym[e ^ 1] for e in range(n_edges)]
         self._adjacent = adjacent
         self._actions = actions
 
@@ -363,7 +399,7 @@ class _Lanes:
                 for w, y in there.items():
                     t = x & y
                     if t:
-                        T[u, rev(w)] += t
+                        T[u, w ^ 1] += t
         del self._adjacent
         turns = {}
         for (u, w), t in T.items():
@@ -372,16 +408,13 @@ class _Lanes:
                 row[act[w]] = row.get(act[w], 0) + t
         return turns
 
-    def _indicators(self, col, sentinel):
-        """{e: packed 0/1 vector of the items whose byte in col is e}, over
-        the edges in col; a code wider than B widens each indicator."""
-        out = {}
-        for e in set(col):
-            if e != sentinel:
-                hot = col.translate(_ONE_HOT[e])
-                out[e] = _pack(hot if self.code == "B"
-                               else array(self.code, memoryview(hot)))
-        return out
+    def pack(self, values):
+        """values, one per item, packed into these lanes; None when one does
+        not fit its lane, so that the result equals no packed vector."""
+        try:
+            return _pack(bytes(values) if self.code == "B" else array(self.code, values))
+        except (ValueError, OverflowError):
+            return None
 
     def subset_abs(self, E):
         """Packed |C| for every subset C of the edges E, as a list indexed by

@@ -154,6 +154,30 @@ def test_a_malformed_command_line_exits_1(argv, capsys):
     assert err.startswith("usage: gwhitehead norm") and "error: " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "FILE", "--horizon", "0"],
+    ["ideal-edges", "FILE", "--horizon", "0"],
+    ["reduce", "FILE", "--horizon", "0"],
+    ["star", "FILE", "--horizon", "-1"],
+    ["selftest", "--horizon", "0"],
+    ["selftest", "--random-count", "-1"],
+])
+def test_an_out_of_range_count_is_a_malformed_command_line(argv, tmp_path, capsys):
+    # rejected as the command line is parsed, before any command prints
+    path = _write(tmp_path, THETA_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([path if a == "FILE" else a for a in argv])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: gwhitehead {argv[0]}")
+    assert f"error: argument {argv[-2]}: must be at least" in err
+    # the least values are accepted
+    args = cli.build_parser().parse_args(["selftest", "--horizon", "1",
+                                          "--random-count", "0"])
+    assert (args.horizon, args.random_count) == (1, 0)
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["norm", "--help"])

@@ -6,8 +6,9 @@ from gwhitehead import freegroup as fg
 from gwhitehead.fixtures import fix_r2, fix_r2w, fix_theta
 from gwhitehead.ggraph import maximal_invariant_forest
 from gwhitehead.marking import (MarkedGGraph, collapse_marked, cyclic_canonical,
-                                loop_of_class, lyndon_length, marked_isomorphic,
-                                path_of_word, reduce_path, verify_realization)
+                                cyclic_loop, join_reduced, loop_of_class,
+                                lyndon_length, marked_isomorphic, path_of_word,
+                                reduce_path, verify_realization)
 
 from oracles import rotations
 
@@ -122,3 +123,35 @@ def test_cyclic_canonical_is_the_least_of_all_rotations():
     for _ in range(10 ** 5):
         steps = tuple(rng.choices(range(rng.randrange(1, 5)), k=rng.randrange(14)))
         assert cyclic_canonical(steps) == min(rotations(steps))
+
+
+def _random_reduced_path(rng, n_edges, length):
+    steps = []
+    while len(steps) < length:
+        e = rng.randrange(n_edges)
+        if not steps or steps[-1] != e ^ 1:
+            steps.append(e)
+    return tuple(steps)
+
+
+def test_path_helpers_agree_on_tuples_and_bytes():
+    # few edges, so that junctions and loop ends cancel often
+    rng = random.Random(37)
+    pairs = [((0, 2), (3, 1, 4)),  # x1 x2 then x3 -> ~b ~a c: the junction leaves c
+             ((), (0,)), ((1,), ()), ((0, 2), (3, 1))]
+    loops = [(0, 2, 0, 2, 0, 4), (0, 4, 0, 2, 0, 2), (2, 0, 2, 0), (0, 2, 5, 1), (), (3,)]
+    for _ in range(3000):
+        pairs.append(tuple(_random_reduced_path(rng, 6, rng.randrange(7))
+                           for _ in range(2)))
+        loops.append(_random_reduced_path(rng, 6, rng.randrange(10)))
+    for head, tail in pairs:
+        want = join_reduced(head, tail)
+        assert want == reduce_path(head + tail)
+        got = join_reduced(bytes(head), bytes(tail))
+        assert (type(want), type(got), tuple(got)) == (tuple, bytes, want)
+    for loop in loops:
+        for helper in (cyclic_loop, cyclic_canonical):
+            want = helper(loop)
+            got = helper(bytes(loop))
+            assert (type(want), type(got), tuple(got)) == (tuple, bytes, want)
+        assert cyclic_canonical(loop) == min(rotations(loop))

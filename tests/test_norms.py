@@ -297,11 +297,12 @@ def _rose3_deep_junction():
 
 def _assert_items_match_scan_oracle(m, horizon):
     calc = NormCalculator(m, horizon)
-    assert calc.items["aut"] == [steps for steps, _ in scan_items(m, "aut", horizon)]
+    assert list(map(tuple, calc.items["aut"])) == [
+        steps for steps, _ in scan_items(m, "aut", horizon)]
     oracle_loops = [steps for steps, _ in scan_items(m, "out", horizon)]
     assert len(calc.items["out"]) == len(oracle_loops)
     for loop, want in zip(calc.items["out"], oracle_loops):
-        assert loop in rotations(want)
+        assert tuple(loop) in rotations(want)
         assert loop == cyclic_canonical(loop)
 
 
@@ -316,8 +317,8 @@ def test_word_tree_items_match_scan_oracle():
 
 def test_junction_cancels_whole_letter_paths():
     calc = NormCalculator(_rose3_deep_junction(), 3)
-    assert calc.items["aut"][calc.words.index((1, 2, 3))] == (4,)
-    assert calc.items["aut"][calc.words.index((-2, -1, 3))] == (3, 1, 3, 1, 4)
+    assert calc.items["aut"][calc.words.index((1, 2, 3))] == bytes((4,))
+    assert calc.items["aut"][calc.words.index((-2, -1, 3))] == bytes((3, 1, 3, 1, 4))
 
 
 def _assert_lanes_match_scan(items, cyclic, actions):
@@ -426,7 +427,7 @@ def test_norm_build_takes_at_most_255_edges():
 def test_norm_cross_check_catches_a_wrong_item(kind):
     calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
     calc.norm(kind)
-    calc.items[kind][0] += (0,)
+    calc.items[kind][0] += b"\x00"
     with pytest.raises(InternalInconsistency,
                        match=rf"direct norm .* != half edge_abs sum .*\({kind}\)"):
         calc.norm(kind)
@@ -455,7 +456,7 @@ def test_set_abs_memo_matches_scan_oracle_on_every_call():
 @pytest.mark.parametrize("kind", ["out", "aut"])
 def test_all_norms_memo_keeps_its_cross_check(kind):
     calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
-    calc.items[kind][0] += (0,)
+    calc.items[kind][0] += b"\x00"
     for _ in range(2):  # a failed check stores nothing
         with pytest.raises(InternalInconsistency,
                            match=rf"direct norm .* != half edge_abs sum .*\({kind}\)"):
@@ -483,6 +484,24 @@ def test_all_norms_runs_the_cross_checks_once(monkeypatch):
 def test_norm_cross_check_catches_an_odd_edge_sum(kind):
     calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
     calc._lanes[kind].edge[0] += 1  # lane 0 of the sum is now odd
+    with pytest.raises(InternalInconsistency, match="edge_abs sum is odd"):
+        calc.norm(kind)
+
+
+@pytest.mark.parametrize("kind", ["out", "aut"])
+def test_norm_cross_check_in_wide_lanes(kind):
+    # the packed comparison in lanes wider than a byte: a wrong item, one
+    # too long for its lane, and an odd sum each reach their message
+    direct_message = rf"direct norm .* != half edge_abs sum .*\({kind}\)"
+    for extra in (b"\x00", b"\x00" * 20000):
+        calc = NormCalculator(_wide_lane_rose(), 2)
+        assert calc._lanes[kind].code == "H"
+        calc.norm(kind)
+        calc.items[kind][0] += extra
+        with pytest.raises(InternalInconsistency, match=direct_message):
+            calc.norm(kind)
+    calc = NormCalculator(_wide_lane_rose(), 2)
+    calc._lanes[kind].edge[0] += 1
     with pytest.raises(InternalInconsistency, match="edge_abs sum is odd"):
         calc.norm(kind)
 
