@@ -264,7 +264,7 @@ def canonicalize(m: MarkedGGraph) -> MarkedGGraph:
         vnames[new] = "*" if old == g.basepoint else f"v{new}"
     g2 = GGraph(g.n_vertices, 0, term, g.group, g.edge_action,
                 tuple(vnames), g.pair_names)
-    return MarkedGGraph(g2, m.basis_paths, m.realization)
+    return MarkedGGraph(g2, m.basis_paths)
 
 
 def canonical_text(m: MarkedGGraph) -> str:
@@ -529,7 +529,7 @@ def build_parser():
     p = sub.add_parser("reduce", help="greedy norm reduction")
     p.add_argument("file")
     p.add_argument("--horizon", type=_int_at_least(1), default=4)
-    p.add_argument("--max-steps", type=int, default=500)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=500)
     p.add_argument("--log")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_reduce)

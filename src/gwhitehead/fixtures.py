@@ -19,17 +19,14 @@ def fix_r2() -> MarkedGGraph:
     """Rose with two petals, trivial group, identity marking."""
     g = GGraph(1, 0, (0, 0, 0, 0), Group.trivial(), ((0, 1, 2, 3),),
                ("*",), ("a", "b"))
-    return MarkedGGraph(g, ((0,), (2,)),
-                        (FreeAutomorphism.identity(2),))
+    return MarkedGGraph(g, ((0,), (2,)))
 
 
 def fix_r2_swap() -> MarkedGGraph:
     """Rose with two petals swapped by Z/2; realizes the generator swap."""
     g = GGraph(1, 0, (0, 0, 0, 0), Group.cyclic(2),
                ((0, 1, 2, 3), (2, 3, 0, 1)), ("*",), ("a", "b"))
-    swap = FreeAutomorphism(((2,), (1,)))
-    return MarkedGGraph(g, ((0,), (2,)),
-                        (FreeAutomorphism.identity(2), swap))
+    return MarkedGGraph(g, ((0,), (2,)))
 
 
 def fix_theta() -> MarkedGGraph:
@@ -42,9 +39,7 @@ def fix_theta() -> MarkedGGraph:
     action_t = (0, 1, 4, 5, 2, 3)  # swap e2 <-> e3
     g = GGraph(2, 0, term, Group.cyclic(2),
                ((0, 1, 2, 3, 4, 5), action_t), ("*", "v"), ("e1", "e2", "e3"))
-    swap = FreeAutomorphism(((2,), (1,)))
-    return MarkedGGraph(g, ((0, 3), (0, 5)),
-                        (FreeAutomorphism.identity(2), swap))
+    return MarkedGGraph(g, ((0, 3), (0, 5)))
 
 
 def fix_r2w() -> MarkedGGraph:

@@ -23,11 +23,6 @@ def letter_key(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
 
-def word_key(word):
-    """Shortlex sort key."""
-    return (len(word), tuple(letter_key(l) for l in word))
-
-
 def reduce_word(letters) -> Word:
     """Freely reduce a raw letter sequence (stack scan)."""
     out = []
@@ -100,12 +95,7 @@ class ConjClass:
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """Endomorphism of F_n given by the images of the basis generators.
-
-    Instances built from group realizations are automorphisms; use
-    ``is_inverse_pair`` to certify invertibility when an inverse candidate
-    is available.
-    """
+    """Endomorphism of F_n given by the images of the basis generators."""
 
     images: tuple  # tuple of n Words
 
@@ -127,13 +117,6 @@ class FreeAutomorphism:
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """self after other: (self.compose(other))(w) == self(other(w))."""
         return FreeAutomorphism(tuple(self.apply(im) for im in other.images))
-
-    def is_identity(self) -> bool:
-        return all(im == (i + 1,) for i, im in enumerate(self.images))
-
-
-def is_inverse_pair(phi: FreeAutomorphism, psi: FreeAutomorphism) -> bool:
-    return phi.compose(psi).is_identity() and psi.compose(phi).is_identity()
 
 
 class WordTree(NamedTuple):

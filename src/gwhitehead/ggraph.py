@@ -66,16 +66,6 @@ class Group:
         names = ("1",) + tuple("t" if i == 1 else f"t^{i}" for i in range(1, k))
         return cls(mult, names)
 
-    @classmethod
-    def symmetric3(cls):
-        """S_3 as permutations of {0,1,2}."""
-        perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
-        idx = {p: i for i, p in enumerate(perms)}
-        mult = tuple(
-            tuple(idx[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms
-        )
-        return cls(mult, ("1", "r", "r^2", "s", "sr", "sr^2"))
-
     def subgroups(self):
         """All subgroups, as sorted tuples of elements (brute force)."""
         k = self.order
@@ -196,9 +186,6 @@ class GGraph:
     def valence(self, v):
         return len(self.edges_at(v))
 
-    def act_edge(self, g, e):
-        return self.edge_action[g][e]
-
     def act_vertex(self, g, v):
         return self._vertex_action[g][v]
 
@@ -313,23 +300,6 @@ def pair_orbits(g: GGraph):
         seen |= orb
         orbits.append(frozenset(orb))
     return orbits
-
-
-def invariant_forests(g: GGraph):
-    """All nonempty G-invariant forests, as frozensets of pair indices.
-
-    Deterministic order: by (number of orbits used, sorted pair ids).
-    """
-    usable = [o for o in pair_orbits(g) if _acyclic(g, o)]
-    usable.sort(key=lambda o: sorted(o))
-    out = []
-    for r in range(1, len(usable) + 1):
-        for combo in itertools.combinations(usable, r):
-            pairs = frozenset().union(*combo)
-            if _acyclic(g, pairs):
-                out.append(pairs)
-    out.sort(key=lambda f: (len(f), sorted(f)))
-    return out
 
 
 def maximal_invariant_forest(g: GGraph):

@@ -54,10 +54,6 @@ def path_inv(steps):
     return tuple(rev(e) for e in reversed(steps))
 
 
-def act_path(g: GGraph, x, steps):
-    return tuple(g.edge_action[x][e] for e in steps)
-
-
 def cyclic_canonical(steps):
     """Lex-least rotation; canonical form of a cyclically reduced loop.
 
@@ -79,11 +75,10 @@ def cyclic_canonical(steps):
 
 @dataclass(frozen=True)
 class MarkedGGraph:
-    """G-graph plus basis loops; optionally a claimed realization in Aut(F_n)."""
+    """G-graph plus basis loops; the realized subgroup is read off the action."""
 
     graph: GGraph
     basis_paths: tuple  # one reduced loop at the basepoint per generator
-    realization: tuple = None  # optional: one FreeAutomorphism per group element
 
     def __post_init__(self):
         # moves.reductive_scan's (R, best) per (horizon, kind), and
@@ -179,87 +174,6 @@ def loop_of_class(m: MarkedGGraph, cls):
     return cyclic_loop(path_of_word(m, word))
 
 
-def lyndon_length(m: MarkedGGraph, word) -> int:
-    """Distance the word moves the basepoint in the universal cover."""
-    return len(path_of_word(m, word))
-
-
-def verify_realization(m: MarkedGGraph):
-    """Check the claimed realization against the graph action.
-
-    For every group element x and generator j the path of phi_x(x_j) must
-    be the x-image of the path of x_j.  Returns a list of witnesses (empty
-    means OK).  With no claimed realization there is nothing to check: the
-    graph action always induces *some* subgroup of Aut(F_n).
-    """
-    if m.realization is None:
-        return []
-    g = m.graph
-    bad = []
-    for x in g.group.elements:
-        phi = m.realization[x]
-        for j in range(m.n):
-            want = reduce_path(act_path(g, x, m.basis_paths[j]))
-            got = path_of_word(m, phi.apply((j + 1,)))
-            if want != got:
-                bad.append(
-                    f"realization of {g.group.names[x]} fails at x{j + 1}: "
-                    f"path {got} != action image {want}")
-    return bad
-
-
-def marked_isomorphic(m1: MarkedGGraph, m2: MarkedGGraph) -> bool:
-    """Equality as points: an equivariant basepoint-preserving isomorphism
-    carrying the basis loops of m1 to those of m2."""
-    g1, g2 = m1.graph, m2.graph
-    if (g1.n_vertices != g2.n_vertices or g1.n_pairs != g2.n_pairs
-            or g1.group.mult != g2.group.mult or m1.n != m2.n):
-        return False
-
-    pairs1 = list(range(g1.n_pairs))
-
-    def extend(vmap, emap, i):
-        # emap maps directed edges of g1 to directed edges of g2
-        if i == len(pairs1):
-            for x in g1.group.elements:
-                for e, im in emap.items():
-                    if emap.get(g1.edge_action[x][e]) != g2.edge_action[x][im]:
-                        return False
-                for v, iv in vmap.items():
-                    if vmap.get(g1.act_vertex(x, v)) != g2.act_vertex(x, iv):
-                        return False
-            for p1, p2 in zip(m1.basis_paths, m2.basis_paths):
-                if tuple(emap[e] for e in p1) != tuple(p2):
-                    return False
-            return True
-        p = pairs1[i]
-        used = set(emap.values())
-        for e2 in range(g2.n_edges):
-            if e2 in used:
-                continue
-            for d1, d2 in ((2 * p, e2), (2 * p + 1, e2)):
-                vm = dict(vmap)
-                em = dict(emap)
-                ok = True
-                for a, b in ((d1, d2), (rev(d1), rev(d2))):
-                    em[a] = b
-                    tv = g1.term[a]
-                    if tv in vm:
-                        if vm[tv] != g2.term[b]:
-                            ok = False
-                            break
-                    elif g2.term[b] in vm.values():
-                        ok = False
-                        break
-                    else:
-                        vm[tv] = g2.term[b]
-                if ok and extend(vm, em, i + 1):
-                    return True
-        return False
-
-    return extend({g1.basepoint: g2.basepoint}, {}, 0)
-
-
 def collapse_marked(m: MarkedGGraph, forest):
     """Collapse an invariant forest and push the marking forward."""
     g2, vmap, emap = collapse(m.graph, forest)
@@ -268,4 +182,4 @@ def collapse_marked(m: MarkedGGraph, forest):
         reduce_path([emap[e] for e in p if e not in directed])
         for p in m.basis_paths
     )
-    return MarkedGGraph(g2, paths, m.realization), vmap, emap
+    return MarkedGGraph(g2, paths), vmap, emap

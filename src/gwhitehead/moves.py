@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import GGraph, rev
-from .idealedges import (IdealEdge, IdealPair, d_set, enumerate_ideal_edges,
-                         is_ideal_edge, orbit_targets, translates)
+from .idealedges import (IdealEdge, IdealPair, d_set, is_ideal_edge,
+                         orbit_targets, translates)
 from .marking import MarkedGGraph, collapse_marked, reduce_path
 from .norms import NormVector, Order, calculator, compare
 from . import ggraph
@@ -38,14 +38,6 @@ VERDICTS = {1: "reductive", 0: "null-at-horizon", -1: "not-reductive"}
 class Reductivity:
     kind: str
     value: NormVector  # [G:stab(alpha)] * (|a| - |alpha|), signed
-
-    @property
-    def verdict(self):
-        return VERDICTS[next((1 if c > 0 else -1 for c in self.value.coords if c), 0)]
-
-    @property
-    def is_reductive(self):
-        return self.verdict == "reductive"
 
 
 def _require_ideal(g, alpha):
@@ -112,7 +104,7 @@ def blow_up(m: MarkedGGraph, alpha: IdealEdge):
             if d in moved:
                 steps.append(new_edge[moved[d]])
         paths.append(reduce_path(steps))
-    m2 = MarkedGGraph(g2, tuple(paths), m.realization)
+    m2 = MarkedGGraph(g2, tuple(paths))
     m2.require_valid()
     return m2, BlowUpInfo(tuple(new_edge), tuple(frozenset(s) for s in sets))
 
@@ -174,13 +166,6 @@ def is_reductive_edge(m, edges, vertex, kind, horizon):
     return any(sign(a) > 0 for a in targets)
 
 
-def candidate_pairs(m: MarkedGGraph):
-    """All (alpha, a) with alpha an enumerated orbit rep and a in D(alpha),
-    in increasing (vertex, sorted edges, a) order."""
-    return [(alpha, a) for alpha in enumerate_ideal_edges(m)
-            for a in sorted(d_set(m, alpha))]
-
-
 def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
     """(R, best) from one packed comparison per candidate pair, a NormVector
     only for reductive pairs.
@@ -193,7 +178,7 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
     the reductivity-maximizing pair: lexicographic comparison at the
     horizon, equal values resolved by the least (vertex, sorted edges,
     collapse target) key so runs are reproducible.  The pairs come in
-    increasing key order, as in candidate_pairs, so the first of equal
+    increasing (vertex, sorted edges, a) key order, so the first of equal
     values is kept.  The reps, their D(alpha) and [G:stab alpha] are read
     off the graph's orbit table on masks (idealedges.orbit_targets), and an
     IdealEdge is made only for the reps in R.  abs_sign reads |alpha| once
@@ -242,7 +227,9 @@ def greedy_reduce(m: MarkedGGraph, horizon, max_steps=500):
     """Collapse invariant forests, then apply maximal reductive moves.
 
     Every step must strictly decrease the tot-norm at the horizon; the
-    move log records each step together with both norms after it.
+    move log records each step together with both norms after it.  At
+    most max_steps moves are made; HypothesisNotMet is raised only when
+    one more is needed.
     """
     log = []
     step = 0
@@ -252,18 +239,18 @@ def greedy_reduce(m: MarkedGGraph, horizon, max_steps=500):
 
     _, _, tot_before = norms_of(m)
     while True:
+        forest = ggraph.maximal_invariant_forest(m.graph)
+        best = None if forest else reductive_scan(m, horizon)[1]
+        if not forest and best is None:
+            break
         if step >= max_steps:
             raise HypothesisNotMet(f"step budget {max_steps} exhausted")
-        forest = ggraph.maximal_invariant_forest(m.graph)
         if forest:
             names = ",".join(sorted(m.graph.pair_names[p] for p in forest))
             m, _, _ = collapse_marked(m, forest)
             desc = f"collapse forest {{{names}}}"
             red = ()
         else:
-            best = reductive_scan(m, horizon)[1]
-            if best is None:
-                break
             pair, red_v = best
             names = ",".join(sorted(m.graph.edge_name(e) for e in pair.edge.edges))
             desc = (f"whitehead ({m.graph.vertex_names[pair.edge.vertex]}:"

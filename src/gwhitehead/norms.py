@@ -111,9 +111,6 @@ class NormVector:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown norm kind {self.kind!r}")
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def __add__(self, other):
         self._check_match(other)
         return NormVector(self.kind, self.n, self.horizon,
@@ -339,8 +336,7 @@ class _Lanes:
     per step: O[e] sums the indicators of e over the columns, and
     T[(u, rev w)] sums the AND of the indicator of u at one position with
     that of w at the next.  A cyclic item adds one wrap column, its last
-    step, against the first.  Items are bytes; tuples of edge ids are
-    converted to bytes first.
+    step, against the first.  Items are bytes.
 
     ``__init__`` makes ``edge`` and rejects an unreduced item: per edge u at
     a position, one AND with the indicator of rev u at the next.  It keeps
@@ -350,8 +346,6 @@ class _Lanes:
 
     def __init__(self, items, cyclic, actions):
         n_edges = len(actions[0])
-        if items and not isinstance(items[0], bytes):
-            items = [bytes(steps) for steps in items]
         longest = max(map(len, items), default=0)
         self.code = _lane_code(2 * len(actions) * longest)
         self.width = 8 * array(self.code).itemsize  # bits per lane

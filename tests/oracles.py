@@ -1,7 +1,10 @@
 """Independent brute-force oracles the tests compare the package against.
 
 Everything here is deliberately naive and written from the definitions,
-not by calling back into the package's optimized code paths.
+not by calling back into the package's optimized code paths.  It also
+holds the reference code that only the tests use: the fixtures' claimed
+realizations and their check, marked isomorphism, the verdict word of a
+reductivity value and the list of candidate pairs.
 """
 
 import functools
@@ -12,8 +15,11 @@ from collections import defaultdict
 from fractions import Fraction
 
 from gwhitehead.errors import HypothesisNotMet, PropertyViolation
-from gwhitehead.idealedges import IdealEdge, IdealPair, compatible, pre_compatible
-from gwhitehead.moves import Reductivity
+from gwhitehead.freegroup import FreeAutomorphism
+from gwhitehead.idealedges import (IdealEdge, IdealPair, compatible, d_set,
+                                   enumerate_ideal_edges, pre_compatible)
+from gwhitehead.marking import path_of_word, reduce_path
+from gwhitehead.moves import VERDICTS, Reductivity
 from gwhitehead.norms import NormCalculator, Order, compare
 from gwhitehead.starcomplex import IdealForest, forest_violations
 
@@ -163,6 +169,19 @@ def scan_ideal_edges(m):
     return [reps[k] for k in sorted(reps)]
 
 
+def verdict(value):
+    """The verdict word of a reductivity value: the sign of its first
+    nonzero coordinate, or null-at-horizon when every coordinate is 0."""
+    return VERDICTS[next((1 if c > 0 else -1 for c in value.coords if c), 0)]
+
+
+def candidate_pairs(m):
+    """All (alpha, a) with alpha an enumerated orbit rep and a in D(alpha),
+    in increasing (vertex, sorted edges, a) order."""
+    return [(alpha, a) for alpha in enumerate_ideal_edges(m)
+            for a in sorted(d_set(m, alpha))]
+
+
 def scan_reductive(m, horizon, kind):
     """(R, best) of moves.reductive_scan, one orbit rep at a time.
 
@@ -180,12 +199,11 @@ def scan_reductive(m, horizon, kind):
         idx = len(scan_translates(g, alpha.vertex, alpha.edges))
         for a in sorted(scan_d_set(g, alpha)):
             value = (calc.edge_abs(a, kind) - calc.set_abs(alpha.edges, kind)).scale(idx)
-            red = Reductivity(kind, value)
-            if not red.is_reductive:
+            if verdict(value) != "reductive":
                 continue
             R.add(alpha)
             if best is None or compare(value, best[1].value) == Order.GREATER:
-                best = (IdealPair(alpha, a), red)
+                best = (IdealPair(alpha, a), Reductivity(kind, value))
     return frozenset(R), best
 
 
@@ -488,3 +506,86 @@ def all_pairs_verify(m, stage, before, f, g, after):
         raise PropertyViolation(
             f"[{stage}] g(f(S(C))) != S(C - eliminated): "
             f"{sorted(x.key() for x in got ^ want)[:3]} ...")
+
+
+# A realization each fixture claims: one automorphism of F_2 per group
+# element, in the order of the group's elements.
+_SWAP = FreeAutomorphism(((2,), (1,)))
+CLAIMS = {
+    "FIX-R2": (FreeAutomorphism.identity(2),),
+    "FIX-R2-SWAP": (FreeAutomorphism.identity(2), _SWAP),
+    "FIX-THETA": (FreeAutomorphism.identity(2), _SWAP),
+}
+
+
+def verify_realization(m, claim):
+    """Check a claimed realization against the graph action.
+
+    For every group element x and generator j the path of phi_x(x_j) must
+    be the x-image of the path of x_j, where phi_x = claim[x].  Returns a
+    list of witnesses (empty means OK).
+    """
+    g = m.graph
+    bad = []
+    for x in g.group.elements:
+        phi = claim[x]
+        for j in range(m.n):
+            want = reduce_path(g.edge_action[x][e] for e in m.basis_paths[j])
+            got = path_of_word(m, phi.apply((j + 1,)))
+            if want != got:
+                bad.append(
+                    f"realization of {g.group.names[x]} fails at x{j + 1}: "
+                    f"path {got} != action image {want}")
+    return bad
+
+
+def marked_isomorphic(m1, m2):
+    """Equality as points: an equivariant basepoint-preserving isomorphism
+    carrying the basis loops of m1 to those of m2."""
+    g1, g2 = m1.graph, m2.graph
+    if (g1.n_vertices != g2.n_vertices or g1.n_pairs != g2.n_pairs
+            or g1.group.mult != g2.group.mult or m1.n != m2.n):
+        return False
+
+    pairs1 = list(range(g1.n_pairs))
+
+    def extend(vmap, emap, i):
+        # emap maps directed edges of g1 to directed edges of g2
+        if i == len(pairs1):
+            for x in g1.group.elements:
+                for e, im in emap.items():
+                    if emap.get(g1.edge_action[x][e]) != g2.edge_action[x][im]:
+                        return False
+                for v, iv in vmap.items():
+                    if vmap.get(g1.act_vertex(x, v)) != g2.act_vertex(x, iv):
+                        return False
+            for p1, p2 in zip(m1.basis_paths, m2.basis_paths):
+                if tuple(emap[e] for e in p1) != tuple(p2):
+                    return False
+            return True
+        p = pairs1[i]
+        used = set(emap.values())
+        for e2 in range(g2.n_edges):
+            if e2 in used:
+                continue
+            for d1, d2 in ((2 * p, e2), (2 * p + 1, e2)):
+                vm = dict(vmap)
+                em = dict(emap)
+                ok = True
+                for a, b in ((d1, d2), (d1 ^ 1, d2 ^ 1)):
+                    em[a] = b
+                    tv = g1.term[a]
+                    if tv in vm:
+                        if vm[tv] != g2.term[b]:
+                            ok = False
+                            break
+                    elif g2.term[b] in vm.values():
+                        ok = False
+                        break
+                    else:
+                        vm[tv] = g2.term[b]
+                if ok and extend(vm, em, i + 1):
+                    return True
+        return False
+
+    return extend({g1.basepoint: g2.basepoint}, {}, 0)

@@ -15,7 +15,7 @@ import time
 
 from gwhitehead.fixtures import all_fixtures, random_instance
 from gwhitehead.idealedges import enumerate_ideal_edges
-from gwhitehead.moves import candidate_pairs, greedy_reduce, max_reductive_pair
+from gwhitehead.moves import greedy_reduce, max_reductive_pair
 from gwhitehead.norms import calculator
 from gwhitehead.selftest import (check_blowup_correspondence,
                                  check_blowup_roundtrip, check_coset_identity,
@@ -27,6 +27,8 @@ from gwhitehead.selftest import (check_blowup_correspondence,
                                  check_shrinking_lemma,
                                  check_star_retraction, coset_cases,
                                  dot_identity_holds, reduce_to_forest_free)
+
+from oracles import candidate_pairs
 
 H = 4
 WITNESS_DIR = pathlib.Path(__file__).parent / "_witnesses"

@@ -16,6 +16,7 @@ from gwhitehead.moves import reductivity
 from gwhitehead.starcomplex import family, star_complex
 
 from conftest import FIXTURE_NAMES, HORIZON
+from oracles import verdict
 from test_forest_poset import rose4
 
 THETA_TEXT = """\
@@ -161,6 +162,7 @@ def test_a_malformed_command_line_exits_1(argv, capsys):
     ["star", "FILE", "--horizon", "-1"],
     ["selftest", "--horizon", "0"],
     ["selftest", "--random-count", "-1"],
+    ["reduce", "FILE", "--max-steps", "-1"],
 ])
 def test_an_out_of_range_count_is_a_malformed_command_line(argv, tmp_path, capsys):
     # rejected as the command line is parsed, before any command prints
@@ -176,6 +178,8 @@ def test_an_out_of_range_count_is_a_malformed_command_line(argv, tmp_path, capsy
     args = cli.build_parser().parse_args(["selftest", "--horizon", "1",
                                           "--random-count", "0"])
     assert (args.horizon, args.random_count) == (1, 0)
+    args = cli.build_parser().parse_args(["reduce", "FILE", "--max-steps", "0"])
+    assert args.max_steps == 0
 
 
 def test_help_exits_0(capsys):
@@ -246,7 +250,7 @@ def _ideal_edge_verdicts(monkeypatch, capsys, m, horizon):
     out = {}
     for line, alpha in zip(lines, alphas):
         values = [reductivity(m, alpha, a, "tot", horizon) for a in d_set(m, alpha)]
-        want = (max(values, key=lambda r: r.value.coords).verdict if values
+        want = (verdict(max(values, key=lambda r: r.value.coords).value) if values
                 else "no-collapse-edge")
         out[line] = (line.rsplit(" ", 1)[1], want)
     return out

@@ -10,8 +10,7 @@ from gwhitehead.cli import canonicalize, parse
 from gwhitehead.errors import ValidationError
 from gwhitehead.fixtures import (all_fixtures, fix_r2_swap, fix_theta,
                                  random_instance)
-from gwhitehead.ggraph import (GGraph, Group, _acyclic, collapse,
-                               invariant_forests, is_reduced,
+from gwhitehead.ggraph import (GGraph, Group, _acyclic, collapse, is_reduced,
                                maximal_invariant_forest, pair_orbits, rev)
 from gwhitehead.idealedges import (IdealEdge, canonical_rep,
                                    enumerate_ideal_edges, inverse_orbit,
@@ -24,8 +23,33 @@ from gwhitehead.selftest import reduce_to_forest_free
 
 import oracles
 
-# the elements of Group.symmetric3, in order, as permutations of {0, 1, 2}
+# the elements of symmetric3(), in order, as permutations of {0, 1, 2}
 S3_PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+
+
+def symmetric3():
+    """S_3 as the permutations S3_PERMS of {0, 1, 2}."""
+    idx = {p: i for i, p in enumerate(S3_PERMS)}
+    mult = tuple(tuple(idx[tuple(p[q[i]] for i in range(3))] for q in S3_PERMS)
+                 for p in S3_PERMS)
+    return Group(mult, ("1", "r", "r^2", "s", "sr", "sr^2"))
+
+
+def invariant_forests(g: GGraph):
+    """All nonempty G-invariant forests, as frozensets of pair indices.
+
+    Deterministic order: by (number of orbits used, sorted pair ids).
+    """
+    usable = [o for o in pair_orbits(g) if _acyclic(g, o)]
+    usable.sort(key=lambda o: sorted(o))
+    out = []
+    for r in range(1, len(usable) + 1):
+        for combo in itertools.combinations(usable, r):
+            pairs = frozenset().union(*combo)
+            if _acyclic(g, pairs):
+                out.append(pairs)
+    out.sort(key=lambda f: (len(f), sorted(f)))
+    return out
 
 
 def _s3_graph(n_vertices, term, blocks):
@@ -38,7 +62,7 @@ def _s3_graph(n_vertices, term, blocks):
                 for d in (0, 1):
                     perm[2 * pair + d] = 2 * block[p[i]] + d
         action.append(tuple(perm))
-    return GGraph(n_vertices, 0, term, Group.symmetric3(), tuple(action))
+    return GGraph(n_vertices, 0, term, symmetric3(), tuple(action))
 
 
 def s3_theta():
@@ -61,7 +85,7 @@ def test_rev_is_an_involution_pairing():
 
 
 @pytest.mark.parametrize("group", [Group.trivial(), Group.cyclic(2),
-                                   Group.cyclic(4), Group.symmetric3()])
+                                   Group.cyclic(4), symmetric3()])
 def test_group_axioms(group):
     els = group.elements
     for a in els:
@@ -72,14 +96,14 @@ def test_group_axioms(group):
                 assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
 
 
-@pytest.mark.parametrize("group", [Group.cyclic(4), Group.symmetric3()])
+@pytest.mark.parametrize("group", [Group.cyclic(4), symmetric3()])
 def test_subgroups_match_brute_force(group):
     got = {frozenset(H) for H in group.subgroups()}
     assert got == oracles.all_subgroups(group)
 
 
 def test_double_cosets_partition():
-    group = Group.symmetric3()
+    group = symmetric3()
     for P in group.subgroups():
         for Q in group.subgroups():
             reps = group.double_coset_reps(P, Q)
@@ -145,7 +169,7 @@ def test_collapse_is_equivariant():
         for e in range(g.n_edges):
             if e in directed:
                 continue
-            assert emap[g.act_edge(x, e)] == g2.act_edge(x, emap[e])
+            assert emap[g.edge_action[x][e]] == g2.edge_action[x][emap[e]]
 
 
 def test_invariant_forests_are_acyclic_orbit_unions():
@@ -154,7 +178,7 @@ def test_invariant_forests_are_acyclic_orbit_unions():
     assert forests  # theta has collapsible orbits
     for f in forests:
         for x in g.group.elements:
-            assert {g.act_edge(x, 2 * p) // 2 for p in f} == set(f)
+            assert {g.edge_action[x][2 * p] // 2 for p in f} == set(f)
         # collapsing must merge vertices without creating loops from the forest
         for p in f:
             assert not g.is_loop(2 * p)

@@ -1,16 +1,27 @@
-"""Markings, word realization, Lyndon length, equivariance, isomorphism."""
+"""Markings, word realization, Lyndon length, equivariance, isomorphism.
+
+The realization and isomorphism checks are the reference code of
+oracles.py; Lyndon length is defined here.
+"""
 
 import random
 
+import pytest
+
 from gwhitehead import freegroup as fg
-from gwhitehead.fixtures import fix_r2, fix_r2w, fix_theta
+from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, fix_theta
 from gwhitehead.ggraph import maximal_invariant_forest
 from gwhitehead.marking import (MarkedGGraph, collapse_marked, cyclic_canonical,
                                 cyclic_loop, join_reduced, loop_of_class,
-                                lyndon_length, marked_isomorphic, path_of_word,
-                                reduce_path, verify_realization)
+                                path_of_word, reduce_path)
 
-from oracles import rotations
+from conftest import FIXTURE_NAMES
+from oracles import CLAIMS, marked_isomorphic, rotations, verify_realization
+
+
+def lyndon_length(m, word):
+    """Distance the word moves the basepoint in the universal cover."""
+    return len(path_of_word(m, word))
 
 
 def _random_words(n, count, max_len, seed=7):
@@ -26,9 +37,12 @@ def _random_words(n, count, max_len, seed=7):
     return out
 
 
-def test_fixtures_validate(named_instance):
-    assert named_instance.validate() == []
-    assert verify_realization(named_instance) == []
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixtures_validate(name):
+    m = all_fixtures()[name]
+    assert m.validate() == []
+    if name in CLAIMS:
+        assert verify_realization(m, CLAIMS[name]) == []
 
 
 def test_wrong_rank_marking_is_rejected():
@@ -84,7 +98,7 @@ def test_collapse_marked_revalidates():
     forest = maximal_invariant_forest(m.graph)
     m2, vmap, emap = collapse_marked(m, forest)
     assert m2.validate() == []
-    assert verify_realization(m2) == []
+    assert verify_realization(m2, CLAIMS["FIX-THETA"]) == []
     # loop lengths computed in the collapsed graph never exceed the originals
     for w in _random_words(m.n, 10, 4, seed=4):
         assert lyndon_length(m2, w) <= lyndon_length(m, w)
@@ -104,15 +118,13 @@ def test_marked_isomorphic_accepts_pair_relabeling():
     # swap the two petals: same point of the complex under renaming
     from gwhitehead.ggraph import GGraph
     g2 = GGraph(1, 0, (0, 0, 0, 0), g.group, ((0, 1, 2, 3),), ("*",), ("b", "a"))
-    m2 = MarkedGGraph(g2, ((2,), (0,)), m.realization)
+    m2 = MarkedGGraph(g2, ((2,), (0,)))
     assert marked_isomorphic(m, m2)
 
 
 def test_verify_realization_detects_wrong_claim():
-    m = fix_theta()
-    wrong = (m.realization[0], fg.FreeAutomorphism.identity(2))
-    bad = MarkedGGraph(m.graph, m.basis_paths, wrong)
-    assert verify_realization(bad)
+    wrong = (CLAIMS["FIX-THETA"][0], fg.FreeAutomorphism.identity(2))
+    assert verify_realization(fix_theta(), wrong)
 
 
 def test_cyclic_canonical_is_the_least_of_all_rotations():

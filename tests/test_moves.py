@@ -13,15 +13,16 @@ from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_r2w,
                                  random_instance)
 from gwhitehead.idealedges import (IdealEdge, IdealPair, d_set,
                                    enumerate_ideal_edges)
-from gwhitehead.marking import marked_isomorphic
-from gwhitehead.moves import (blow_up, candidate_pairs, greedy_reduce,
-                              is_reductive_edge, max_reductive_pair,
-                              reductive_scan, reductivity, whitehead)
+from gwhitehead.moves import (blow_up, greedy_reduce, is_reductive_edge,
+                              max_reductive_pair, reductive_scan, reductivity,
+                              whitehead)
 from gwhitehead.norms import Order, calculator, compare
 from gwhitehead.selftest import (check_blowup_correspondence,
                                  check_blowup_roundtrip, check_norm_change)
 
 from conftest import HORIZON
+from oracles import (CLAIMS, candidate_pairs, marked_isomorphic, verdict,
+                     verify_realization)
 from test_ggraph import s3_theta
 
 
@@ -91,7 +92,7 @@ def test_max_reductive_pair_frozen():
     assert pair.edge.key() == (0, (1, 2))  # {~a, b}
     assert pair.collapse_target == 1       # collapse along ~a
     red = reductivity(m, pair.edge, pair.collapse_target, "tot", HORIZON)
-    assert red.is_reductive
+    assert verdict(red.value) == "reductive"
     assert red.value.coords[:6] == (0, 0, 1, 1, 0, 1)
 
 
@@ -102,7 +103,7 @@ def _max_pair_by_key(m, kind, horizon):
     best, ties = None, 0
     for alpha, a in candidate_pairs(m):
         r = reductivity(m, alpha, a, kind, horizon)
-        if not r.is_reductive:
+        if verdict(r.value) != "reductive":
             continue
         key = (alpha.vertex, tuple(sorted(alpha.edges)), a)
         c = Order.GREATER if best is None else compare(r.value, best[0].value)
@@ -156,6 +157,33 @@ def test_greedy_reduce_is_idempotent_on_minima(named_instance):
     final2, log2 = greedy_reduce(final, HORIZON)
     assert not log2
     assert marked_isomorphic(final, final2)
+
+
+def test_step_budget_counts_the_moves_made():
+    # a budget of N allows N moves and fails only when one more is needed
+    for m in all_fixtures().values():
+        final, log = greedy_reduce(m, HORIZON)
+        assert greedy_reduce(m, HORIZON, len(log)) == (final, log)
+        if log:
+            with pytest.raises(HypothesisNotMet,
+                               match=f"step budget {len(log) - 1} exhausted"):
+                greedy_reduce(m, HORIZON, len(log) - 1)
+    assert len(greedy_reduce(fix_r2w(), HORIZON, 1)[1]) == 1
+    assert greedy_reduce(fix_r2(), HORIZON, 0)[1] == []
+    with pytest.raises(HypothesisNotMet, match="step budget 0 exhausted"):
+        greedy_reduce(fix_r2w(), HORIZON, 0)
+
+
+def test_moves_stay_in_the_fixed_set():
+    # the group still realizes the claimed automorphisms after every
+    # Whitehead move, blow-up and descent
+    for name, claim in CLAIMS.items():
+        m = all_fixtures()[name]
+        moved = ([whitehead(m, alpha, a) for alpha, a in candidate_pairs(m)]
+                 + [blow_up(m, alpha)[0] for alpha in enumerate_ideal_edges(m)]
+                 + [greedy_reduce(m, HORIZON)[0]])
+        for m2 in moved:
+            assert verify_realization(m2, claim) == [], (name, m2)
 
 
 def test_greedy_reduce_collapses_forests_first():

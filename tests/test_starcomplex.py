@@ -20,9 +20,9 @@ from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
 from gwhitehead.idealedges import (IdealEdge, canonical_rep, d_set,
                                    enumerate_ideal_edges, inverse_orbit,
                                    is_ideal_edge, orbit_union)
-from gwhitehead.marking import collapse_marked, marked_isomorphic
-from gwhitehead.moves import (blow_up, candidate_pairs, is_reductive_edge,
-                              max_reductive_pair, reductivity)
+from gwhitehead.marking import collapse_marked
+from gwhitehead.moves import (blow_up, is_reductive_edge, max_reductive_pair,
+                              reductivity)
 from gwhitehead.norms import NormCalculator
 from gwhitehead.selftest import check_star_retraction, reduce_to_forest_free
 from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
@@ -33,7 +33,8 @@ from gwhitehead.starcomplex import (IdealForest, SimplicialComplex,
                                     star_complex)
 
 from conftest import HORIZON
-from oracles import all_pairs_verify, dense_reduced_homology
+from oracles import (all_pairs_verify, candidate_pairs, dense_reduced_homology,
+                     marked_isomorphic, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +606,7 @@ def test_run_retractions_computes_reductive_data_once(monkeypatch):
     pairs = candidate_pairs(m)
     alphas = list(dict.fromkeys(alpha.edges for alpha, _ in pairs))
     reductive = [(alpha, a) for alpha, a in pairs
-                 if reductivity(m, alpha, a, "tot", HORIZON).is_reductive]
+                 if verdict(reductivity(m, alpha, a, "tot", HORIZON).value) == "reductive"]
     R = list(dict.fromkeys(alpha.edges for alpha, _ in reductive))
     assert (len(alphas), len(pairs), len(R), len(reductive)) == (8, 12, 2, 2)
     calls = _count_scans(monkeypatch)
@@ -682,8 +683,8 @@ def test_is_reductive_edge_matches_edge_reductivity():
     for m in instances:
         for alpha in enumerate_ideal_edges(m):
             for kind in ("tot", "aut"):
-                want = any(reductivity(m, alpha, a, kind, HORIZON).is_reductive
-                           for a in d_set(m, alpha))
+                want = any(verdict(reductivity(m, alpha, a, kind, HORIZON).value)
+                           == "reductive" for a in d_set(m, alpha))
                 assert is_reductive_edge(m, alpha.edges, alpha.vertex, kind,
                                          HORIZON) == want
     m = fix_r2w()
