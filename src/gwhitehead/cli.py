@@ -143,9 +143,12 @@ def _parse(text):
             if "=" not in line:
                 err(lineno, 1, "expected `x<i> = <edge tokens>`")
             lhs, rhs = (s.strip() for s in line.split("=", 1))
-            if not (lhs.startswith("x") and lhs[1:].isdigit()):
+            # isdecimal, not isdigit: int() rejects digits such as '²'
+            if not (lhs.startswith("x") and lhs[1:].isdecimal()):
                 err(lineno, 1, f"marking generator must be x<i>, got {lhs!r}")
             i = int(lhs[1:])
+            if i < 1:
+                err(lineno, 1, f"marking generator must be x<i> with i >= 1, got {lhs!r}")
             if i in marking:
                 err(lineno, 1, f"duplicate marking line for {lhs}")
             marking[i] = (lineno, rhs.split())

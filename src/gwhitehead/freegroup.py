@@ -46,51 +46,8 @@ def word_mul(*words) -> Word:
     return reduce_word([l for w in words for l in w])
 
 
-def cyclic_reduce(word):
-    """Split w = conj * core * conj^-1 with core cyclically reduced.
-
-    Returns (core, conj).
-    """
-    w = list(word)
-    conj = []
-    while len(w) >= 2 and w[0] == -w[-1]:
-        conj.append(w[0])
-        w = w[1:-1]
-    return tuple(w), tuple(conj)
-
-
 def is_cyclically_reduced(word) -> bool:
     return is_reduced(word) and (len(word) < 2 or word[0] != -word[-1])
-
-
-def conj_class_rep(word) -> Word:
-    """Canonical conjugacy-class representative.
-
-    Shortlex-least cyclic rotation of the cyclically reduced core.  The
-    classes of w and w^-1 stay distinct unless they happen to be conjugate.
-    """
-    core, _ = cyclic_reduce(word)
-    if not core:
-        return ()
-    # rotations share a length, so shortlex order is the order of their keys
-    keys = [letter_key(l) for l in core]
-    i = min(range(len(core)), key=lambda i: keys[i:] + keys[:i])
-    return core[i:] + core[:i]
-
-
-@dataclass(frozen=True)
-class ConjClass:
-    """Conjugacy class, stored by its canonical representative."""
-
-    rep: Word
-
-    def __post_init__(self):
-        if self.rep != conj_class_rep(self.rep):
-            raise ValidationError(f"{self.rep} is not a canonical class representative")
-
-    @classmethod
-    def of(cls, word) -> "ConjClass":
-        return cls(conj_class_rep(word))
 
 
 @dataclass(frozen=True)
@@ -98,10 +55,6 @@ class FreeAutomorphism:
     """Endomorphism of F_n given by the images of the basis generators."""
 
     images: tuple  # tuple of n Words
-
-    @property
-    def rank(self):
-        return len(self.images)
 
     @classmethod
     def identity(cls, n) -> "FreeAutomorphism":
@@ -162,8 +115,8 @@ def enumerate_words(n, horizon):
 def is_class_rep(word) -> bool:
     """Whether a word is the canonical representative of its conjugacy class.
 
-    Equivalent to ``word == conj_class_rep(word)`` for a cyclically reduced
-    word, but stops at the first rotation that sorts before it.
+    That is a cyclically reduced word that sorts no later than any of its
+    rotations; the test stops at the first rotation that sorts before it.
     """
     if not is_cyclically_reduced(word):
         return False

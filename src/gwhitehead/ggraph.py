@@ -258,11 +258,6 @@ class GGraph:
                            "(non-basepoint valence must be >= 3)")
         return bad
 
-    def require_valid(self):
-        bad = self.validate()
-        if bad:
-            raise ValidationError("; ".join(bad))
-
 
 def _components(g: GGraph, pairs):
     """Each vertex's union-find root over the given edge pairs, or None

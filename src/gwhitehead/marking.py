@@ -168,9 +168,9 @@ def cyclic_loop(steps):
     return cyclic_canonical(steps[k:end + 1 - k])
 
 
-def loop_of_class(m: MarkedGGraph, cls):
-    """Cyclically reduced loop of a conjugacy class, rotation-canonical."""
-    word = cls.rep if isinstance(cls, fg.ConjClass) else fg.conj_class_rep(cls)
+def loop_of_class(m: MarkedGGraph, word):
+    """Cyclically reduced loop of the conjugacy class of a word, rotation-
+    canonical: the loops of conjugate words reduce to rotations of one loop."""
     return cyclic_loop(path_of_word(m, word))
 
 

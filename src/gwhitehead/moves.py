@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import GGraph, rev
-from .idealedges import (IdealEdge, IdealPair, d_set, is_ideal_edge,
-                         orbit_targets, translates)
+from .idealedges import (IdealEdge, IdealPair, canonical_rep, d_set,
+                         is_ideal_edge, orbit_targets, translates)
 from .marking import MarkedGGraph, collapse_marked, reduce_path
 from .norms import NormVector, Order, calculator, compare
 from . import ggraph
@@ -32,12 +32,6 @@ class BlowUpInfo:
 
 # The verdict word of the sign of the first nonzero reductivity coordinate.
 VERDICTS = {1: "reductive", 0: "null-at-horizon", -1: "not-reductive"}
-
-
-@dataclass(frozen=True)
-class Reductivity:
-    kind: str
-    value: NormVector  # [G:stab(alpha)] * (|a| - |alpha|), signed
 
 
 def _require_ideal(g, alpha):
@@ -130,7 +124,7 @@ def whitehead(m: MarkedGGraph, alpha: IdealEdge, a: int):
     return m3
 
 
-def reductivity(m: MarkedGGraph, alpha: IdealEdge, a: int, kind, horizon) -> Reductivity:
+def reductivity(m: MarkedGGraph, alpha: IdealEdge, a: int, kind, horizon) -> NormVector:
     """[G:stab(alpha)] * (|a| - |alpha|), truncated at the horizon."""
     _require_ideal(m.graph, alpha)
     if a not in d_set(m, alpha):
@@ -145,25 +139,22 @@ def _reductivities(calc, alpha, targets, kind, index):
     |alpha| is computed once, on the first target."""
     alpha_abs = calc.set_abs(alpha.edges, kind)
     for a in targets:
-        yield Reductivity(kind, (calc.edge_abs(a, kind) - alpha_abs).scale(index))
+        yield (calc.edge_abs(a, kind) - alpha_abs).scale(index)
 
 
 def is_reductive_edge(m, edges, vertex, kind, horizon):
     """Is (vertex, edges) an ideal edge with some reductive collapse target?
 
-    That is the lexicographic maximum of the reductivities over D(alpha)
-    being reductive: a value whose first nonzero coordinate is positive
-    makes the maximum so.  The verdicts are packed comparisons, and the
-    first reductive target ends the search.
+    That holds exactly when the canonical rep of its orbit is in R, the
+    first part of reductive_scan: the targets of a translate x alpha are
+    the translates x a of the targets a of alpha, with equal values, as
+    |x a| = |a| and |x alpha| = |alpha| (the norms count G-orbit sums).
+    The scan is kept on m, so each edge set after the first is a read of R.
     """
     if not is_ideal_edge(m.graph, vertex, edges):
         return False
-    alpha = IdealEdge(vertex, frozenset(edges))
-    targets = d_set(m, alpha)
-    if not targets:
-        return False
-    sign = calculator(m, horizon).abs_sign(alpha.edges, kind)
-    return any(sign(a) > 0 for a in targets)
+    alpha = canonical_rep(m.graph, IdealEdge(vertex, frozenset(edges)))
+    return alpha in reductive_scan(m, horizon, kind)[0]
 
 
 def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
@@ -174,7 +165,7 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
     A pair (alpha, a) is reductive when the first nonzero coordinate of
     |a| - |alpha| is positive ([G:stab(alpha)] > 0 keeps the sign), which
     NormCalculator.abs_sign decides on the packed ints.
-    best is None when nothing reduces, else (IdealPair, Reductivity) for
+    best is None when nothing reduces, else (IdealPair, NormVector) for
     the reductivity-maximizing pair: lexicographic comparison at the
     horizon, equal values resolved by the least (vertex, sorted edges,
     collapse target) key so runs are reproducible.  The pairs come in
@@ -201,7 +192,7 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
         alpha = IdealEdge(vertex, edges)
         R.add(alpha)
         for a, r in zip(reductive, _reductivities(calc, alpha, reductive, kind, index)):
-            if best is None or compare(r.value, best[1].value) == Order.GREATER:
+            if best is None or compare(r, best[1]) == Order.GREATER:
                 best = (IdealPair(alpha, a), r)
     scan = m._scans[horizon, kind] = (frozenset(R), best)
     return scan
@@ -218,7 +209,6 @@ class MoveRecord:
     step: int
     kind: str        # "collapse" or "whitehead"
     description: str
-    red_tot: tuple
     norm_out: tuple
     norm_aut: tuple
 
@@ -249,19 +239,17 @@ def greedy_reduce(m: MarkedGGraph, horizon, max_steps=500):
             names = ",".join(sorted(m.graph.pair_names[p] for p in forest))
             m, _, _ = collapse_marked(m, forest)
             desc = f"collapse forest {{{names}}}"
-            red = ()
         else:
-            pair, red_v = best
+            pair = best[0]
             names = ",".join(sorted(m.graph.edge_name(e) for e in pair.edge.edges))
             desc = (f"whitehead ({m.graph.vertex_names[pair.edge.vertex]}:"
                     f"{{{names}}}, {m.graph.edge_name(pair.collapse_target)})")
-            red = red_v.value.coords
             m = whitehead(m, pair.edge, pair.collapse_target)
         step += 1
         out_v, aut_v, tot_after = norms_of(m)
         if compare(tot_after, tot_before) != Order.LESS:
             raise PropertyViolation(f"step {step} ({desc}) did not decrease the tot-norm")
-        log.append(MoveRecord(step, "collapse" if not red else "whitehead",
-                              desc, red, out_v.coords, aut_v.coords))
+        log.append(MoveRecord(step, "collapse" if forest else "whitehead",
+                              desc, out_v.coords, aut_v.coords))
         tot_before = tot_after
     return m, log

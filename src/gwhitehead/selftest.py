@@ -208,13 +208,13 @@ def check_crossing_inequalities(m, horizon):
     return checked
 
 
-def check_pushing_lemma(m, pair, horizon):
+def check_pushing_lemma(m, horizon):
     """Either both mu-alpha and alpha-mu, or both alpha u Pmu and
     alpha n mu, are aut-reductive (for aut-reductive alpha containing m
-    crossing mu simply).  pair is the aut maximal reductive pair
-    (mu, m), or None."""
+    crossing mu simply), where (mu, m) is the aut maximal reductive pair."""
     g = m.graph
     kind = "aut"
+    pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
         return 0
     mu, mhat = pair.edge, pair.collapse_target
@@ -245,11 +245,12 @@ def check_pushing_lemma(m, pair, horizon):
     return checked
 
 
-def check_shrinking_lemma(m, pair, horizon):
-    """beta or one of the m-free intersection components is aut-reductive.
-    pair is the aut maximal reductive pair (mu, m), or None."""
+def check_shrinking_lemma(m, horizon):
+    """beta or one of the m-free intersection components is aut-reductive,
+    where (mu, m) is the aut maximal reductive pair."""
     g = m.graph
     kind = "aut"
+    pair = max_reductive_pair(m, horizon, kind)
     if pair is None:
         return 0
     mu, mhat = pair.edge, pair.collapse_target
@@ -351,71 +352,59 @@ def _corpus(seed, count):
     return items
 
 
-def suite_norms(seed, horizon, random_count=10):
-    rng = random.Random(seed)
-    results = []
-    for name, m in _corpus(seed, random_count):
-        try:
-            check_norm_consistency(m, horizon)
-            edges = list(range(m.graph.n_edges))
-            for _ in range(20):
-                k = rng.randrange(1, len(edges))
-                A = frozenset(rng.sample(edges, k))
-                rest = [e for e in edges if e not in A]
-                B = frozenset(rng.sample(rest, rng.randrange(1, len(rest) + 1)))
-                for kind in ("out", "aut"):
-                    check_inclusion_exclusion(m, A, B, kind, horizon)
-                if not dot_identity_holds(m, A, "out", horizon):
-                    raise PropertyViolation(
-                        f"out identity |A|=(A.E-A) fails for A={sorted(A)}")
-            for K, e, A in coset_cases(m):
-                for kind in ("out", "aut"):
-                    check_coset_identity(m, K, e, A, kind, horizon)
-            results.append(CheckResult("norms", name, True))
-        except PropertyViolation as exc:
-            results.append(CheckResult("norms", name, False, str(exc)))
-    return results
+def _norm_identities(m, horizon, rng):
+    check_norm_consistency(m, horizon)
+    edges = list(range(m.graph.n_edges))
+    for _ in range(20):
+        k = rng.randrange(1, len(edges))
+        A = frozenset(rng.sample(edges, k))
+        rest = [e for e in edges if e not in A]
+        B = frozenset(rng.sample(rest, rng.randrange(1, len(rest) + 1)))
+        for kind in ("out", "aut"):
+            check_inclusion_exclusion(m, A, B, kind, horizon)
+        if not dot_identity_holds(m, A, "out", horizon):
+            raise PropertyViolation(
+                f"out identity |A|=(A.E-A) fails for A={sorted(A)}")
+    for K, e, A in coset_cases(m):
+        for kind in ("out", "aut"):
+            check_coset_identity(m, K, e, A, kind, horizon)
+    return ""
 
 
-def suite_lemmas(seed, horizon, random_count=10):
-    results = []
-    for name, m in _corpus(seed, random_count):
-        try:
-            for alpha in enumerate_ideal_edges(m):
-                check_blowup_correspondence(m, alpha, horizon)
-                check_blowup_roundtrip(m, alpha)
-                for a in sorted(d_set(m, alpha)):
-                    check_norm_change(m, alpha, a, horizon)
-            check_crossing_inequalities(m, horizon)
-            pair = max_reductive_pair(m, horizon, "aut")
-            check_pushing_lemma(m, pair, horizon)
-            check_shrinking_lemma(m, pair, horizon)
-            red = reduce_to_forest_free(m)
-            check_invertible_reductive(red, horizon)
-            check_conjugation_edge(red, horizon)
-            results.append(CheckResult("lemmas", name, True))
-        except PropertyViolation as exc:
-            results.append(CheckResult("lemmas", name, False, str(exc)))
-    return results
+def _lemma_checks(m, horizon, rng):
+    for alpha in enumerate_ideal_edges(m):
+        check_blowup_correspondence(m, alpha, horizon)
+        check_blowup_roundtrip(m, alpha)
+        for a in sorted(d_set(m, alpha)):
+            check_norm_change(m, alpha, a, horizon)
+    check_crossing_inequalities(m, horizon)
+    check_pushing_lemma(m, horizon)
+    check_shrinking_lemma(m, horizon)
+    red = reduce_to_forest_free(m)
+    check_invertible_reductive(red, horizon)
+    check_conjugation_edge(red, horizon)
+    return ""
 
 
-def suite_star(seed, horizon, random_count=10):
-    results = []
-    for name, m in _corpus(seed, random_count):
-        try:
-            trace = check_star_retraction(reduce_to_forest_free(m), horizon)
-            results.append(CheckResult("star", name, True, trace.status))
-        except PropertyViolation as exc:
-            results.append(CheckResult("star", name, False, str(exc)))
-    return results
+def _star_retraction(m, horizon, rng):
+    return check_star_retraction(reduce_to_forest_free(m), horizon).status
 
 
-SUITES = {"norms": suite_norms, "lemmas": suite_lemmas, "star": suite_star}
+SUITES = {"norms": _norm_identities, "lemmas": _lemma_checks,
+          "star": _star_retraction}
 
 
 def run_suites(which, seed, horizon, random_count=10):
+    """Each suite's check of each corpus instance; a check draws from its
+    suite's own random.Random(seed) and returns its passing line's detail."""
     names = list(SUITES) if which == "all" else [which]
     results = []
-    for n in names:
-        results.extend(SUITES[n](seed, horizon, random_count))
+    for suite in names:
+        rng = random.Random(seed)
+        for name, m in _corpus(seed, random_count):
+            try:
+                detail = SUITES[suite](m, horizon, rng)
+                results.append(CheckResult(suite, name, True, detail))
+            except PropertyViolation as exc:
+                results.append(CheckResult(suite, name, False, str(exc)))
     return results

@@ -19,7 +19,7 @@ from gwhitehead.freegroup import FreeAutomorphism
 from gwhitehead.idealedges import (IdealEdge, IdealPair, compatible, d_set,
                                    enumerate_ideal_edges, pre_compatible)
 from gwhitehead.marking import path_of_word, reduce_path
-from gwhitehead.moves import VERDICTS, Reductivity
+from gwhitehead.moves import VERDICTS
 from gwhitehead.norms import NormCalculator, Order, compare
 from gwhitehead.starcomplex import IdealForest, forest_violations
 
@@ -202,8 +202,8 @@ def scan_reductive(m, horizon, kind):
             if verdict(value) != "reductive":
                 continue
             R.add(alpha)
-            if best is None or compare(value, best[1].value) == Order.GREATER:
-                best = (IdealPair(alpha, a), Reductivity(kind, value))
+            if best is None or compare(value, best[1]) == Order.GREATER:
+                best = (IdealPair(alpha, a), value)
     return frozenset(R), best
 
 

@@ -90,6 +90,14 @@ def test_parse_errors_carry_positions():
     assert e.value.line == 1
     with pytest.raises(ParseError):
         cli.parse(THETA_TEXT + "x3 = nosuch\n")
+    # a marking generator is x<i> for a decimal index i >= 1
+    rose = cli.serialize(fix_r2w())
+    for lhs, message in (
+            ("x0", "marking generator must be x<i> with i >= 1, got 'x0'"),
+            ("x\u00b2", "marking generator must be x<i>, got 'x\u00b2'")):
+        with pytest.raises(ParseError) as e:
+            cli.parse(rose + f"{lhs} = a\n")
+        assert (e.value.line, e.value.message) == (rose.count("\n") + 1, message)
 
 
 def test_an_unknown_edge_in_a_gen_line_reports_that_line():
@@ -250,7 +258,7 @@ def _ideal_edge_verdicts(monkeypatch, capsys, m, horizon):
     out = {}
     for line, alpha in zip(lines, alphas):
         values = [reductivity(m, alpha, a, "tot", horizon) for a in d_set(m, alpha)]
-        want = (verdict(max(values, key=lambda r: r.value.coords).value) if values
+        want = (verdict(max(values, key=lambda r: r.coords)) if values
                 else "no-collapse-edge")
         out[line] = (line.rsplit(" ", 1)[1], want)
     return out
@@ -373,6 +381,21 @@ def test_selftest_command_smoke(tmp_path, capsys):
                      "--random-count", "1", "--horizon", "3"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out and "FAIL" not in out
+
+
+# frozen selftest runs: every suite, and the lemma suite on more instances
+SELFTEST_RUNS = {
+    "all-seed1": ["--seed", "1", "--horizon", "3", "--random-count", "2"],
+    "lemmas-seed3": ["--suite", "lemmas", "--seed", "3", "--horizon", "2",
+                     "--random-count", "6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELFTEST_RUNS))
+def test_selftest_stdout_frozen(name, capsys):
+    assert cli.main(["selftest", *SELFTEST_RUNS[name]]) == 0
+    want = (INSTANCES / "selftest-out" / f"{name}.out").read_text()
+    assert capsys.readouterr().out == want
 
 
 def test_graph_dot_output():

@@ -1,6 +1,7 @@
 """No module imports a name it never uses, no frozen object is written to
 after it is built, no package function but two keeps a module-level
-cache, and no package definition goes unnamed outside the tests.
+cache, no package definition goes unnamed outside the tests, and no
+record field goes unread.
 
 A pure-stdlib AST scan (read only) of the package, the tests and the
 benchmark: every name an import binds must be referenced elsewhere in the
@@ -20,7 +21,10 @@ attribute, an imported name or an identifier inside a string (the
 benchmark's tracer names its layers in strings).  A name used only by the
 tests does not count, so code that only the tests run lives in the tests
 (reference code in oracles.py).  Dunder methods are called by the language
-and are exempt.
+and are exempt.  Every field of a package `@dataclass` or `NamedTuple`
+must be read as an attribute (`x.field`, loaded, not stored) somewhere in
+the package or the benchmark: a field that is only written is a value
+nobody uses.
 """
 
 import ast
@@ -197,3 +201,53 @@ def test_no_dead_definitions():
     found = [f"{path}:{line}: {name}" for path, line, name in dead_definitions(
         defining, [p.read_text(encoding="utf-8") for p in everything])]
     assert not found, "defined but never named:\n" + "\n".join(found)
+
+
+def record_fields(source):
+    """[(line, class, field)] of the annotated fields of the @dataclass and
+    NamedTuple classes a source defines."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in n.decorator_list]
+        marks += n.bases
+        if not {getattr(d, "id", getattr(d, "attr", None)) for d in marks} & {
+                "dataclass", "NamedTuple"}:
+            continue
+        found += [(stmt.lineno, n.name, stmt.target.id) for stmt in n.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def attribute_reads(source):
+    """The attribute names a source reads (loads, not stores)."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_scanner_finds_record_fields_and_reads():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    x: int\n"
+              "    y: int = 0\n"
+              "    Z = 1\n"
+              "class B(typing.NamedTuple):\n"
+              "    w: tuple\n"
+              "class C:\n"
+              "    v: int\n"
+              "a.x = a.y\n")
+    assert record_fields(source) == [(4, "A", "x"), (5, "A", "y"), (8, "B", "w")]
+    assert attribute_reads(source) == {"NamedTuple", "y"}
+
+
+def test_no_unread_fields():
+    everything = sorted(p for d in ("src", "perfbench")
+                        for p in (ROOT / d).rglob("*.py"))
+    sources = {p: p.read_text(encoding="utf-8") for p in everything}
+    read = set().union(*map(attribute_reads, sources.values()))
+    found = [f"{path.relative_to(ROOT)}:{line}: {cls}.{field}"
+             for path, source in sources.items() if path.is_relative_to(ROOT / "src")
+             for line, cls, field in record_fields(source) if field not in read]
+    assert not found, "record field never read:\n" + "\n".join(found)

@@ -14,6 +14,7 @@ from gwhitehead.ggraph import maximal_invariant_forest
 from gwhitehead.marking import (MarkedGGraph, collapse_marked, cyclic_canonical,
                                 cyclic_loop, join_reduced, loop_of_class,
                                 path_of_word, reduce_path)
+from gwhitehead.norms import NormCalculator
 
 from conftest import FIXTURE_NAMES
 from oracles import CLAIMS, marked_isomorphic, rotations, verify_realization
@@ -87,10 +88,19 @@ def test_loop_length_is_min_over_conjugates(named_instance):
     m = named_instance
     conjugators = [w for w in fg.enumerate_words(m.n, 3)] + [()]
     for w in _random_words(m.n, 10, 4, seed=3):
-        loop = loop_of_class(m, fg.ConjClass.of(w))
+        loop = loop_of_class(m, w)
         best = min(lyndon_length(m, fg.word_mul(c, w, fg.word_inv(c)))
                    for c in conjugators)
         assert len(loop) == best
+
+
+def test_loop_of_class_is_the_out_item(named_instance):
+    # the norm build makes its out items from the word tree, not through
+    # loop_of_class; both must give the same loop of each class
+    calc = NormCalculator(named_instance, 3)
+    assert len(calc.classes) == len(calc.items["out"])
+    for c, item in zip(calc.classes, calc.items["out"]):
+        assert bytes(loop_of_class(named_instance, c)) == item
 
 
 def test_collapse_marked_revalidates():

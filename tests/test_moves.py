@@ -92,8 +92,8 @@ def test_max_reductive_pair_frozen():
     assert pair.edge.key() == (0, (1, 2))  # {~a, b}
     assert pair.collapse_target == 1       # collapse along ~a
     red = reductivity(m, pair.edge, pair.collapse_target, "tot", HORIZON)
-    assert verdict(red.value) == "reductive"
-    assert red.value.coords[:6] == (0, 0, 1, 1, 0, 1)
+    assert verdict(red) == "reductive"
+    assert red.coords[:6] == (0, 0, 1, 1, 0, 1)
 
 
 def _max_pair_by_key(m, kind, horizon):
@@ -103,10 +103,10 @@ def _max_pair_by_key(m, kind, horizon):
     best, ties = None, 0
     for alpha, a in candidate_pairs(m):
         r = reductivity(m, alpha, a, kind, horizon)
-        if verdict(r.value) != "reductive":
+        if verdict(r) != "reductive":
             continue
         key = (alpha.vertex, tuple(sorted(alpha.edges)), a)
-        c = Order.GREATER if best is None else compare(r.value, best[0].value)
+        c = Order.GREATER if best is None else compare(r, best[0])
         ties += c == Order.EQUAL_AT_HORIZON
         if c == Order.GREATER or (c == Order.EQUAL_AT_HORIZON and key < best[1]):
             best = (r, key, IdealPair(alpha, a))

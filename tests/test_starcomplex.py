@@ -19,7 +19,7 @@ from gwhitehead.errors import (HypothesisNotMet, PropertyViolation,
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, random_instance
 from gwhitehead.idealedges import (IdealEdge, canonical_rep, d_set,
                                    enumerate_ideal_edges, inverse_orbit,
-                                   is_ideal_edge, orbit_union)
+                                   is_ideal_edge, orbit_union, translates)
 from gwhitehead.marking import collapse_marked
 from gwhitehead.moves import (blow_up, is_reductive_edge, max_reductive_pair,
                               reductivity)
@@ -606,7 +606,7 @@ def test_run_retractions_computes_reductive_data_once(monkeypatch):
     pairs = candidate_pairs(m)
     alphas = list(dict.fromkeys(alpha.edges for alpha, _ in pairs))
     reductive = [(alpha, a) for alpha, a in pairs
-                 if verdict(reductivity(m, alpha, a, "tot", HORIZON).value) == "reductive"]
+                 if verdict(reductivity(m, alpha, a, "tot", HORIZON)) == "reductive"]
     R = list(dict.fromkeys(alpha.edges for alpha, _ in reductive))
     assert (len(alphas), len(pairs), len(R), len(reductive)) == (8, 12, 2, 2)
     calls = _count_scans(monkeypatch)
@@ -661,29 +661,34 @@ def test_a_repeat_scan_reads_the_marked_graph(monkeypatch):
 
 
 def test_suite_lemmas_scans_aut_pairs_once_per_instance(monkeypatch):
-    # the pushing and shrinking checks share their caller's aut maximal pair
+    # the pushing and shrinking checks and every aut is_reductive_edge
+    # read one memoised scan per instance; count the scans that compute
     kinds = []
     scan = moves.reductive_scan
 
     def counted(m, horizon, kind="tot"):
-        kinds.append(kind)
+        if (horizon, kind) not in m._scans:
+            kinds.append(kind)
         return scan(m, horizon, kind)
 
     for mod in (moves, starcomplex):
         monkeypatch.setattr(mod, "reductive_scan", counted)
-    results = selftest.suite_lemmas(1, 3, random_count=5)
+    results = selftest.run_suites("lemmas", 1, 3, random_count=5)
     assert len(results) == 9 and all(r.ok for r in results)
     assert kinds.count("aut") == 9
 
 
 def test_is_reductive_edge_matches_edge_reductivity():
-    # the reference: some reductivity over D(alpha) is reductive
+    # the reference: some reductivity over D(alpha) is reductive, for every
+    # translate alpha of every orbit, raw and forest-free, not only for the
+    # rep R holds
     instances = list(all_fixtures().values()) + [
-        random_instance(s) for s in range(7000, 7020)]
-    for m in instances:
-        for alpha in enumerate_ideal_edges(m):
-            for kind in ("tot", "aut"):
-                want = any(verdict(reductivity(m, alpha, a, kind, HORIZON).value)
+        random_instance(s) for s in range(7000, 7050)]
+    for m in instances + [reduce_to_forest_free(m) for m in instances]:
+        for rep in enumerate_ideal_edges(m):
+            for alpha, kind in itertools.product(translates(m.graph, rep),
+                                                 ("tot", "aut")):
+                want = any(verdict(reductivity(m, alpha, a, kind, HORIZON))
                            == "reductive" for a in d_set(m, alpha))
                 assert is_reductive_edge(m, alpha.edges, alpha.vertex, kind,
                                          HORIZON) == want
