@@ -81,11 +81,13 @@ class MarkedGGraph:
     basis_paths: tuple  # one reduced loop at the basepoint per generator
 
     def __post_init__(self):
-        # moves.reductive_scan's (R, best) per (horizon, kind), and
-        # starcomplex._forest_masks's forests per (sorted pool, cap).  Plain
+        # moves.reductive_scan's (R, best) per (horizon, kind),
+        # starcomplex._forest_masks's forests per (sorted pool, cap), and
+        # moves.blow_up's (blown-up graph, BlowUpInfo) per ideal edge.  Plain
         # attributes, not fields, so equality, hashing and repr ignore them.
         object.__setattr__(self, "_scans", {})
         object.__setattr__(self, "_forests", {})
+        object.__setattr__(self, "_blowups", {})
 
     @property
     def n(self):
@@ -159,18 +161,29 @@ def path_of_word(m: MarkedGGraph, word):
     return reduce_path(steps)
 
 
-def cyclic_loop(steps):
-    """Rotation-canonical cyclic reduction of a reduced basepoint loop,
-    given as a tuple or bytes, in the same type."""
+def cyclic_reduction(steps):
+    """Cyclic reduction of a reduced basepoint loop: its matching ends
+    (first step the reverse of the last, and so on inward) stripped, the
+    rest left in the rotation the path gives.  steps is a tuple or bytes,
+    and so is the result; steps itself when nothing is stripped."""
     k, end = 0, len(steps) - 1
     while k < end - k and steps[k] == steps[end - k] ^ 1:
         k += 1
-    return cyclic_canonical(steps[k:end + 1 - k])
+    return steps[k:end + 1 - k] if k else steps
+
+
+def cyclic_loop(steps):
+    """Rotation-canonical cyclic reduction of a reduced basepoint loop: the
+    lex-least rotation of its cyclic_reduction, in the type given."""
+    return cyclic_canonical(cyclic_reduction(steps))
 
 
 def loop_of_class(m: MarkedGGraph, word):
     """Cyclically reduced loop of the conjugacy class of a word, rotation-
-    canonical: the loops of conjugate words reduce to rotations of one loop."""
+    canonical, so a class invariant: the loops of conjugate words reduce to
+    rotations of one loop, and cyclic_loop takes the least of them.  The
+    norm build's out item of a class is the same loop in the rotation its
+    representative's path gives (norms, "Items.")."""
     return cyclic_loop(path_of_word(m, word))
 
 

@@ -43,8 +43,14 @@ def blow_up(m: MarkedGGraph, alpha: IdealEdge):
     """Pull the edges of each translate of alpha away along a new edge.
 
     Returns (marked graph, BlowUpInfo).  Collapsing the orbit of the new
-    pairs recovers the input exactly.
+    pairs recovers the input exactly.  The pair is kept on m per alpha
+    (m._blowups), so a repeat call returns the same objects: whitehead
+    blows alpha up once for every a in D(alpha), and the blown-up graph is
+    built and validated only once.
     """
+    found = m._blowups.get(alpha)
+    if found is not None:
+        return found
     g = m.graph
     _require_ideal(g, alpha)
 
@@ -100,7 +106,9 @@ def blow_up(m: MarkedGGraph, alpha: IdealEdge):
         paths.append(reduce_path(steps))
     m2 = MarkedGGraph(g2, tuple(paths))
     m2.require_valid()
-    return m2, BlowUpInfo(tuple(new_edge), tuple(frozenset(s) for s in sets))
+    found = m._blowups[alpha] = (
+        m2, BlowUpInfo(tuple(new_edge), tuple(frozenset(s) for s in sets)))
+    return found
 
 
 def whitehead(m: MarkedGGraph, alpha: IdealEdge, a: int):

@@ -6,20 +6,31 @@ coordinates are indexed by the shortlex enumeration of conjugacy classes
 coordinate; only order comparisons can be indeterminate at the horizon.
 
 Items.  Coordinate i of aut is the reduced basepoint path of word i, and
-coordinate j of out the rotation-canonical cyclically reduced loop of
-class representative j.  Every item is a ``bytes`` string of edge ids,
-one byte per step.  Both kinds come from the word tree of
+coordinate j of out the cyclically reduced loop of class representative
+j, in the rotation its path gives.  Every item is a ``bytes`` string of
+edge ids, one byte per step.  Both kinds come from the word tree of
 ``fg.word_tree``, which depends only on (n, horizon) and is memoised: the
 words in shortlex order, each with the index of its parent (the word
 minus its last letter) and the indices of the class representatives.
 The path of w l is the parent's path joined to the basis path of l (or
 its inverse), and since both halves are reduced only the junction can
 cancel (``marking.join_reduced``).  A class representative is one of the
-words, so its loop is its own path with matching ends stripped and the
-lex-least rotation taken (``marking.cyclic_loop``); no word is realized
-twice.  Both helpers are generic over tuples and bytes, and keep the
-type they are given.  A junction that cancelled too little would leave
-an unreduced item, which _Lanes rejects.
+words, so its loop is its own path with the matching ends stripped
+(``marking.cyclic_reduction``); no word is realized twice.  Both helpers
+are generic over tuples and bytes, and keep the type they are given.  A
+junction that cancelled too little would leave an unreduced item, which
+_Lanes rejects.
+
+No rotation is taken.  Every out quantity is a count over a cyclic word:
+its length, the occurrences of each edge, and its turns, the wrap turn
+from the last step back to the first included.  Rotating a cyclic item
+only relabels its positions cyclically, so three things are unchanged:
+each edge's occurrences, the multiset of (step p, step p + 1 mod k)
+turns, and the unreduced-item test over the adjacent and wrap pairs.
+``edge``, ``turns``, the subset tables, set_abs, dot, abs_sign and norm
+are therefore the same in any rotation; only the bytes of
+``items["out"][j]`` depend on it.  ``marking.loop_of_class`` gives the
+lex-least rotation of the same loop, a class invariant.
 
 Packed layout.  A NormCalculator builds, once per kind (out and aut), the
 G-orbit sums of the occurrence vector of each directed edge and of the
@@ -88,7 +99,7 @@ from dataclasses import dataclass
 
 from . import freegroup as fg
 from .errors import InternalInconsistency, ValidationError
-from .marking import MarkedGGraph, cyclic_loop, join_reduced, path_inv
+from .marking import MarkedGGraph, cyclic_reduction, join_reduced, path_inv
 
 KINDS = ("out", "aut", "tot")
 
@@ -171,7 +182,7 @@ class NormCalculator:
             paths.append(join_reduced(paths[parent], letter_path[w[-1]]))
         self.items = {
             "aut": paths[1:],
-            "out": [cyclic_loop(paths[i]) for i in tree.classes],
+            "out": [cyclic_reduction(paths[i]) for i in tree.classes],
         }
         self._lanes = {kind: _Lanes(self.items[kind], kind == "out", m.graph.edge_action)
                        for kind in ("out", "aut")}
@@ -336,7 +347,9 @@ class _Lanes:
     per step: O[e] sums the indicators of e over the columns, and
     T[(u, rev w)] sums the AND of the indicator of u at one position with
     that of w at the next.  A cyclic item adds one wrap column, its last
-    step, against the first.  Items are bytes.
+    step, against the first.  Items are bytes; cyclic items may come in any
+    rotation, since none of these counts depends on where a loop starts
+    (see "Items." in the module docstring).
 
     ``__init__`` makes ``edge`` and rejects an unreduced item: per edge u at
     a position, one AND with the indicator of rev u at the next.  It keeps

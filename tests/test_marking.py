@@ -12,8 +12,8 @@ from gwhitehead import freegroup as fg
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, fix_theta
 from gwhitehead.ggraph import maximal_invariant_forest
 from gwhitehead.marking import (MarkedGGraph, collapse_marked, cyclic_canonical,
-                                cyclic_loop, join_reduced, loop_of_class,
-                                path_of_word, reduce_path)
+                                cyclic_loop, cyclic_reduction, join_reduced,
+                                loop_of_class, path_of_word, reduce_path)
 from gwhitehead.norms import NormCalculator
 
 from conftest import FIXTURE_NAMES
@@ -96,11 +96,12 @@ def test_loop_length_is_min_over_conjugates(named_instance):
 
 def test_loop_of_class_is_the_out_item(named_instance):
     # the norm build makes its out items from the word tree, not through
-    # loop_of_class; both must give the same loop of each class
+    # loop_of_class; both must give the same loop of each class, the out
+    # item in the rotation its path gives, loop_of_class in the least one
     calc = NormCalculator(named_instance, 3)
     assert len(calc.classes) == len(calc.items["out"])
     for c, item in zip(calc.classes, calc.items["out"]):
-        assert bytes(loop_of_class(named_instance, c)) == item
+        assert bytes(loop_of_class(named_instance, c)) == cyclic_canonical(item)
 
 
 def test_collapse_marked_revalidates():
@@ -172,7 +173,7 @@ def test_path_helpers_agree_on_tuples_and_bytes():
         got = join_reduced(bytes(head), bytes(tail))
         assert (type(want), type(got), tuple(got)) == (tuple, bytes, want)
     for loop in loops:
-        for helper in (cyclic_loop, cyclic_canonical):
+        for helper in (cyclic_reduction, cyclic_loop, cyclic_canonical):
             want = helper(loop)
             got = helper(bytes(loop))
             assert (type(want), type(got), tuple(got)) == (tuple, bytes, want)

@@ -13,6 +13,7 @@ from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_r2w,
                                  random_instance)
 from gwhitehead.idealedges import (IdealEdge, IdealPair, d_set,
                                    enumerate_ideal_edges)
+from gwhitehead.marking import MarkedGGraph
 from gwhitehead.moves import (blow_up, greedy_reduce, is_reductive_edge,
                               max_reductive_pair, reductive_scan, reductivity,
                               whitehead)
@@ -71,6 +72,30 @@ def test_blow_up_roundtrip(named_instance):
 def test_blow_up_correspondence(named_instance):
     for alpha in enumerate_ideal_edges(named_instance):
         check_blowup_correspondence(named_instance, alpha, HORIZON)
+
+
+def test_blow_up_is_kept_per_ideal_edge(monkeypatch):
+    # whitehead over all of D(alpha) blows alpha up and validates the
+    # blown-up graph once; a repeat blow_up returns the same objects
+    validated = []
+    require_valid = MarkedGGraph.require_valid
+    monkeypatch.setattr(MarkedGGraph, "require_valid",
+                        lambda self: validated.append(self) or require_valid(self))
+    cases = 0
+    for name in sorted(all_fixtures()):
+        m = all_fixtures()[name]
+        for alpha in enumerate_ideal_edges(m):
+            targets = sorted(d_set(m, alpha))
+            if not targets:
+                continue
+            validated.clear()
+            moved = [whitehead(m, alpha, a) for a in targets]
+            blown = blow_up(m, alpha)
+            assert blow_up(m, alpha) is blown
+            assert sum(x is blown[0] for x in validated) == 1
+            assert len(validated) == 1 + len(moved)
+            cases += 1
+    assert cases > 0
 
 
 def test_whitehead_requires_collapse_target():

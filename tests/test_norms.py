@@ -8,15 +8,18 @@ and each coordinate is just the cyclic loop length, giving
 """
 
 import itertools
+import pathlib
 import random
 
 import pytest
 
+from gwhitehead import marking
+from gwhitehead.cli import parse
 from gwhitehead.errors import InternalInconsistency, ValidationError
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, random_instance
 from gwhitehead.ggraph import GGraph, Group
 from gwhitehead.idealedges import enumerate_ideal_edges
-from gwhitehead.marking import MarkedGGraph, cyclic_canonical
+from gwhitehead.marking import MarkedGGraph, cyclic_canonical, cyclic_reduction
 from gwhitehead.norms import (KINDS, MAX_EDGES, NormCalculator, NormVector, Order,
                               _Lanes, calculator, compare)
 from gwhitehead.selftest import (check_coset_identity,
@@ -301,9 +304,9 @@ def _assert_items_match_scan_oracle(m, horizon):
         steps for steps, _ in scan_items(m, "aut", horizon)]
     oracle_loops = [steps for steps, _ in scan_items(m, "out", horizon)]
     assert len(calc.items["out"]) == len(oracle_loops)
-    for loop, want in zip(calc.items["out"], oracle_loops):
+    for c, loop, want in zip(calc.classes, calc.items["out"], oracle_loops):
         assert tuple(loop) in rotations(want)
-        assert loop == cyclic_canonical(loop)
+        assert loop == cyclic_reduction(calc.items["aut"][calc.words.index(c)])
 
 
 def test_word_tree_items_match_scan_oracle():
@@ -408,6 +411,63 @@ def test_lanes_reject_unreduced_item():
 def test_wrap_is_checked_only_for_cyclic_items():
     items = [bytes((0, 2)), bytes((2, 0, 3))]
     _assert_lanes_match_scan(items, False, fix_r2_swap().graph.edge_action)
+
+
+INSTANCES = pathlib.Path(__file__).parent / "instances"
+
+
+def _rotate(steps, r):
+    r %= len(steps) or 1
+    return steps[r:] + steps[:r]
+
+
+def test_cyclic_lanes_ignore_rotation(monkeypatch):
+    # every out count is a count over a cyclic word, so the lanes of out
+    # items do not depend on where each loop starts: the items as built (in
+    # the rotation their paths give), their lex-least rotations and random
+    # rotations of them give one code, edge and turns, the scan oracle's
+    rng = random.Random(11)
+    instances = (list(all_fixtures().values())
+                 + [parse(p.read_text()) for p in sorted(INSTANCES.glob("*.txt"))]
+                 + [random_instance(s) for s in range(7000, 7020)])
+    cases = []
+    for m in instances:
+        for horizon in (2, 3, 4):
+            items = NormCalculator(m, horizon).items["out"]
+            cases.append((items, m.graph.edge_action, [
+                [cyclic_canonical(steps) for steps in items],
+                [_rotate(steps, rng.randrange(64)) for steps in items]]))
+    # periodic loops, in every rotation
+    periodic = list(map(bytes, [(0, 2, 0, 2), (2, 0, 2, 0, 2, 0), (0, 0, 0), (0,), (3, 1)]))
+    cases.append((periodic, fix_r2_swap().graph.edge_action,
+                  [[_rotate(steps, r) for steps in periodic] for r in range(1, 6)]))
+    noncanonical = 0
+    for items, actions, others in cases:
+        lanes = _Lanes(items, True, actions)
+        want = (lanes.code,) + scan_lanes(items, True, actions, lanes.code)
+        assert (lanes.code, lanes.edge, lanes.turns) == want
+        for rotated in others:
+            lanes = _Lanes(rotated, True, actions)
+            assert (lanes.code, lanes.edge, lanes.turns) == want
+        noncanonical += sum(steps != cyclic_canonical(steps) for steps in items)
+    # the comparison is not vacuous: some items are built in another rotation
+    assert noncanonical > 0
+    # a cyclically unreduced item (first step b, last ~b) in every rotation
+    for r in range(3):
+        with pytest.raises(InternalInconsistency, match="unreduced path"):
+            _Lanes([bytes((0, 2)), _rotate(bytes((2, 0, 3)), r)], True,
+                   fix_r2_swap().graph.edge_action)
+    # the norm build takes no rotation
+    calls = []
+    canonical = marking.cyclic_canonical
+    monkeypatch.setattr(marking, "cyclic_canonical",
+                        lambda steps: calls.append(steps) or canonical(steps))
+    calculator.cache_clear()
+    for m in instances:
+        calculator(m, 3)
+    assert calls == []
+    marking.loop_of_class(instances[0], (1,))  # the count does see a call
+    assert len(calls) == 1
 
 
 def _rose(petals):
