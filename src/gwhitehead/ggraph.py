@@ -206,48 +206,50 @@ class GGraph:
         """Report all violated invariants (empty list means valid)."""
         bad = []
         G = self.group
-        for e in range(self.n_edges):
-            if not (0 <= self.term[e] < self.n_vertices):
+        n, nv = self.n_edges, self.n_vertices
+        for e in range(n):
+            if not (0 <= self.term[e] < nv):
                 bad.append(f"edge {self.edge_name(e)} has an unknown terminal vertex")
-        for g in G.elements:
-            perm = self.edge_action[g]
-            if sorted(perm) != list(range(self.n_edges)):
+        rows = self.edge_action[:G.order]
+        # the rows that map every edge to an edge: the only ones read below
+        edges = set(range(n))
+        maps = {g: perm for g, perm in enumerate(rows)
+                if len(perm) == n and edges.issuperset(perm)}
+        for g, perm in enumerate(rows):
+            if sorted(perm) != list(range(n)):
                 bad.append(f"action of {G.names[g]} is not an edge permutation")
                 continue
-            for e in range(self.n_edges):
+            for e in range(n):
                 if perm[rev(e)] != rev(perm[e]):
                     bad.append(f"action of {G.names[g]} breaks the involution at "
                                f"{self.edge_name(e)}")
                 if perm[e] == rev(e):
                     bad.append(f"inversion: {G.names[g]} maps {self.edge_name(e)} "
                                "to its reverse")
-        # action respects incidence: terminal vertices move consistently
-        for g in G.elements:
+        for name in G.names[len(rows):]:
+            bad.append(f"action of {name} is missing")
+        # action respects incidence: known terminal vertices move consistently
+        for g, perm in maps.items():
             vmap = {}
-            ok = True
-            for e in range(self.n_edges):
-                v, w = self.term[e], self.term[self.edge_action[g][e]]
-                if vmap.setdefault(v, w) != w:
+            for e in range(n):
+                v, w = self.term[e], self.term[perm[e]]
+                if 0 <= v < nv and vmap.setdefault(v, w) != w:
                     bad.append(f"action of {G.names[g]} is inconsistent on vertices "
                                f"(witness vertex {self.vertex_names[v]})")
-                    ok = False
                     break
-            if ok and vmap.get(self.basepoint, self.basepoint) != self.basepoint:
-                bad.append(f"action of {G.names[g]} moves the basepoint")
-        # homomorphism property
-        for g in G.elements:
-            for h in G.elements:
-                gh = G.mul(g, h)
-                for e in range(self.n_edges):
-                    if self.edge_action[g][self.edge_action[h][e]] != self.edge_action[gh][e]:
-                        bad.append(f"action is not a homomorphism at "
-                                   f"({G.names[g]}, {G.names[h]})")
-                        break
-                else:
-                    continue
-                break
+            else:
+                if vmap.get(self.basepoint, self.basepoint) != self.basepoint:
+                    bad.append(f"action of {G.names[g]} moves the basepoint")
+        # homomorphism property, one witness per g
+        for g, perm in maps.items():
+            for h, other in maps.items():
+                gh = maps.get(G.mul(g, h))
+                if gh is not None and [perm[x] for x in other] != list(gh):
+                    bad.append(f"action is not a homomorphism at "
+                               f"({G.names[g]}, {G.names[h]})")
+                    break
         # admissibility
-        for v in range(self.n_vertices):
+        for v in range(nv):
             val = self.valence(v)
             if v == self.basepoint:
                 if val < 2:
@@ -291,7 +293,7 @@ def pair_orbits(g: GGraph):
     for p in range(g.n_pairs):
         if p in seen:
             continue
-        orb = {g.edge_action[x][2 * p] // 2 for x in g.group.elements}
+        orb = {e // 2 for e in g.orbit_edge(2 * p)}
         seen |= orb
         orbits.append(frozenset(orb))
     return orbits

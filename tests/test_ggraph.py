@@ -379,3 +379,16 @@ def test_validate_reports_bad_incidence_after_building_the_tables():
     # an action row that is too short or leaves the edges still builds
     for action in (((0, 1),), ((0, 1, 2, 9),)):
         GGraph(1, 0, (0, 0, 0, 0), Group.trivial(), action)
+
+
+@pytest.mark.parametrize("group, action, fault", [
+    (Group.trivial(), ((0, 5),), "action of 1 is not an edge permutation"),
+    (Group.trivial(), ((0,),), "action of 1 is not an edge permutation"),
+    (Group.cyclic(2), ((0, 1),), "action of t is missing"),
+], ids=["leaves-the-edges", "too-short", "missing"])
+def test_validate_reports_a_malformed_action(group, action, fault):
+    # a one-petal rose; validate reads only the well-formed action rows
+    g = GGraph(1, 0, (0, 0), group, action)
+    assert g.validate() == [fault]
+    with pytest.raises(ValidationError, match=fault):
+        MarkedGGraph(g, ((0,),)).require_valid()
