@@ -31,7 +31,7 @@ from .errors import (HypothesisNotMet, IndeterminateAtHorizon,
                      ValidationError)
 from .ggraph import GGraph, Group, rev
 from .idealedges import (IdealEdge, d_set, enumerate_ideal_edges,
-                         is_invertible, stab_set)
+                         is_invertible, translates)
 from .marking import MarkedGGraph, reduce_path, spanning_tree
 from .moves import VERDICTS, greedy_reduce, whitehead
 from .norms import calculator
@@ -360,7 +360,7 @@ def cmd_ideal_edges(args):
     g = m.graph
     for alpha in enumerate_ideal_edges(m):
         names = ",".join(sorted(g.edge_name(e) for e in alpha.edges))
-        stab = len(stab_set(g, alpha.edges))
+        stab = g.group.order // len(translates(g, alpha))
         targets = d_set(m, alpha)
         D = ",".join(sorted(g.edge_name(e) for e in targets))
         inv = "yes" if is_invertible(g, alpha)[0] else "no"

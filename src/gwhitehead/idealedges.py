@@ -8,12 +8,13 @@ Orbits of ideal edges are the vertices of the blow-up poset.
 Orbit table.  Each graph keeps one table of its ideal edges on int masks
 over E_v (bit i stands for ``edges_at(v)[i]``), built on the first read.
 The group acts on masks through per-element bit maps.  The table tests
-every mask at every vertex once, in key order, and files each ideal one
-with all its translates under one orbit, which holds the translates
-(their number is [G:stab alpha]) and the orbit union per vertex; the
-first mask of an orbit met is its canonical rep, so the reps come out in
-key order.  enumerate_ideal_edges, is_ideal_edge and d_set are reads of
-it, and moves.reductive_scan takes each rep with D(rep) and [G:stab rep]
+every mask at every vertex once, in key order (sorted by the _bits
+tuple), and files each ideal one with all its translates under one
+orbit, which holds the translates (their number is [G:stab alpha], the
+one source of orbit sizes) and the orbit union per vertex; the first
+mask of an orbit met is its canonical rep, so the reps come out in key
+order.  enumerate_ideal_edges, is_ideal_edge and d_set are reads of it,
+and moves.reductive_scan takes each rep with D(rep) and [G:stab rep]
 from it (orbit_targets) without making an IdealEdge.
 """
 
@@ -65,18 +66,12 @@ def _image(bits, mask):
     return out
 
 
-def _key_order(d):
-    """The nonempty masks over d bits in the order of their sorted bit
-    positions, a prefix first: the key order of the edge sets at a vertex."""
-    out = []
-
-    def walk(mask, start):
-        for i in range(start, d):
-            out.append(mask | 1 << i)
-            walk(mask | 1 << i, i + 1)
-
-    walk(0, 0)
-    return out
+def _bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _OrbitTable:
@@ -122,7 +117,8 @@ class _OrbitTable:
         self.ideal = [{} for _ in range(g.n_vertices)]
         self.reps = []
         for v, found in enumerate(self.ideal):
-            for mask in _key_order(len(self.at[v])):
+            for mask in sorted(range(1, 1 << len(self.at[v])),
+                               key=lambda x: tuple(_bits(x))):
                 if mask in found or not self.is_ideal(v, mask):
                     continue
                 orbit = self.orbit(v, mask)

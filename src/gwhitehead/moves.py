@@ -122,8 +122,7 @@ def whitehead(m: MarkedGGraph, alpha: IdealEdge, a: int):
         raise HypothesisNotMet(
             f"collapse edge {m.graph.edge_name(a)} is not in D(alpha)")
     m2, _ = blow_up(m, alpha)
-    pairs = frozenset(m2.graph.edge_action[x][a] // 2
-                      for x in m2.graph.group.elements)
+    pairs = frozenset(e // 2 for e in m2.graph.orbit_edge(a))
     for p in pairs:
         if m2.graph.is_loop(2 * p):
             raise HypothesisNotMet("collapse target became a loop after blow-up")

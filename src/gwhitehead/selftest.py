@@ -181,8 +181,8 @@ def check_crossing_inequalities(m, horizon):
             continue
         P = stab_set(g, alpha.edges)
         Q = stab_set(g, beta.edges)
-        p = g.group.order // len(P)
-        q = g.group.order // len(Q)
+        p = len(translates(g, alpha))
+        q = len(translates(g, beta))
         for kind in ("out", "aut"):
             rhs = (calc.set_abs(alpha.edges, kind).scale(p)
                    + calc.set_abs(beta.edges, kind).scale(q))

@@ -31,9 +31,9 @@ from fractions import Fraction
 
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import is_reduced
-from .idealedges import (IdealEdge, IdealPair, canonical_rep, compatible,
-                         crossing, inverse_orbit, is_invertible, orbit_union,
-                         pre_compatible, stab_set, translate_at,
+from .idealedges import (IdealEdge, IdealPair, _bits, canonical_rep,
+                         compatible, crossing, inverse_orbit, is_invertible,
+                         orbit_union, pre_compatible, translate_at,
                          translate_through, translates)
 from .marking import MarkedGGraph
 from .moves import reductive_scan
@@ -175,14 +175,6 @@ def _search_forests(m, pool):
     grow(0, 0, usable)
     found.sort(key=lambda x: (x.bit_count(), tuple(_bits(x))))
     return tuple(found)
-
-
-def _bits(mask):
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +330,17 @@ def closure_pm(m, C):
 def gamma_edge(m, R):
     """The unique non-invertible full-stabilizer reductive edge at *, if any.
 
-    More than one such edge contradicts uniqueness and is a hard error.
+    G fixes *, so every translate of an edge alpha at * lies at *, and by
+    orbit-stabilizer stab alpha = G exactly when alpha is its only
+    translate.  More than one such edge contradicts uniqueness and is a
+    hard error.
     """
     g = m.graph
     found = []
     for a in R:
         if a.vertex != g.basepoint:
             continue
-        if len(stab_set(g, a.edges)) != g.group.order:
+        if len(translates(g, a)) != 1:
             continue
         if not is_invertible(g, a)[0]:
             found.append(a)
@@ -357,12 +352,17 @@ def gamma_edge(m, R):
 
 
 def nested_families(g, R, mu, mhat):
-    """(C0, C0p, C1) cut out of R by the maximal pair (mu, mhat)."""
+    """(C0, C0p, C1) cut out of R by the maximal pair (mu, mhat).
+
+    C0p adds the edges alpha at v with stab alpha = stab v.  An element
+    fixing alpha fixes its end v, and t -> t.vertex maps the translates
+    G alpha onto G v with fibres of size [stab v : stab alpha], so the two
+    are equal exactly when no two translates of alpha share a vertex.
+    """
     C0 = frozenset(a for a in R if compatible(g, a, mu))
     C0p = C0 | frozenset(
         a for a in R
-        if stab_set(g, a.edges) == tuple(
-            x for x in g.group.elements if g.act_vertex(x, a.vertex) == a.vertex))
+        if len({t.vertex for t in translates(g, a)}) == len(translates(g, a)))
     C1 = C0p | frozenset(
         a for a in R
         if mhat in orbit_union(g, a) and crossing(g, a, mu).number == 1)

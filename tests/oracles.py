@@ -153,6 +153,21 @@ def scan_is_ideal_edge(g, v, edges):
     return residual + len(trans) >= (2 if v == g.basepoint else 3)
 
 
+def key_order(d):
+    """The nonempty masks over d bits in the order of their sorted bit
+    positions, a prefix first, by a recursive walk: the key order of the
+    edge sets at a vertex of valence d."""
+    out = []
+
+    def walk(mask, start):
+        for i in range(start, d):
+            out.append(mask | 1 << i)
+            walk(mask | 1 << i, i + 1)
+
+    walk(0, 0)
+    return out
+
+
 def scan_ideal_edges(m):
     """The canonical rep of every ideal edge orbit, sorted by key: every
     combination of at least two edges at every vertex is tested, and each

@@ -14,11 +14,11 @@ from gwhitehead.errors import PropertyViolation
 from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_theta,
                                  random_instance)
 from gwhitehead.ggraph import rev
-from gwhitehead.idealedges import (IdealEdge, canonical_rep, compatible,
-                                  crossing, d_set, enumerate_ideal_edges,
-                                  is_ideal_edge, is_invertible,
-                                  orbit_union, pre_compatible, stab_set,
-                                  translates)
+from gwhitehead.idealedges import (Crossing, IdealEdge, canonical_rep,
+                                  compatible, crossing, d_set,
+                                  enumerate_ideal_edges, is_ideal_edge,
+                                  is_invertible, orbit_union, pre_compatible,
+                                  stab_set, translate_at, translates)
 from gwhitehead.norms import NormVector, calculator
 
 from oracles import scan_d_set
@@ -93,6 +93,20 @@ def test_crossing_components_partition(named_instance):
         assert frozenset().union(*cr.components) == inter
         for c1, c2 in itertools.combinations(cr.components, 2):
             assert not (c1 & c2)
+
+
+def test_no_translate_at_the_vertex_means_no_crossing():
+    # random_instance(7009) has ideal edges at * and at v1, and G fixes
+    # both vertices, so an edge at v1 has no translate at *
+    m = random_instance(7009)
+    g = m.graph
+    reps = enumerate_ideal_edges(m)
+    pairs = [(a, b) for a in reps for b in reps
+             if a.vertex == g.basepoint != b.vertex]
+    assert pairs
+    for alpha, beta in pairs:
+        assert translate_at(g, beta, alpha.vertex) is None
+        assert crossing(g, alpha, beta) == Crossing(0, (), ())
 
 
 class _RaisedSetAbs:

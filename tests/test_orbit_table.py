@@ -6,9 +6,11 @@ and moves.reductive_scan takes its candidates from the same table and its
 the frozenset computation in `oracles` (scan_ideal_edges,
 scan_is_ideal_edge, scan_d_set and scan_reductive) on the fixtures, the
 S_3 graphs, random_instance(7000..7299) raw and forest-free, the saved
-instances, and scrambled trivial-group roses of rank 4 and 5.  The index
+instances, scrambled trivial-group roses of rank 4 and 5, and a Z/2 that
+swaps two vertices.  The index
 [G:stab alpha] that orbit_targets gives with each rep is compared with the
-number of translates.
+number of translates, and the orbit-stabilizer facts the package reads
+off the translates with the scans of the group they replace.
 """
 
 import functools
@@ -17,16 +19,16 @@ import pathlib
 
 import pytest
 
-from gwhitehead import cli
+from gwhitehead import cli, idealedges
 from gwhitehead.fixtures import all_fixtures, random_instance
 from gwhitehead.idealedges import (d_set, enumerate_ideal_edges, is_ideal_edge,
-                                   orbit_targets, translates)
+                                   orbit_targets, stab_set, translates)
 from gwhitehead.moves import reductive_scan
 from gwhitehead.norms import KINDS
 from gwhitehead.selftest import reduce_to_forest_free
 
-from oracles import (scan_d_set, scan_ideal_edges, scan_is_ideal_edge,
-                     scan_reductive)
+from oracles import (key_order, scan_act_vertex, scan_d_set, scan_ideal_edges,
+                     scan_is_ideal_edge, scan_reductive)
 from test_forest_poset import rose4
 from test_ggraph import s3_theta, s3_tripod
 
@@ -58,6 +60,32 @@ def rose(rank, seed):
         + [f"x{i} = {w}" for i, w in enumerate(ROSES[rank, seed], 1)]) + "\n")
 
 
+# Z/2 swapping v1 and v2, each with two edges from * and a loop: its ideal
+# edges at v1 have their one other translate at v2, so their stabilizer is
+# that of v1 though the orbit has two translates
+SWAP_TEXT = """\
+[graph]
+basepoint = *
+vertex *
+vertex v1
+vertex v2
+edge a1 : * -> v1
+edge b1 : * -> v1
+edge l1 : v1 -> v1
+edge a2 : * -> v2
+edge b2 : * -> v2
+edge l2 : v2 -> v2
+[group]
+order = 2
+gen t : a1->a2, a2->a1, b1->b2, b2->b1, l1->l2, l2->l1
+[marking]
+x1 = a1 ~b1
+x2 = a1 l1 ~a1
+x3 = a2 ~b2
+x4 = a2 l2 ~a2
+"""
+
+
 def _random(seeds):
     return [random_instance(s) for s in seeds]
 
@@ -70,6 +98,7 @@ PARTS = {
     "saved": lambda: [cli.parse(p.read_text()) for p in sorted(INSTANCES.glob("*.txt"))],
     "rank4": lambda: [rose(4, s) for s in range(6)],
     "rank5": lambda: [rose(5, s) for s in range(3)],
+    "swap": lambda: [cli.parse(SWAP_TEXT)],
 }
 
 
@@ -117,3 +146,58 @@ def test_orbit_targets_give_d_and_the_index_of_every_rep():
         assert list(orbit_targets(g)) == want, m
         indices.update(index for *_, index in want)
     assert indices > {1}
+
+
+@pytest.mark.parametrize("part", sorted(PARTS))
+def test_orbit_sizes_from_the_translates_match_the_group_scan(part):
+    """On every translate alpha of every ideal edge at v: |G alpha| |stab
+    alpha| = |G|; stab alpha (a scan of G) is the stabilizer of v (a scan
+    of G) exactly when no two translates share a vertex; and at * the
+    stabilizer is G exactly when alpha is its only translate."""
+    seen = set()
+    for m in corpus(part):
+        g = m.graph
+        order = g.group.order
+        for rep in enumerate_ideal_edges(m):
+            ts = translates(g, rep)
+            distinct = len({t.vertex for t in ts}) == len(ts)
+            for alpha in ts:
+                v = alpha.vertex
+                stab = stab_set(g, alpha.edges)
+                stab_v = tuple(x for x in g.group.elements
+                               if scan_act_vertex(g, x, v) == v)
+                assert len(ts) * len(stab) == order, (m, alpha)
+                assert (stab == stab_v) == distinct, (m, alpha)
+                if v == g.basepoint:
+                    assert (len(stab) == order) == (len(ts) == 1), (m, alpha)
+                seen.add((stab == stab_v, len(ts) == 1))
+    # the parts with a group reach both sides of each equivalence; only
+    # the swap has an orbit with one translate at each of several vertices
+    if part in ("fixtures", "random-raw", "random-forest-free"):
+        assert seen == {(True, True), (False, False)}
+    if part == "swap":
+        assert seen == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("part", sorted(PARTS))
+def test_orbit_table_tests_masks_in_key_order(part, monkeypatch):
+    """The table tests the masks at each vertex in the order of the
+    recursive walk, vertex by vertex, skipping only those it has filed as
+    translates already."""
+    tested = []
+    is_ideal = idealedges._OrbitTable.is_ideal
+
+    def spy(self, v, mask):
+        tested.append((v, mask))
+        return is_ideal(self, v, mask)
+
+    monkeypatch.setattr(idealedges._OrbitTable, "is_ideal", spy)
+    for m in corpus(part):
+        tested.clear()
+        t = idealedges._OrbitTable(m.graph)
+        assert [v for v, _ in tested] == sorted(v for v, _ in tested)
+        for v in range(m.graph.n_vertices):
+            order = key_order(len(t.at[v]))
+            here = [mask for w, mask in tested if w == v]
+            assert here == [mask for mask in order if mask in set(here)], m
+            assert set(here) | set(t.ideal[v]) == set(order), m
