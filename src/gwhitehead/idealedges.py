@@ -8,8 +8,8 @@ Orbits of ideal edges are the vertices of the blow-up poset.
 Orbit table.  Each graph keeps one table of its ideal edges on int masks
 over E_v (bit i stands for ``edges_at(v)[i]``), built on the first read.
 The group acts on masks through per-element bit maps.  The table tests
-every mask at every vertex once, in key order (sorted by the _bits
-tuple), and files each ideal one with all its translates under one
+every mask at every vertex once, in key order (sorted by its _bits as a
+byte string), and files each ideal one with all its translates under one
 orbit, which holds the translates (their number is [G:stab alpha], the
 one source of orbit sizes) and the orbit union per vertex; the first
 mask of an orbit met is its canonical rep, so the reps come out in key
@@ -117,8 +117,9 @@ class _OrbitTable:
         self.ideal = [{} for _ in range(g.n_vertices)]
         self.reps = []
         for v, found in enumerate(self.ideal):
+            # bytes keys sort as tuples would but fill no tuple free list
             for mask in sorted(range(1, 1 << len(self.at[v])),
-                               key=lambda x: tuple(_bits(x))):
+                               key=lambda x: bytes(_bits(x))):
                 if mask in found or not self.is_ideal(v, mask):
                     continue
                 orbit = self.orbit(v, mask)
