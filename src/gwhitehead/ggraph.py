@@ -228,6 +228,8 @@ class GGraph:
                                "to its reverse")
         for name in G.names[len(rows):]:
             bad.append(f"action of {name} is missing")
+        for r in range(G.order, len(self.edge_action)):
+            bad.append(f"action row {r} names no element of a group of order {G.order}")
         # action respects incidence: known terminal vertices move consistently
         for g, perm in maps.items():
             vmap = {}

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import pathlib
+import random
 
 import pytest
 
@@ -392,3 +393,54 @@ def test_validate_reports_a_malformed_action(group, action, fault):
     assert g.validate() == [fault]
     with pytest.raises(ValidationError, match=fault):
         MarkedGGraph(g, ((0,),)).require_valid()
+
+
+def test_validate_reports_each_extra_action_row():
+    # two rows for the trivial group: the second would enter the orbit
+    # tables (stab_edge(0) would be (0, 1)) if it validated
+    g = GGraph(1, 0, (0, 0, 0, 0), Group.trivial(), ((0, 1, 2, 3), (0, 1, 2, 3)))
+    fault = "action row 1 names no element of a group of order 1"
+    assert g.validate() == [fault]
+    with pytest.raises(ValidationError, match=fault):
+        MarkedGGraph(g, ((0,), (2,))).require_valid()
+    g = GGraph(1, 0, (0, 0), Group.cyclic(2), ((0, 1), (1, 0), (0, 1), (0,)))
+    assert g.validate() == [
+        "inversion: t maps e0 to its reverse",
+        "inversion: t maps ~e0 to its reverse",
+        "action row 2 names no element of a group of order 2",
+        "action row 3 names no element of a group of order 2"]
+
+
+def _fuzzed_graph(rng):
+    """A small input to validate: 1-3 vertices, 1-3 edge pairs, Z/1-Z/3, one
+    action row per element, each a permutation or an arbitrary map."""
+    nv = rng.randint(1, 3)
+    n = 2 * rng.randint(1, 3)
+    term = tuple(rng.randrange(nv) for _ in range(n))
+    group = Group.cyclic(rng.randint(1, 3))
+    rows = []
+    for _ in group.elements:
+        if rng.random() < 0.7:
+            rows.append(tuple(rng.sample(range(n), n)))
+        else:
+            rows.append(tuple(rng.randrange(n) for _ in range(n)))
+    return GGraph(nv, 0, term, group, tuple(rows))
+
+
+def test_extra_rows_only_append_their_own_messages():
+    # an input with one row per element gets no extra-row message, and
+    # extra rows leave every other message of its list as it was
+    rng = random.Random(0)
+    inputs = [m.graph for m in all_fixtures().values()] + [
+        _fuzzed_graph(rng) for _ in range(400)]
+    for g in inputs:
+        bad = g.validate()
+        assert not any(msg.startswith("action row") for msg in bad), g
+        extra = tuple(rng.choice(g.edge_action) for _ in range(rng.randint(1, 2)))
+        g2 = GGraph(g.n_vertices, g.basepoint, g.term, g.group, g.edge_action + extra)
+        k = g.group.order
+        rows = [f"action row {r} names no element of a group of order {k}"
+                for r in range(k, k + len(extra))]
+        bad2 = g2.validate()
+        assert [msg for msg in bad2 if msg not in rows] == bad, g
+        assert [msg for msg in bad2 if msg in rows] == rows, g
