@@ -77,6 +77,22 @@ coordinate of x - y, with no unpacking (``_Lanes.sign``).  abs_sign uses
 it for the sign of |a| - |C|: per part of the kind, one packed |C| and one
 comparison with ``edge[a]``, the aut part only when the out part is equal.
 
+Lane-wise order.  abs_le decides whether sum k |C| over one list of
+(k, C) terms is <= the same sum over another in every coordinate, per
+part, on packed ints.  A packed |C| lane is at most 2 |G| L, so a side
+whose coefficients sum to s has lanes of at most B = s 2 |G| L, B taken
+over the larger sum of the two sides.  The terms are summed in the
+narrowest lane code holding 2 B + 1 (the part's own code when it does, its
+lanes widened otherwise), so every lane value is below half the lane
+range and each lane's top bit is free.  With GUARD the int with each
+lane's top bit set, lane i of y + GUARD - x is y_i - x_i plus half the
+range: it lies in the lane's range, so no lane borrows from the next (nor
+carries into it), and its top bit is set exactly when x_i <= y_i.  So x
+<= y in every lane exactly when (y + GUARD - x) & GUARD == GUARD, one
+big-int sum and one mask for the whole part.  Neither side may have a
+guard bit set (_Lanes.le raises InternalInconsistency if one does), which
+keeps the compare exact even if a lane ever exceeded its bound.
+
 Memo.  A calculator unpacks each distinct |C| (per frozenset C and kind)
 and computes its cross-checked pair of norms once: set_abs and all_norms
 keep their answers, which are frozen NormVectors and safe to share, for
@@ -188,6 +204,7 @@ class NormCalculator:
                        for kind in ("out", "aut")}
         self._set_abs = {}  # (frozenset C, kind) -> |C|
         self._subset_abs = {}  # (part, vertex v) -> packed |C| per mask C over E_v
+        self._lane_abs = {}  # (part, lane code) -> {frozenset C: packed |C| in that code}
         self._all_norms = None
 
     def _vec(self, kind, packed_fn):
@@ -237,6 +254,46 @@ class NormCalculator:
             return 0
 
         return sign
+
+    def abs_le(self, kind, lhs, rhs):
+        """Whether the sum of k |C| over the (k, C) terms of lhs is <= the
+        same sum over rhs in every coordinate of kind, for k >= 0 and each
+        C a frozenset.
+
+        Decided per part on packed ints (see "Lane-wise order" in the
+        module docstring).  Each packed |C| comes from _packed_abs, read
+        once per set and part for the life of the calculator.
+        """
+        k_max = max(sum([k for k, _ in lhs]), sum([k for k, _ in rhs]))
+        for part in _parts(kind):
+            lanes = self._lanes[part]
+            code = lanes.sum_code(k_max)
+            memo = self._lane_abs.get((part, code))
+            if memo is None:
+                memo = self._lane_abs[part, code] = {}
+            sides = []
+            for terms in (lhs, rhs):
+                total = 0
+                for k, C in terms:
+                    x = memo.get(C)
+                    if x is None:
+                        x = memo[C] = self._abs_in(part, code, C)
+                    total += k * x
+                sides.append(total)
+            if not lanes.le(sides[0], sides[1], code):
+                return False
+        return True
+
+    def _abs_in(self, part, code, C):
+        """Packed |C| in one part, in the lanes of the given array code:
+        _packed_abs, kept in the part's own code and widened from it when
+        code is wider."""
+        lanes = self._lanes[part]
+        native = self._lane_abs.setdefault((part, lanes.code), {})
+        x = native.get(C)
+        if x is None:
+            x = native[C] = self._packed_abs(part, self.m.graph.edge_masks(C).items())
+        return x if code == lanes.code else lanes.widen(x, code)
 
     def _packed_abs(self, part, masks):
         """Packed |C| in one part, for C given by its (vertex, mask) items
@@ -360,9 +417,13 @@ class _Lanes:
     def __init__(self, items, cyclic, actions):
         n_edges = len(actions[0])
         longest = max(map(len, items), default=0)
-        self.code = _lane_code(2 * len(actions) * longest)
+        self.bound = 2 * len(actions) * longest  # the largest lane value
+        self.code = _lane_code(self.bound)
         self.width = 8 * array(self.code).itemsize  # bits per lane
+        self._n_lanes = len(items)
         self._n_bytes = len(items) * self.width // 8
+        self._sum_codes = {}  # coefficient sum -> its lane code (see sum_code)
+        self._guards = {}  # lane code -> GUARD, each lane's top bit (see le)
         pad = bytes((n_edges,))
         rows = b"".join(map(bytes.ljust, items, itertools.repeat(longest),
                             itertools.repeat(pad)))
@@ -471,6 +532,32 @@ class _Lanes:
         lane = ((diff & -diff).bit_length() - 1) // self.width
         low = (1 << (lane + 1) * self.width) - 1  # lanes 0..lane
         return 1 if x & low > y & low else -1
+
+    def sum_code(self, k):
+        """The narrowest array code holding 2 B + 1, B = k bound: that of
+        sums of packed |C| ints whose coefficients sum to at most k, with
+        every lane's top bit free (see "Lane-wise order" in the module
+        docstring)."""
+        code = self._sum_codes.get(k)
+        if code is None:
+            code = self._sum_codes[k] = _lane_code(2 * k * self.bound + 1)
+        return code
+
+    def le(self, x, y, code):
+        """Whether every lane of x is <= that of y, for x and y packed in
+        the given array code with every lane's top bit free (see
+        "Lane-wise order" in the module docstring)."""
+        guard = self._guards.get(code)
+        if guard is None:
+            top = 1 << (8 * array(code).itemsize - 1)
+            guard = self._guards[code] = _pack(array(code, [top]) * self._n_lanes)
+        if (x | y) & guard:
+            raise InternalInconsistency("a packed sum reached the top bit of its lane")
+        return (y + guard - x) & guard == guard
+
+    def widen(self, packed, code):
+        """A packed int of these lanes, repacked in the wider array code."""
+        return _pack(array(code, self.unpack(packed)))
 
     def turns_between(self, A, B):
         """Packed sum of Tsym[a][b] over a in A and b in B."""

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from gwhitehead.errors import HypothesisNotMet, PropertyViolation
 from gwhitehead.freegroup import FreeAutomorphism
-from gwhitehead.idealedges import (IdealEdge, IdealPair, compatible, d_set,
-                                   enumerate_ideal_edges, pre_compatible)
+from gwhitehead.idealedges import (IdealEdge, IdealPair, compatible, crossing, d_set,
+                                   enumerate_ideal_edges, pre_compatible, stab_set,
+                                   translate_at, translates)
 from gwhitehead.marking import path_of_word, reduce_path
 from gwhitehead.moves import VERDICTS
 from gwhitehead.norms import NormCalculator, Order, compare
@@ -220,6 +221,58 @@ def scan_reductive(m, horizon, kind):
             if best is None or compare(value, best[1]) == Order.GREATER:
                 best = (IdealPair(alpha, a), value)
     return frozenset(R), best
+
+
+def scan_crossing_inequalities(m, horizon):
+    """check_crossing_inequalities on unpacked NormVectors, the reference.
+
+    Per cohabiting pair (alpha, beta) that crosses and per kind: each
+    inequality p |X| + q |Y| <= p |alpha| + q |beta| is checked
+    coordinate by coordinate on the scaled and added set_abs vectors of a
+    fresh NormCalculator (which test_norms compares with scan_set_abs).
+    Raises PropertyViolation with the check's message on the first
+    failure; returns the number of inequalities checked.
+    """
+    def le(u, v):
+        return all(a <= b for a, b in zip(u.coords, v.coords))
+
+    g = m.graph
+    calc = NormCalculator(m, horizon)
+    checked = 0
+    for alpha, beta0 in itertools.permutations(enumerate_ideal_edges(m), 2):
+        beta = translate_at(g, beta0, alpha.vertex)
+        if beta is None:
+            continue
+        cr = crossing(g, alpha, beta)
+        if cr.number == 0:
+            continue
+        P = stab_set(g, alpha.edges)
+        Q = stab_set(g, beta.edges)
+        p = len(translates(g, alpha))
+        q = len(translates(g, beta))
+        for kind in ("out", "aut"):
+            rhs = (calc.set_abs(alpha.edges, kind).scale(p)
+                   + calc.set_abs(beta.edges, kind).scale(q))
+            if cr.number == 1 and set(P) <= set(Q):
+                Qalpha = frozenset().union(
+                    *(g.act_edge_set(x, alpha.edges) for x in Q))
+                lhs = (calc.set_abs(alpha.edges & beta.edges, kind).scale(p)
+                       + calc.set_abs(beta.edges | Qalpha, kind).scale(q))
+                if not le(lhs, rhs):
+                    raise PropertyViolation(
+                        f"simple-crossing inequality fails ({kind}): "
+                        f"alpha={alpha.key()} beta={beta.key()}")
+                checked += 1
+            for gamma, gamma_d in zip(cr.components, cr.dual_components):
+                lhs = (calc.set_abs(alpha.edges - gamma, kind).scale(p)
+                       + calc.set_abs(beta.edges - gamma_d, kind).scale(q))
+                if not le(lhs, rhs):
+                    raise PropertyViolation(
+                        f"component-removal inequality fails ({kind}): "
+                        f"alpha={alpha.key()} beta={beta.key()} "
+                        f"gamma={sorted(gamma)}")
+                checked += 1
+    return checked
 
 
 def scan_generates_free_group(words, k):

@@ -6,6 +6,7 @@ pair of incoming edges meets its own swap-translate without equaling it.
 """
 
 import itertools
+import pathlib
 
 import pytest
 
@@ -19,10 +20,13 @@ from gwhitehead.idealedges import (Crossing, IdealEdge, canonical_rep,
                                   enumerate_ideal_edges, is_ideal_edge,
                                   is_invertible, orbit_union, pre_compatible,
                                   stab_set, translate_at, translates)
-from gwhitehead.norms import NormVector, calculator
+from gwhitehead.cli import parse
+from gwhitehead.norms import NormCalculator, calculator
 
-from oracles import scan_d_set
+from oracles import scan_crossing_inequalities, scan_d_set
 from test_ggraph import s3_theta, s3_tripod
+
+INSTANCES = pathlib.Path(__file__).parent / "instances"
 
 FROZEN_ORBITS = {
     "FIX-R2": [(0, (0, 1)), (0, (0, 1, 2)), (0, (0, 1, 3)), (0, (0, 2)),
@@ -109,25 +113,14 @@ def test_no_translate_at_the_vertex_means_no_crossing():
         assert crossing(g, alpha, beta) == Crossing(0, (), ())
 
 
-class _RaisedSetAbs:
-    """A calculator whose |target| is raised by 10**6 in every coordinate."""
-
-    def __init__(self, calc, target):
-        self.calc, self.target = calc, frozenset(target)
-
-    def set_abs(self, C, kind):
-        v = self.calc.set_abs(C, kind)
-        if frozenset(C) != self.target:
-            return v
-        return NormVector(v.kind, v.n, v.horizon, tuple(c + 10**6 for c in v.coords))
-
-
 def test_crossing_check_catches_a_raised_left_hand_side(monkeypatch):
     # The first crossing pair of FIX-R2-SWAP, alpha = {0, 1} and beta = {0, 2}
     # at vertex 0, cross simply with P = 1 <= Q = G, so p = 2 and q = 1.  The
     # one component is gamma = {0} = alpha n beta, and alpha - gamma = {1}.
     # Neither left-hand set is alpha or beta, so raising it cannot raise the
-    # right-hand side too.
+    # right-hand side too.  The raise sets every lane of the packed |target|
+    # in one part to the lane bound 2 |G| L, the most a packed |C| can hold,
+    # so the sums stay inside their lanes and only the verdict changes.
     m = fix_r2_swap()
     g = m.graph
     alpha, beta = IdealEdge(0, frozenset({0, 1})), IdealEdge(0, frozenset({0, 2}))
@@ -135,16 +128,59 @@ def test_crossing_check_catches_a_raised_left_hand_side(monkeypatch):
     assert cr.number == 1 and cr.components == (frozenset({0}),)
     assert len(stab_set(g, alpha.edges)) == 1 and len(stab_set(g, beta.edges)) == 2
     pair = "alpha=(0, (0, 1)) beta=(0, (0, 2))"
-    for target, failure in [({0}, f"simple-crossing inequality fails (out): {pair}"),
-                            ({1}, f"component-removal inequality fails (out): {pair} "
-                                  f"gamma=[0]")]:
-        def raised(m, horizon, target=target):
-            return _RaisedSetAbs(calculator(m, horizon), target)
+    for part, target, failure in [
+            ("out", {0}, f"simple-crossing inequality fails (out): {pair}"),
+            ("out", {1}, f"component-removal inequality fails (out): {pair} gamma=[0]"),
+            ("aut", {0}, f"simple-crossing inequality fails (aut): {pair}"),
+            ("aut", {1}, f"component-removal inequality fails (aut): {pair} gamma=[0]")]:
+        calc = NormCalculator(m, 2)
+        lanes = calc._lanes[part]
+        top = lanes.pack([lanes.bound] * len(calc.items[part]))
+        packed_abs = calc._packed_abs
+        masks = g.edge_masks(target)
 
-        monkeypatch.setattr(selftest, "calculator", raised)
+        def raised(p, C_masks, part=part, top=top, masks=masks, packed_abs=packed_abs):
+            if p == part and dict(C_masks) == masks:
+                return top
+            return packed_abs(p, C_masks)
+
+        monkeypatch.setattr(calc, "_packed_abs", raised)
+        monkeypatch.setattr(selftest, "calculator", lambda m, horizon, calc=calc: calc)
         with pytest.raises(PropertyViolation) as exc:
             selftest.check_crossing_inequalities(m, 2)
         assert str(exc.value) == failure
+
+
+def _crossing_corpus():
+    return ([(name, m) for name, m in sorted(all_fixtures().items())]
+            + [(p.name, parse(p.read_text())) for p in sorted(INSTANCES.glob("*.txt"))]
+            + [(f"random-{s}", random_instance(s)) for s in range(7000, 7060)])
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_crossing_check_counts_match_the_vector_reference(horizon):
+    # the packed lane-wise check against the coordinate-by-coordinate loop
+    total = 0
+    for name, m in _crossing_corpus():
+        want = scan_crossing_inequalities(m, horizon)
+        assert selftest.check_crossing_inequalities(m, horizon) == want, name
+        total += want
+    assert total == 51900  # the count does not depend on the horizon
+
+
+def test_crossing_check_reads_no_unpacked_set_abs(monkeypatch):
+    calls = []
+    set_abs = NormCalculator.set_abs
+
+    def counted(self, C, kind):
+        calls.append(C)
+        return set_abs(self, C, kind)
+
+    monkeypatch.setattr(NormCalculator, "set_abs", counted)
+    calculator.cache_clear()
+    checked = sum(selftest.check_crossing_inequalities(m, 2) for _, m in _crossing_corpus())
+    calculator.cache_clear()
+    assert checked > 0 and calls == []
 
 
 def test_non_basepoint_edges_keep_two_complement_edges(named_instance):

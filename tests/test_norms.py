@@ -10,6 +10,8 @@ and each coordinate is just the cyclic loop length, giving
 import itertools
 import pathlib
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -188,6 +190,89 @@ def test_wide_lanes_match_scan_oracle():
     calc = _assert_matches_scan_oracle(_wide_lane_rose(), 2, draws=10)
     assert calc._lanes["aut"].code == "H"
     assert max(calc.edge_abs(0, "aut").coords) > 255
+
+
+def _packed_in(code, values):
+    return int.from_bytes(array(code, values), sys.byteorder)
+
+
+def test_lane_order_decides_each_lane():
+    # 12 lanes of 8 bits on the rose at horizon 2; le reads every lane
+    lanes = NormCalculator(fix_r2(), 2)._lanes["out"]
+    n = len(lanes.unpack(lanes.edge[0]))
+    base = [3 * i % 7 for i in range(n)]
+    y = _packed_in("B", base)
+    assert lanes.le(y, y, "B")
+    for i in (0, n // 2, n - 1):  # the lowest, a middle and the top lane
+        above, below = list(base), list(base)
+        above[i] += 1
+        below[i] -= 1 if base[i] else 0
+        assert not lanes.le(_packed_in("B", above), y, "B"), i
+        assert lanes.le(y, _packed_in("B", above), "B"), i
+        assert lanes.le(_packed_in("B", below), y, "B"), i
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_lane_order_is_exact_at_the_bound(k):
+    # sums whose coefficients add up to k reach at most B = k * bound per lane
+    lanes = NormCalculator(fix_r2_swap(), 2)._lanes["aut"]
+    n = len(lanes.unpack(lanes.edge[0]))
+    code = lanes.sum_code(k)
+    width = 8 * array(code).itemsize
+    B = k * lanes.bound
+    assert 2 * B + 1 < 1 << width and (code == "B" or 2 * B + 1 >= 1 << width // 2)
+    top = _packed_in(code, [B] * n)
+    assert lanes.le(top, top, code) and lanes.le(0, top, code)
+    assert not lanes.le(top, 0, code)
+    for i in (0, n // 2, n - 1):
+        short = [B] * n
+        short[i] = B - 1
+        assert not lanes.le(top, _packed_in(code, short), code), i
+        assert lanes.le(_packed_in(code, short), top, code), i
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_a_guard_bit_on_either_side_raises(side):
+    lanes = NormCalculator(fix_r2(), 2)._lanes["out"]
+    n = len(lanes.unpack(lanes.edge[0]))
+    for i in (0, n - 1):
+        values = [0] * n
+        values[i] = 128  # the top bit of an 8-bit lane
+        bad = _packed_in("B", values)
+        x, y = (bad, 0) if side == "lhs" else (0, bad)
+        with pytest.raises(InternalInconsistency):
+            lanes.le(x, y, "B")
+
+
+def _vector_le(calc, kind, lhs, rhs):
+    """The reference: both sides as scaled and added set_abs vectors."""
+    def side(terms):
+        total = [0] * len(calc.set_abs(frozenset(), kind).coords)
+        for k, C in terms:
+            total = [t + k * c for t, c in zip(total, calc.set_abs(C, kind).coords)]
+        return total
+    return all(a <= b for a, b in zip(side(lhs), side(rhs)))
+
+
+def test_abs_le_widens_narrow_lanes_and_matches_the_vectors():
+    # Z/2 rose at horizon 2: 8-bit lanes of bound 2 |G| L = 8, so sums with
+    # coefficients adding up to 16 or more are compared in 16-bit lanes
+    m = fix_r2_swap()
+    calc = NormCalculator(m, 2)
+    assert [calc._lanes[part].code for part in ("out", "aut")] == ["B", "B"]
+    assert [calc._lanes["out"].sum_code(k) for k in (15, 16)] == ["B", "H"]
+    sets = [frozenset(C) for r in (1, 2, 3) for C in itertools.combinations(range(4), r)]
+    verdicts = set()
+    for (a, b), (c, d) in itertools.combinations(itertools.combinations(sets, 2), 2):
+        for coefs in ((1, 1), (2, 1), (9, 7), (16, 20)):
+            lhs, rhs = tuple(zip(coefs, (a, b))), tuple(zip(coefs, (c, d)))
+            for kind in KINDS:
+                want = _vector_le(calc, kind, lhs, rhs)
+                assert calc.abs_le(kind, lhs, rhs) == want, (lhs, rhs, kind)
+                verdicts.add((coefs, want))
+            assert calc.abs_le("out", lhs, lhs)  # equal sides
+    assert {v for _, v in verdicts} == {True, False}
+    assert {("out", "H"), ("aut", "H")} <= set(calc._lane_abs)
 
 
 def _first_nonzero_sign(coords):
