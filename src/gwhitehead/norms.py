@@ -38,24 +38,39 @@ turn vector of each occurring turn, each packed into one Python int with
 one fixed-width lane per coordinate: lane i holds item i of
 ``items[kind]``, the lowest lane first, in the width of the narrowest
 ``array`` code that holds every value a kernel can produce.  The counts
-are made column by column, not step by step: the items, each padded with
-the sentinel ``n_edges`` to the longest length L, are joined into one
-string, and its extended slice ``rows[p::L]`` is the ``bytes`` column of
-path position p (byte i is step p of item i, or the sentinel past its
-end).  The edges present in a column are found with ``e in col``, and
-``bytes.translate`` with a one-hot table turns the column into the packed
-0/1 indicator of each of them.  An edge's occurrence int is the sum of
-its indicators over the positions, and a turn's the sum of the ANDs of
-the indicators at adjacent positions.  The occurrences and the check that
-every item is reduced are made at build time; the turns are counted on
-the first query that reads them (set_abs, dot, abs_sign), so a calculator
-read only through norm, all_norms or edge_abs never counts them.  Edge
-ids and the sentinel must each fit in one byte, so a graph may have at
-most MAX_EDGES directed edges.  edge_abs and dot are then a few big-int
-sums over those ints, and one ``int.to_bytes`` plus ``memoryview.cast``
-unpacks the result into the coordinate tuple.  norm needs no unpacking:
-its cross-check compares packed ints (see NormCalculator.norm).  tot is
-the out coordinates followed by the aut ones.
+are made over one column-major buffer, with no Python loop per step or
+per column.  The items, each padded with the sentinel ``n_edges`` to the
+longest length L, are joined into one string, and its extended slice
+``rows[p::L]`` is the ``bytes`` column of path position p (byte i is step
+p of item i, or the sentinel past its end).  The buffer is the L columns
+in order, one block each, preceded for cyclic items by a wrap block
+holding each item's last step.  For each edge e present in the buffer,
+one ``bytes.translate`` with a one-hot table gives the indicator X_e, the
+packed 0/1 int of e at every position of every item.  Shifted down one
+block, X_w lines each position up with the next (and the wrap block with
+the first), so one AND per edge u, X_u & (X_{rev u} >> block), finds
+every backtrack, the wrap ones included, and one AND per pair of present
+edges, X_u & (X_w >> block), marks every crossing of the turn
+(u, rev w).  The count over positions is the sum of the blocks, folded
+by halving: x = (x & mask) + (x >> s) adds the upper half of the blocks
+onto the lower, ceil(log2 L) steps with (s, mask) made once per build.
+An edge's occurrences are folded once, after their orbit sum, for e and
+rev e together.  No fold carries from one lane into the next: every
+partial sum of a lane is at most that lane's final value, and no final
+value exceeds the lane bound 2 |G| L (see _pack).  (A remainder modulo
+2^block - 1 would also sum the blocks, but CPython's long division is
+quadratic, and it measured slower.)  The occurrences and the check that
+every item is reduced are made at build time, which keeps the buffer but
+not the indicators; the turns are counted on the first query that reads
+them (set_abs, dot, abs_sign), from indicators made again from the
+buffer, which is then dropped.  So a calculator read only through norm,
+all_norms or edge_abs never counts them.  Edge ids and the sentinel must
+each fit in one byte, so a graph may have at most MAX_EDGES directed
+edges.  edge_abs and dot are then a few big-int sums over those ints,
+and one ``int.to_bytes`` plus ``memoryview.cast`` unpacks the result into
+the coordinate tuple.  norm needs no unpacking: its cross-check compares
+packed ints (see NormCalculator.norm).  tot is the out coordinates
+followed by the aut ones.
 
 Packed |C|.  A turn joins two edges that end at one vertex, so |C| is the
 sum of |C & E_v| over the vertices v that C's edges end at.  Each term is
@@ -96,7 +111,8 @@ keeps the compare exact even if a lane ever exceeded its bound.
 Memo.  A calculator unpacks each distinct |C| (per frozenset C and kind)
 and computes its cross-checked pair of norms once: set_abs and all_norms
 keep their answers, which are frozen NormVectors and safe to share, for
-the life of the calculator.  The subset tables are kept on it as well, so
+the life of the calculator.  The subset tables, and the packed |C| and
+side sums of abs_le, are kept on it as well, so
 ``calculator.cache_clear()`` drops them all with it, as it drops each
 kind's turn table.  norm(kind) is deliberately unmemoised: each call
 repeats the direct count and the half edge_abs sum and compares them.
@@ -110,7 +126,6 @@ import itertools
 import operator
 import sys
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 
 from . import freegroup as fg
@@ -205,6 +220,7 @@ class NormCalculator:
         self._set_abs = {}  # (frozenset C, kind) -> |C|
         self._subset_abs = {}  # (part, vertex v) -> packed |C| per mask C over E_v
         self._lane_abs = {}  # (part, lane code) -> {frozenset C: packed |C| in that code}
+        self._side_abs = {}  # (part, lane code, terms) -> packed sum of k |C| over terms
         self._all_norms = None
 
     def _vec(self, kind, packed_fn):
@@ -257,32 +273,37 @@ class NormCalculator:
 
     def abs_le(self, kind, lhs, rhs):
         """Whether the sum of k |C| over the (k, C) terms of lhs is <= the
-        same sum over rhs in every coordinate of kind, for k >= 0 and each
-        C a frozenset.
+        same sum over rhs in every coordinate of kind, for k >= 0, each C a
+        frozenset and each side a tuple of terms.
 
         Decided per part on packed ints (see "Lane-wise order" in the
         module docstring).  Each packed |C| comes from _packed_abs, read
-        once per set and part for the life of the calculator.
+        once per set and part, and each side is summed once per part and
+        lane code, for the life of the calculator.
         """
         k_max = max(sum([k for k, _ in lhs]), sum([k for k, _ in rhs]))
         for part in _parts(kind):
             lanes = self._lanes[part]
             code = lanes.sum_code(k_max)
-            memo = self._lane_abs.get((part, code))
-            if memo is None:
-                memo = self._lane_abs[part, code] = {}
-            sides = []
-            for terms in (lhs, rhs):
-                total = 0
-                for k, C in terms:
-                    x = memo.get(C)
-                    if x is None:
-                        x = memo[C] = self._abs_in(part, code, C)
-                    total += k * x
-                sides.append(total)
-            if not lanes.le(sides[0], sides[1], code):
+            if not lanes.le(self._sum_in(part, code, lhs),
+                            self._sum_in(part, code, rhs), code):
                 return False
         return True
+
+    def _sum_in(self, part, code, terms):
+        """Packed sum of k |C| over the (k, C) terms in one part, in the
+        lanes of the given array code; made on the first read, then kept."""
+        total = self._side_abs.get((part, code, terms))
+        if total is None:
+            memo = self._lane_abs.setdefault((part, code), {})
+            total = 0
+            for k, C in terms:
+                x = memo.get(C)
+                if x is None:
+                    x = memo[C] = self._abs_in(part, code, C)
+                total += k * x
+            self._side_abs[part, code, terms] = total
+        return total
 
     def _abs_in(self, part, code, C):
         """Packed |C| in one part, in the lanes of the given array code:
@@ -389,6 +410,25 @@ def _lane_code(bound):
     raise InternalInconsistency(f"norm coordinates up to {bound} exceed 64 bits")
 
 
+def _fold_steps(n_blocks, block):
+    """The (shift, mask) steps of _fold for n_blocks blocks of block bits."""
+    steps = []
+    while n_blocks > 1:
+        n_blocks = (n_blocks + 1) // 2
+        shift = n_blocks * block
+        steps.append((shift, (1 << shift) - 1))
+    return steps
+
+
+def _fold(x, steps):
+    """The lane-wise sum of the blocks of x, by halving: each step adds the
+    upper half of the blocks onto the lower (see "Packed layout" in the
+    module docstring for why no lane carries)."""
+    for shift, mask in steps:
+        x = (x & mask) + (x >> shift)
+    return x
+
+
 class _Lanes:
     """One kind's orbit-summed vectors, each packed into an int by _pack.
 
@@ -399,19 +439,21 @@ class _Lanes:
     u then rev w (a cyclic item also wraps around).  Only occurring turns
     are stored.
 
-    O and T are counted over the byte columns of the items, sliced from
-    their padded join (see the module docstring), so no Python loop runs
-    per step: O[e] sums the indicators of e over the columns, and
-    T[(u, rev w)] sums the AND of the indicator of u at one position with
-    that of w at the next.  A cyclic item adds one wrap column, its last
-    step, against the first.  Items are bytes; cyclic items may come in any
+    O and T are counted on the column-major buffer of the items (see
+    "Packed layout" in the module docstring): its blocks, each ``_n_bytes``
+    wide, are the columns of the padded items in order, after a wrap block
+    (block 0) when the items are cyclic.  X_e, the indicator of edge e over
+    the buffer, gives O[e] as the sum of its column blocks, folded once per
+    pair e, rev e after the orbit sum, and T[(u, rev w)] as the fold of
+    X_u & (X_w >> block), one AND per pair of edges present, since block p
+    of X_w >> block is the position after block p of X_u.  Items are
+    bytes; cyclic items may come in any
     rotation, since none of these counts depends on where a loop starts
     (see "Items." in the module docstring).
 
-    ``__init__`` makes ``edge`` and rejects an unreduced item: per edge u at
-    a position, one AND with the indicator of rev u at the next.  It keeps
-    the adjacent indicator pairs, from which ``turns`` is counted on its
-    first read.
+    ``__init__`` makes ``edge`` and rejects an unreduced item, one AND per
+    edge present.  It keeps the buffer, not the indicators, and ``turns``
+    makes the indicators again from it on its first read, then drops it.
     """
 
     def __init__(self, items, cyclic, actions):
@@ -424,56 +466,63 @@ class _Lanes:
         self._n_bytes = len(items) * self.width // 8
         self._sum_codes = {}  # coefficient sum -> its lane code (see sum_code)
         self._guards = {}  # lane code -> GUARD, each lane's top bit (see le)
-        pad = bytes((n_edges,))
-        rows = b"".join(map(bytes.ljust, items, itertools.repeat(longest),
-                            itertools.repeat(pad)))
-        cols = [rows[p::longest] for p in range(longest)]
-        if cyclic and cols:  # the wrap column: each item's last step
-            cols.append(b"".join([steps[-1:] or pad for steps in items]))
-        narrow = self.code == "B"
-        ind = []
-        O = [0] * n_edges
-        for col in cols:
-            at = {}
-            for e in range(n_edges):
-                if e in col:
-                    hot = col.translate(_ONE_HOT[e])
-                    at[e] = x = int.from_bytes(  # _pack, inlined
-                        hot if narrow else array(self.code, memoryview(hot)), sys.byteorder)
-                    O[e] += x
-            ind.append(at)
-        adjacent = list(zip(ind, ind[1:longest]))
-        if cyclic and cols:
-            wrap = ind.pop()
-            for e, x in wrap.items():  # the wrap column repeats occurrences
-                O[e] -= x
-            adjacent.append((wrap, ind[0]))
-        for here, there in adjacent:
-            for u, x in here.items():
-                if x & there.get(u ^ 1, 0):
-                    raise InternalInconsistency("unreduced path reached the norm layer")
-        osym = list(map(sum, zip(*[map(O.__getitem__, act) for act in actions])))
-        self.edge = [osym[e] + osym[e ^ 1] for e in range(n_edges)]
-        self._adjacent = adjacent
         self._actions = actions
+        self._n_columns = longest
+        cols = []
+        if longest:
+            pad = bytes((n_edges,))
+            rows = b"".join(map(bytes.ljust, items, itertools.repeat(longest),
+                                itertools.repeat(pad)))
+            if cyclic:  # block 0, the wrap: each item's last step
+                cols.append(b"".join([steps[-1:] or pad for steps in items]))
+            cols += [rows[p::longest] for p in range(longest)]
+        self._buffer = b"".join(cols)
+        X = self._indicators()
+        block = 8 * self._n_bytes
+        for u, x in X.items():  # X_{rev u} >> block: each position on the next
+            if x & (X.get(u ^ 1, 0) >> block):
+                raise InternalInconsistency("unreduced path reached the norm layer")
+        if cyclic:  # the occurrences are in the column blocks, not the wrap
+            for e in X:
+                X[e] >>= block
+        steps = _fold_steps(longest, block)
+        self.edge = [0] * n_edges
+        for e in range(0, n_edges, 2):  # edge[e] is edge[rev e]: Osym[e] + Osym[rev e]
+            self.edge[e] = self.edge[e + 1] = _fold(
+                sum([X.get(act[e], 0) + X.get(act[e + 1], 0) for act in actions]), steps)
+
+    def _indicators(self):
+        """Edge e -> X_e, the packed 0/1 indicator of e over the buffer, for
+        each edge present in it."""
+        buffer = self._buffer
+        narrow = self.code == "B"
+        X = {}
+        for e in range(len(self._actions[0])):
+            if e in buffer:
+                hot = buffer.translate(_ONE_HOT[e])
+                X[e] = int.from_bytes(  # _pack, inlined
+                    hot if narrow else array(self.code, memoryview(hot)), sys.byteorder)
+        return X
 
     @functools.cached_property
     def turns(self):
-        """Tsym, counted from the adjacent indicator pairs on the first read,
-        which then drops them."""
-        T = defaultdict(int)
-        for here, there in self._adjacent:
-            for u, x in here.items():
-                for w, y in there.items():
-                    t = x & y
-                    if t:
-                        T[u, w ^ 1] += t
-        del self._adjacent
+        """Tsym, counted from the buffer on the first read, which then drops
+        it: T[(u, rev w)] is the fold of X_u & (X_w >> block)."""
+        X = self._indicators()
+        del self._buffer
+        block = 8 * self._n_bytes
+        steps = _fold_steps(self._n_columns, block)
         turns = {}
-        for (u, w), t in T.items():
-            for act in self._actions:
-                row = turns.setdefault(act[u], {})
-                row[act[w]] = row.get(act[w], 0) + t
+        for w, y in X.items():
+            y >>= block  # each position on the next
+            rw = w ^ 1
+            for u, x in X.items():
+                t = x & y
+                if t:
+                    t = _fold(t, steps)
+                    for act in self._actions:
+                        row = turns.setdefault(act[u], {})
+                        row[act[rw]] = row.get(act[rw], 0) + t
         return turns
 
     def pack(self, values):

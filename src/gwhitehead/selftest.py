@@ -171,8 +171,10 @@ def check_crossing_inequalities(m, horizon):
     For each cohabiting pair (alpha, beta) that crosses, with p and q the
     orbit sizes of alpha and beta, each inequality p |X| + q |Y| <=
     p |alpha| + q |beta| is decided per kind (out, then aut) by
-    NormCalculator.abs_le on packed ints, one comparison per part.  P, Q
-    and Q alpha are found once per pair, and each stabilizer once per edge
+    NormCalculator.abs_le on packed ints, one comparison per part; abs_le
+    sums each side once per part and lane code, so the right-hand side
+    that all inequalities of a pair share is summed once.  P, Q and
+    Q alpha are found once per pair, and each stabilizer once per edge
     set.  Returns the number of inequalities checked.
     """
     g = m.graph

@@ -183,6 +183,32 @@ def test_crossing_check_reads_no_unpacked_set_abs(monkeypatch):
     assert checked > 0 and calls == []
 
 
+class _SetOnce(dict):
+    def __setitem__(self, key, value):
+        assert key not in self, key
+        super().__setitem__(key, value)
+
+
+def test_crossing_check_sums_each_side_once(monkeypatch):
+    # every inequality of a pair has the right-hand side p|alpha| + q|beta|;
+    # abs_le sums each side once per part and lane code
+    calls = []
+    abs_le = NormCalculator.abs_le
+
+    def counted(self, kind, lhs, rhs):
+        if not isinstance(self._side_abs, _SetOnce):
+            self._side_abs = _SetOnce(self._side_abs)
+        calls.append((id(self), kind, rhs))
+        return abs_le(self, kind, lhs, rhs)
+
+    monkeypatch.setattr(NormCalculator, "abs_le", counted)
+    calculator.cache_clear()
+    for _, m in _crossing_corpus():
+        selftest.check_crossing_inequalities(m, 2)
+    calculator.cache_clear()
+    assert len(set(calls)) < len(calls)  # right-hand sides do repeat
+
+
 def test_non_basepoint_edges_keep_two_complement_edges(named_instance):
     m = named_instance
     g = m.graph

@@ -412,7 +412,60 @@ def test_junction_cancels_whole_letter_paths():
 def _assert_lanes_match_scan(items, cyclic, actions):
     lanes = _Lanes(items, cyclic, actions)
     assert (lanes.edge, lanes.turns) == scan_lanes(items, cyclic, actions, lanes.code)
+    assert "_buffer" not in vars(lanes)  # counting the turns drops the buffer
     return lanes
+
+
+def _random_reduced_items(rng, n_edges, longest, cyclic):
+    """Up to 40 reduced items, cyclically reduced when cyclic, of at most
+    longest steps and at least one of exactly that many."""
+    items = []
+    for i in range(rng.randrange(1, 40)):
+        k = longest if i == 0 else rng.randrange(longest + 1)
+        steps = []
+        while len(steps) < k:
+            e = rng.randrange(n_edges)
+            if steps and e == steps[-1] ^ 1:
+                continue
+            if cyclic and 1 < k == len(steps) + 1 and e == steps[0] ^ 1:
+                continue
+            steps.append(e)
+        items.append(bytes(steps))
+    rng.shuffle(items)
+    return items
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("longest", range(1, 10))
+def test_fold_matches_scan_lanes_at_every_column_count(longest, cyclic):
+    # odd and even column counts and powers of two: an odd count of blocks
+    # leaves the fold's upper half one block short
+    rng = random.Random(2 * longest + cyclic)
+    for m in (fix_r2(), fix_r2_swap(), _rose(3)):
+        for _ in range(5):
+            items = _random_reduced_items(rng, m.graph.n_edges, longest, cyclic)
+            _assert_lanes_match_scan(items, cyclic, m.graph.edge_action)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_fold_of_the_longest_narrow_item(cyclic):
+    # the trivial-group item a^k counts a k times: 127 is the longest item
+    # whose bound 2k fits 8-bit lanes, and 128 switches to 16 bits
+    actions = fix_r2().graph.edge_action
+    for k, code in ((127, "B"), (128, "H")):
+        lanes = _assert_lanes_match_scan([bytes(k)], cyclic, actions)
+        assert (lanes.code, lanes.bound) == (code, 2 * k)
+        assert lanes.unpack(lanes.edge[0]) == (k,)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_lanes_of_items_without_steps(cyclic):
+    # no items, or items of no steps: no columns, so nothing to fold
+    actions = fix_r2_swap().graph.edge_action
+    for items in ([], [b""], [b""] * 3):
+        lanes = _assert_lanes_match_scan(items, cyclic, actions)
+        assert lanes.edge == [0] * 4 and lanes.turns == {}
+        assert lanes.unpack(lanes.edge[0]) == (0,) * len(items)
 
 
 def test_column_build_matches_scan_lanes():
