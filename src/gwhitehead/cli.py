@@ -89,6 +89,8 @@ def _parse(text):
             err(lineno, 1, "content before any section header")
         if section == "graph":
             if line.startswith("basepoint"):
+                if basepoint is not None:
+                    err(lineno, 1, "duplicate basepoint line")
                 parts = line.split("=", 1)
                 if len(parts) != 2 or not parts[1].strip():
                     err(lineno, len("basepoint") + 1, "expected `basepoint = <id>`")
@@ -117,6 +119,8 @@ def _parse(text):
                 err(lineno, 1, f"unrecognized line in [graph]: {line!r}")
         elif section == "group":
             if line.startswith("order"):
+                if order is not None:
+                    err(lineno, 1, "duplicate order line")
                 parts = line.split("=", 1)
                 try:
                     order = int(parts[1])

@@ -115,11 +115,11 @@ class GGraph:
         # Orbit tables, built once per graph: E_v per vertex as (tuple,
         # frozenset), the bit _edge_bit[e] of each directed edge in the
         # masks over its E_v, the vertex action _vertex_action[g][v], the
-        # stabilizer _stab_edge[e] of each directed edge, the memo of
-        # idealedges.translates and orbit_union, and a one-slot holder for
-        # the idealedges orbit table, filled on its first read.  They are
-        # plain attributes, not fields, so equality, hashing, repr and
-        # dataclasses.fields/asdict ignore them.
+        # stabilizer _stab_edge[e] of each directed edge, the memos of
+        # idealedges.translates and orbit_union and of idealedges.stab_set,
+        # and a one-slot holder for the idealedges orbit table, filled on
+        # its first read.  They are plain attributes, not fields, so
+        # equality, hashing, repr and dataclasses.fields/asdict ignore them.
         # They take the input as it is: validate() reports what is wrong
         # with it, so building them must not raise.
         at = [[] for _ in range(self.n_vertices)]
@@ -143,6 +143,7 @@ class GGraph:
                     fixers[e].append(g)
         object.__setattr__(self, "_stab_edge", tuple(map(tuple, fixers)))
         object.__setattr__(self, "_translates", {})
+        object.__setattr__(self, "_stab_sets", {})
         object.__setattr__(self, "_orbit_table", [])
 
     def _image_of_end(self, perm, e):

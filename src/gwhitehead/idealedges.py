@@ -189,8 +189,14 @@ def is_ideal_edge(g: GGraph, v, edges) -> bool:
 
 
 def stab_set(g: GGraph, edges):
+    """The stabilizer of an edge set: the group elements, increasing, that
+    map it onto itself.  Made once per edge set, then kept on the graph."""
     edges = frozenset(edges)
-    return tuple(x for x in g.group.elements if g.act_edge_set(x, edges) == edges)
+    S = g._stab_sets.get(edges)
+    if S is None:
+        S = g._stab_sets[edges] = tuple(
+            x for x in g.group.elements if g.act_edge_set(x, edges) == edges)
+    return S
 
 
 def _orbit_of(g: GGraph, alpha: IdealEdge):
@@ -363,8 +369,7 @@ def crossing(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> Crossing:
         return Crossing(0, (), ())
     P = stab_set(g, alpha.edges)
     Q = stab_set(g, beta_t.edges)
-    comps = []
-    duals = []
+    pairs = []  # (gamma, gamma') per double coset with gamma nonempty
     for x in g.group.double_coset_reps(P, Q):
         xb = g.act_edge_set(x, beta_t.edges)
         gamma = alpha.edges & frozenset().union(
@@ -373,9 +378,6 @@ def crossing(g: GGraph, alpha: IdealEdge, beta: IdealEdge) -> Crossing:
         gamma_d = beta_t.edges & frozenset().union(
             *(g.act_edge_set(q, xi_inv_a) for q in Q))
         if gamma:
-            comps.append(gamma)
-            duals.append(gamma_d)
-    comps_duals = sorted(zip(comps, duals), key=lambda cd: sorted(cd[0]))
-    comps = tuple(c for c, _ in comps_duals)
-    duals = tuple(d for _, d in comps_duals)
-    return Crossing(len(comps), comps, duals)
+            pairs.append((gamma, gamma_d))
+    pairs.sort(key=lambda cd: sorted(cd[0]))
+    return Crossing(len(pairs), tuple(c for c, _ in pairs), tuple(d for _, d in pairs))

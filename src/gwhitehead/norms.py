@@ -55,22 +55,23 @@ edges, X_u & (X_w >> block), marks every crossing of the turn
 by halving: x = (x & mask) + (x >> s) adds the upper half of the blocks
 onto the lower, ceil(log2 L) steps with (s, mask) made once per build.
 An edge's occurrences are folded once, after their orbit sum, for e and
-rev e together.  No fold carries from one lane into the next: every
-partial sum of a lane is at most that lane's final value, and no final
-value exceeds the lane bound 2 |G| L (see _pack).  (A remainder modulo
-2^block - 1 would also sum the blocks, but CPython's long division is
-quadratic, and it measured slower.)  The occurrences and the check that
-every item is reduced are made at build time, which keeps the buffer but
-not the indicators; the turns are counted on the first query that reads
-them (set_abs, dot, abs_sign), from indicators made again from the
-buffer, which is then dropped.  So a calculator read only through norm,
-all_norms or edge_abs never counts them.  Edge ids and the sentinel must
-each fit in one byte, so a graph may have at most MAX_EDGES directed
-edges.  edge_abs and dot are then a few big-int sums over those ints,
-and one ``int.to_bytes`` plus ``memoryview.cast`` unpacks the result into
-the coordinate tuple.  norm needs no unpacking: its cross-check compares
-packed ints (see NormCalculator.norm).  tot is the out coordinates
-followed by the aut ones.
+rev e together (for cyclic items that sum is first shifted down one
+block, past the wrap block).  No fold carries from one lane into the
+next: every partial sum of a lane is at most that lane's final value,
+and no final value exceeds the lane bound 2 |G| L (see _pack).  (A
+remainder modulo 2^block - 1 would also sum the blocks, but CPython's
+long division is quadratic, and it measured slower.)  The occurrences
+and the check that every item is reduced are made at build time, which
+keeps the indicators but not the buffer; the turns are counted from
+those indicators on the first query that reads them (set_abs, dot,
+abs_sign), which then drops them.  So a calculator read only through
+norm, all_norms or edge_abs never counts them.  Edge ids and the
+sentinel must each fit in one byte, so a graph may have at most
+MAX_EDGES directed edges.  edge_abs and dot are then a few big-int sums
+over those ints, and one ``int.to_bytes`` plus ``memoryview.cast``
+unpacks the result into the coordinate tuple.  norm needs no unpacking:
+its cross-check compares packed ints (see NormCalculator.norm).  tot is
+the out coordinates followed by the aut ones.
 
 Packed |C|.  A turn joins two edges that end at one vertex, so |C| is the
 sum of |C & E_v| over the vertices v that C's edges end at.  Each term is
@@ -114,7 +115,8 @@ keep their answers, which are frozen NormVectors and safe to share, for
 the life of the calculator.  The subset tables, and the packed |C| and
 side sums of abs_le, are kept on it as well, so
 ``calculator.cache_clear()`` drops them all with it, as it drops each
-kind's turn table.  norm(kind) is deliberately unmemoised: each call
+kind's turn table, or the indicators its build kept until the turns are
+counted.  norm(kind) is deliberately unmemoised: each call
 repeats the direct count and the half edge_abs sum and compares them.
 """
 
@@ -451,9 +453,10 @@ class _Lanes:
     rotation, since none of these counts depends on where a loop starts
     (see "Items." in the module docstring).
 
-    ``__init__`` makes ``edge`` and rejects an unreduced item, one AND per
-    edge present.  It keeps the buffer, not the indicators, and ``turns``
-    makes the indicators again from it on its first read, then drops it.
+    ``__init__`` makes each present edge's X_e once, makes ``edge`` and
+    rejects an unreduced item, one AND per edge present.  It keeps the
+    indicators and the fold steps, not the buffer; ``turns`` counts from
+    the kept indicators on its first read, then drops them.
     """
 
     def __init__(self, items, cyclic, actions):
@@ -467,7 +470,6 @@ class _Lanes:
         self._sum_codes = {}  # coefficient sum -> its lane code (see sum_code)
         self._guards = {}  # lane code -> GUARD, each lane's top bit (see le)
         self._actions = actions
-        self._n_columns = longest
         cols = []
         if longest:
             pad = bytes((n_edges,))
@@ -476,42 +478,35 @@ class _Lanes:
             if cyclic:  # block 0, the wrap: each item's last step
                 cols.append(b"".join([steps[-1:] or pad for steps in items]))
             cols += [rows[p::longest] for p in range(longest)]
-        self._buffer = b"".join(cols)
-        X = self._indicators()
-        block = 8 * self._n_bytes
-        for u, x in X.items():  # X_{rev u} >> block: each position on the next
-            if x & (X.get(u ^ 1, 0) >> block):
-                raise InternalInconsistency("unreduced path reached the norm layer")
-        if cyclic:  # the occurrences are in the column blocks, not the wrap
-            for e in X:
-                X[e] >>= block
-        steps = _fold_steps(longest, block)
-        self.edge = [0] * n_edges
-        for e in range(0, n_edges, 2):  # edge[e] is edge[rev e]: Osym[e] + Osym[rev e]
-            self.edge[e] = self.edge[e + 1] = _fold(
-                sum([X.get(act[e], 0) + X.get(act[e + 1], 0) for act in actions]), steps)
-
-    def _indicators(self):
-        """Edge e -> X_e, the packed 0/1 indicator of e over the buffer, for
-        each edge present in it."""
-        buffer = self._buffer
+        buffer = b"".join(cols)
         narrow = self.code == "B"
-        X = {}
-        for e in range(len(self._actions[0])):
+        X = self._X = {}  # edge e -> X_e, kept until turns reads it
+        for e in range(n_edges):
             if e in buffer:
                 hot = buffer.translate(_ONE_HOT[e])
                 X[e] = int.from_bytes(  # _pack, inlined
                     hot if narrow else array(self.code, memoryview(hot)), sys.byteorder)
-        return X
+        block = 8 * self._n_bytes
+        for u, x in X.items():  # X_{rev u} >> block: each position on the next
+            if x & (X.get(u ^ 1, 0) >> block):
+                raise InternalInconsistency("unreduced path reached the norm layer")
+        # the occurrences are in the column blocks: each orbit sum is shifted
+        # past the wrap block, whose lanes (each at most |G|) carry into none
+        wrap = block if cyclic else 0
+        steps = self._steps = _fold_steps(longest, block)
+        self.edge = [0] * n_edges
+        for e in range(0, n_edges, 2):  # edge[e] is edge[rev e]: Osym[e] + Osym[rev e]
+            self.edge[e] = self.edge[e + 1] = _fold(
+                sum([X.get(act[e], 0) + X.get(act[e + 1], 0) for act in actions]) >> wrap,
+                steps)
 
     @functools.cached_property
     def turns(self):
-        """Tsym, counted from the buffer on the first read, which then drops
-        it: T[(u, rev w)] is the fold of X_u & (X_w >> block)."""
-        X = self._indicators()
-        del self._buffer
+        """Tsym, counted from the kept indicators on the first read, which
+        then drops them: T[(u, rev w)] is the fold of X_u & (X_w >> block)."""
+        X = vars(self).pop("_X")
         block = 8 * self._n_bytes
-        steps = _fold_steps(self._n_columns, block)
+        steps = self._steps
         turns = {}
         for w, y in X.items():
             y >>= block  # each position on the next

@@ -174,19 +174,12 @@ def check_crossing_inequalities(m, horizon):
     NormCalculator.abs_le on packed ints, one comparison per part; abs_le
     sums each side once per part and lane code, so the right-hand side
     that all inequalities of a pair share is summed once.  P, Q and
-    Q alpha are found once per pair, and each stabilizer once per edge
-    set.  Returns the number of inequalities checked.
+    Q alpha are found once per pair; each stabilizer is read from the
+    graph's memo (stab_set), shared with crossing.  Returns the number of
+    inequalities checked.
     """
     g = m.graph
     calc = calculator(m, horizon)
-    stabilizers = {}
-
-    def stab(edges):
-        S = stabilizers.get(edges)
-        if S is None:
-            S = stabilizers[edges] = frozenset(stab_set(g, edges))
-        return S
-
     checked = 0
     for alpha, beta in _cohabiting_pairs(m):
         cr = crossing(g, alpha, beta)
@@ -197,8 +190,8 @@ def check_crossing_inequalities(m, horizon):
         rhs = ((p, alpha.edges), (q, beta.edges))
         simple = None
         if cr.number == 1:
-            Q = stab(beta.edges)
-            if stab(alpha.edges) <= Q:
+            Q = stab_set(g, beta.edges)
+            if set(stab_set(g, alpha.edges)).issubset(Q):
                 Qalpha = frozenset().union(*(g.act_edge_set(x, alpha.edges) for x in Q))
                 simple = ((p, alpha.edges & beta.edges), (q, beta.edges | Qalpha))
         removals = [((p, alpha.edges - gamma), (q, beta.edges - gamma_d))

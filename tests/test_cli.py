@@ -98,6 +98,14 @@ def test_parse_errors_carry_positions():
         with pytest.raises(ParseError) as e:
             cli.parse(rose + f"{lhs} = a\n")
         assert (e.value.line, e.value.message) == (rose.count("\n") + 1, message)
+    # a second basepoint or order line is an error at that line, not a
+    # silent replacement of the first
+    for first, repeat, line, message in (
+            ("basepoint = *\n", "basepoint = v\n", 3, "duplicate basepoint line"),
+            ("order = 2\n", "order = 1\n", 10, "duplicate order line")):
+        with pytest.raises(ParseError) as e:
+            cli.parse(THETA_TEXT.replace(first, first + repeat))
+        assert (e.value.line, e.value.message) == (line, message)
 
 
 def test_an_unknown_edge_in_a_gen_line_reports_that_line():

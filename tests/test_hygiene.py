@@ -24,7 +24,9 @@ tests does not count, so code that only the tests run lives in the tests
 and are exempt.  Every field of a package `@dataclass` or `NamedTuple`
 must be read as an attribute (`x.field`, loaded, not stored) somewhere in
 the package or the benchmark: a field that is only written is a value
-nobody uses.
+nobody uses.  The same holds for every attribute a package `__post_init__`
+sets through `object.__setattr__`, the memos and tables a frozen object
+keeps beside its fields included.
 """
 
 import ast
@@ -251,3 +253,43 @@ def test_no_unread_fields():
              for path, source in sources.items() if path.is_relative_to(ROOT / "src")
              for line, cls, field in record_fields(source) if field not in read]
     assert not found, "record field never read:\n" + "\n".join(found)
+
+
+def post_init_attributes(source):
+    """[(line, name)] of the attributes a __post_init__ sets through
+    object.__setattr__ with a constant name."""
+    return sorted((n.lineno, n.args[1].value)
+                  for f in ast.walk(ast.parse(source))
+                  if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                  for n in ast.walk(f)
+                  if _is_object_setattr(n) and len(n.args) > 1
+                  and isinstance(n.args[1], ast.Constant))
+
+
+def test_scanner_finds_post_init_attributes():
+    source = ("class A:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'names', 1)\n"
+              "        if self.flag:\n"
+              "            object.__setattr__(self, '_memo', {})\n"
+              "    def f(self):\n"
+              "        object.__setattr__(self, '_late', 0)\n"
+              "        return self._memo\n")
+    assert post_init_attributes(source) == [(3, "names"), (5, "_memo")]
+    assert {name for _, name in post_init_attributes(source)} - attribute_reads(
+        source) == {"names"}
+
+
+def test_no_unread_post_init_attributes():
+    everything = sorted(p for d in ("src", "perfbench")
+                        for p in (ROOT / d).rglob("*.py"))
+    sources = {p: p.read_text(encoding="utf-8") for p in everything}
+    read = set().union(*map(attribute_reads, sources.values()))
+    set_here = [(path, line, name) for path, source in sources.items()
+                if path.is_relative_to(ROOT / "src")
+                for line, name in post_init_attributes(source)]
+    assert {"_translates", "_stab_sets", "_orbit_table", "_scans", "_forests",
+            "_blowups"} <= {name for _, _, name in set_here}
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path, line, name in set_here if name not in read]
+    assert not found, "set in __post_init__ but never read:\n" + "\n".join(found)

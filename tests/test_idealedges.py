@@ -7,6 +7,7 @@ pair of incoming edges meets its own swap-translate without equaling it.
 
 import itertools
 import pathlib
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from gwhitehead import selftest
 from gwhitehead.errors import PropertyViolation
 from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_theta,
                                  random_instance)
-from gwhitehead.ggraph import rev
+from gwhitehead.ggraph import GGraph, rev
 from gwhitehead.idealedges import (Crossing, IdealEdge, canonical_rep,
                                   compatible, crossing, d_set,
                                   enumerate_ideal_edges, is_ideal_edge,
@@ -207,6 +208,42 @@ def test_crossing_check_sums_each_side_once(monkeypatch):
         selftest.check_crossing_inequalities(m, 2)
     calculator.cache_clear()
     assert len(set(calls)) < len(calls)  # right-hand sides do repeat
+
+
+def test_stab_set_computes_each_edge_set_once(monkeypatch):
+    # crossing, the crossing check and the Pushing-Lemma check all read the
+    # graph's stabilizer memo: each (graph, edge set) is scanned over the
+    # group once, and a repeat call returns the kept tuple
+    scans = []
+    act_edge_set = GGraph.act_edge_set
+
+    def counted(self, x, edges):
+        # called from stab_set or from a generator expression inside it
+        if "stab_set" in (sys._getframe(1).f_code.co_name,
+                          sys._getframe(2).f_code.co_name):
+            scans.append((id(self), edges, x))
+        return act_edge_set(self, x, edges)
+
+    monkeypatch.setattr(GGraph, "act_edge_set", counted)
+    calculator.cache_clear()
+    order = {}  # id(graph) -> |G|, the graphs kept alive so no id is reused
+    graphs = []
+    for _, m in _crossing_corpus():
+        g = m.graph
+        graphs.append(g)
+        order[id(g)] = g.group.order
+        reps = enumerate_ideal_edges(m)
+        for alpha, beta in itertools.product(reps, repeat=2):
+            crossing(g, alpha, beta)
+        selftest.check_crossing_inequalities(m, 2)
+        selftest.check_pushing_lemma(m, 2)
+        for alpha in reps:
+            for t in translates(g, alpha):
+                assert stab_set(g, t.edges) is stab_set(g, set(t.edges))
+    calculator.cache_clear()
+    scanned = {(i, edges) for i, edges, _ in scans}
+    assert len(scans) == len(set(scans)) == sum(order[i] for i, _ in scanned)
+    assert any(order[i] > 1 for i, _ in scanned)
 
 
 def test_non_basepoint_edges_keep_two_complement_edges(named_instance):

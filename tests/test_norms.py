@@ -15,7 +15,7 @@ from array import array
 
 import pytest
 
-from gwhitehead import marking
+from gwhitehead import marking, norms
 from gwhitehead.cli import parse
 from gwhitehead.errors import InternalInconsistency, ValidationError
 from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, random_instance
@@ -412,7 +412,7 @@ def test_junction_cancels_whole_letter_paths():
 def _assert_lanes_match_scan(items, cyclic, actions):
     lanes = _Lanes(items, cyclic, actions)
     assert (lanes.edge, lanes.turns) == scan_lanes(items, cyclic, actions, lanes.code)
-    assert "_buffer" not in vars(lanes)  # counting the turns drops the buffer
+    assert "_X" not in vars(lanes)  # counting the turns drops the indicators
     return lanes
 
 
@@ -499,6 +499,37 @@ def test_cyclic_loop_of_one_step_turns_onto_itself():
     assert {u: {w: lanes.unpack(t) for w, t in row.items()}
             for u, row in lanes.turns.items()} == {0: {1: (1, 0)}, 2: {3: (0, 1)}}
     assert _Lanes(items, False, fix_r2().graph.edge_action).turns == {}
+
+
+class _CountedReads(list):
+    """A list that records the index of every item read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_lanes_make_each_indicator_once(monkeypatch, cyclic):
+    # the build translates the buffer once per present edge, and the turns
+    # read the indicators it kept, making none again
+    one_hot = _CountedReads(norms._ONE_HOT)
+    monkeypatch.setattr(norms, "_ONE_HOT", one_hot)
+    rng = random.Random(5 + cyclic)
+    for m in (fix_r2(), fix_r2_swap(), _rose(3)):
+        for longest in (1, 2, 5, 8):
+            items = _random_reduced_items(rng, m.graph.n_edges, longest, cyclic)
+            one_hot.reads.clear()
+            lanes = _Lanes(items, cyclic, m.graph.edge_action)
+            assert one_hot.reads == sorted(set(b"".join(items)))
+            one_hot.reads.clear()
+            assert lanes.turns == scan_lanes(items, cyclic, m.graph.edge_action,
+                                             lanes.code)[1]
+            assert one_hot.reads == [] and "_X" not in vars(lanes)
 
 
 def test_norms_and_edge_abs_leave_the_turns_uncounted():
