@@ -87,22 +87,23 @@ def _parse(text):
             continue
         if section is None:
             err(lineno, 1, "content before any section header")
+        word = line.split(None, 1)[0].split("=", 1)[0]  # ends at a space or `=`
         if section == "graph":
-            if line.startswith("basepoint"):
+            if word == "basepoint":
                 if basepoint is not None:
                     err(lineno, 1, "duplicate basepoint line")
                 parts = line.split("=", 1)
                 if len(parts) != 2 or not parts[1].strip():
                     err(lineno, len("basepoint") + 1, "expected `basepoint = <id>`")
                 basepoint = parts[1].strip()
-            elif line.startswith("vertex"):
+            elif word == "vertex":
                 name = line[len("vertex"):].strip()
                 if not name:
                     err(lineno, len("vertex") + 1, "expected `vertex <id>`")
                 if name in vertices:
                     err(lineno, 1, f"duplicate vertex {name}")
                 vertices.append(name)
-            elif line.startswith("edge"):
+            elif word == "edge":
                 rest = line[len("edge"):].strip()
                 if ":" not in rest:
                     err(lineno, line.index("edge") + 5, "expected `edge <id> : <from> -> <to>`")
@@ -118,7 +119,7 @@ def _parse(text):
             else:
                 err(lineno, 1, f"unrecognized line in [graph]: {line!r}")
         elif section == "group":
-            if line.startswith("order"):
+            if word == "order":
                 if order is not None:
                     err(lineno, 1, "duplicate order line")
                 parts = line.split("=", 1)
@@ -126,11 +127,13 @@ def _parse(text):
                     order = int(parts[1])
                 except (IndexError, ValueError):
                     err(lineno, len("order") + 1, "expected `order = <k>`")
-            elif line.startswith("gen"):
+            elif word == "gen":
                 rest = line[len("gen"):].strip()
                 if ":" not in rest:
                     err(lineno, 1, "expected `gen <id> : <maps>`")
                 name, maps = (s.strip() for s in rest.split(":", 1))
+                if any(gname == name for _, gname, _ in gens):
+                    err(lineno, 1, f"duplicate generator {name}")
                 mapping = {}
                 for item in filter(None, (s.strip() for s in maps.split(","))):
                     if "->" not in item:
@@ -200,6 +203,8 @@ def _parse(text):
             q = _perm_compose(gp, p)
             if q not in elements:
                 qname = gname if nm == "1" else gname + "*" + nm
+                if qname in names:
+                    raise ValidationError(f"two group elements are named {qname}")
                 elements.append(q)
                 names.append(qname)
                 frontier.append((qname, q))
@@ -291,23 +296,19 @@ def graph_dot(m: MarkedGGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def poset_dot(forests) -> str:
-    """Hasse diagram of a forest poset."""
+def poset_dot(K) -> str:
+    """Hasse diagram of a forest poset from its order complex K: the 2-faces
+    that are not the outer pair (lowest and highest bit) of any 3-face.  The
+    forests are sorted by (size, key), so a chain's middle has the middle bit."""
     lines = ["digraph P {", "  rankdir=BT;"]
-    idx = {f: i for i, f in enumerate(forests)}
-
-    def label(f):
-        return "{" + "; ".join(str(k) for k in f.key()) + "}"
-
-    for f in forests:
-        lines.append(f'  n{idx[f]} [shape=box label="{label(f)}"];')
-    for f1 in forests:
-        for f2 in forests:
-            if f1 == f2 or not (f1 <= f2):
-                continue
-            if any(f1 <= h and h <= f2 and h not in (f1, f2) for h in forests):
-                continue
-            lines.append(f"  n{idx[f1]} -> n{idx[f2]};")
+    for i, f in enumerate(K.vertices):
+        label = "{" + "; ".join(str(k) for k in f.key()) + "}"
+        lines.append(f'  n{i} [shape=box label="{label}"];')
+    spanned = {(x & -x) | (1 << x.bit_length() >> 1)
+               for x in K.faces if x.bit_count() == 3}
+    covers = sorted(((x & -x).bit_length() - 1, x.bit_length() - 1)
+                    for x in K.faces if x.bit_count() == 2 and x not in spanned)
+    lines += [f"  n{low} -> n{high};" for low, high in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -449,7 +450,7 @@ def cmd_star(args):
     print(f"maximal faces: {len(K.faces) - len(facets)}, dimension {K.dim}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(poset_dot(list(forests)))
+            fh.write(poset_dot(K))
     if args.homology:
         print(f"reduced Betti numbers: {list(reduced_homology(K))}")
     if args.retract:

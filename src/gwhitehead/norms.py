@@ -95,25 +95,27 @@ comparison with ``edge[a]``, the aut part only when the out part is equal.
 
 Lane-wise order.  abs_le decides whether sum k |C| over one list of
 (k, C) terms is <= the same sum over another in every coordinate, per
-part, on packed ints.  A packed |C| lane is at most 2 |G| L, so a side
-whose coefficients sum to s has lanes of at most B = s 2 |G| L, B taken
-over the larger sum of the two sides.  The terms are summed in the
-narrowest lane code holding 2 B + 1 (the part's own code when it does, its
-lanes widened otherwise), so every lane value is below half the lane
-range and each lane's top bit is free.  With GUARD the int with each
-lane's top bit set, lane i of y + GUARD - x is y_i - x_i plus half the
-range: it lies in the lane's range, so no lane borrows from the next (nor
-carries into it), and its top bit is set exactly when x_i <= y_i.  So x
-<= y in every lane exactly when (y + GUARD - x) & GUARD == GUARD, one
-big-int sum and one mask for the whole part.  Neither side may have a
-guard bit set (_Lanes.le raises InternalInconsistency if one does), which
-keeps the compare exact even if a lane ever exceeded its bound.
+part, on packed ints.  A side's coefficients are orbit sizes, adding up
+to at most k_max = 2 |G| (more raises InternalInconsistency), and a
+packed |C| lane is at most 2 |G| L, so a side has lanes of at most B =
+k_max 2 |G| L.  The terms are summed in the lane set's ``le_code`` (made
+on first use), the narrowest lane code holding 2 B + 1 (the part's own
+code when it does, its lanes widened once per |C| otherwise), so every
+lane value is below half the lane range and each lane's top bit is free.
+With GUARD the int with each lane's top bit set, lane i of y + GUARD - x
+is y_i - x_i plus half the range: it lies in the lane's range, so no lane
+borrows from the next (nor carries into it), and its top bit is set
+exactly when x_i <= y_i.  So x <= y in every lane exactly when (y + GUARD
+- x) & GUARD == GUARD, one big-int sum and one mask for the whole part.
+Neither side may have a guard bit set (_Lanes.le raises
+InternalInconsistency if one does), which keeps the compare exact even if
+a lane ever exceeded its bound.
 
 Memo.  A calculator unpacks each distinct |C| (per frozenset C and kind)
 and computes its cross-checked pair of norms once: set_abs and all_norms
 keep their answers, which are frozen NormVectors and safe to share, for
-the life of the calculator.  The subset tables, and the packed |C| and
-side sums of abs_le, are kept on it as well, so
+the life of the calculator.  The subset tables, and abs_le's packed |C|
+per (part, C) and side sums per (part, side), are kept on it as well, so
 ``calculator.cache_clear()`` drops them all with it, as it drops each
 kind's turn table, or the indicators its build kept until the turns are
 counted.  norm(kind) is deliberately unmemoised: each call
@@ -221,8 +223,8 @@ class NormCalculator:
                        for kind in ("out", "aut")}
         self._set_abs = {}  # (frozenset C, kind) -> |C|
         self._subset_abs = {}  # (part, vertex v) -> packed |C| per mask C over E_v
-        self._lane_abs = {}  # (part, lane code) -> {frozenset C: packed |C| in that code}
-        self._side_abs = {}  # (part, lane code, terms) -> packed sum of k |C| over terms
+        self._lane_abs = {}  # (part, frozenset C) -> packed |C| in the part's le_code
+        self._side_abs = {}  # (part, terms) -> packed sum of k |C| over terms, in le_code
         self._all_norms = None
 
     def _vec(self, kind, packed_fn):
@@ -276,47 +278,41 @@ class NormCalculator:
     def abs_le(self, kind, lhs, rhs):
         """Whether the sum of k |C| over the (k, C) terms of lhs is <= the
         same sum over rhs in every coordinate of kind, for k >= 0, each C a
-        frozenset and each side a tuple of terms.
+        frozenset and each side a tuple of terms whose coefficients add up
+        to at most 2 |G| (InternalInconsistency otherwise).
 
-        Decided per part on packed ints (see "Lane-wise order" in the
-        module docstring).  Each packed |C| comes from _packed_abs, read
-        once per set and part, and each side is summed once per part and
-        lane code, for the life of the calculator.
+        Decided per part on packed ints, in the part's ``le_code`` lanes
+        (see "Lane-wise order" in the module docstring).  Each side is
+        summed once per part by _sum_in, for the life of the calculator.
         """
-        k_max = max(sum([k for k, _ in lhs]), sum([k for k, _ in rhs]))
         for part in _parts(kind):
-            lanes = self._lanes[part]
-            code = lanes.sum_code(k_max)
-            if not lanes.le(self._sum_in(part, code, lhs),
-                            self._sum_in(part, code, rhs), code):
+            if not self._lanes[part].le(self._sum_in(part, lhs), self._sum_in(part, rhs)):
                 return False
         return True
 
-    def _sum_in(self, part, code, terms):
+    def _sum_in(self, part, terms):
         """Packed sum of k |C| over the (k, C) terms in one part, in the
-        lanes of the given array code; made on the first read, then kept."""
-        total = self._side_abs.get((part, code, terms))
+        lanes of its ``le_code``; made on the first read, then kept.  Each
+        packed |C| is _packed_abs, widened once when ``le_code`` is wider
+        than the part's own code, and kept per (part, C)."""
+        total = self._side_abs.get((part, terms))
         if total is None:
-            memo = self._lane_abs.setdefault((part, code), {})
+            lanes = self._lanes[part]
+            k_sum = sum([k for k, _ in terms])
+            if k_sum > lanes.k_max:
+                raise InternalInconsistency(
+                    f"abs_le coefficients add up to {k_sum} > 2|G| = {lanes.k_max}")
             total = 0
             for k, C in terms:
-                x = memo.get(C)
+                x = self._lane_abs.get((part, C))
                 if x is None:
-                    x = memo[C] = self._abs_in(part, code, C)
+                    x = self._packed_abs(part, self.m.graph.edge_masks(C).items())
+                    if lanes.le_code != lanes.code:
+                        x = lanes.widen(x)
+                    self._lane_abs[part, C] = x
                 total += k * x
-            self._side_abs[part, code, terms] = total
+            self._side_abs[part, terms] = total
         return total
-
-    def _abs_in(self, part, code, C):
-        """Packed |C| in one part, in the lanes of the given array code:
-        _packed_abs, kept in the part's own code and widened from it when
-        code is wider."""
-        lanes = self._lanes[part]
-        native = self._lane_abs.setdefault((part, lanes.code), {})
-        x = native.get(C)
-        if x is None:
-            x = native[C] = self._packed_abs(part, self.m.graph.edge_masks(C).items())
-        return x if code == lanes.code else lanes.widen(x, code)
 
     def _packed_abs(self, part, masks):
         """Packed |C| in one part, for C given by its (vertex, mask) items
@@ -463,12 +459,11 @@ class _Lanes:
         n_edges = len(actions[0])
         longest = max(map(len, items), default=0)
         self.bound = 2 * len(actions) * longest  # the largest lane value
+        self.k_max = 2 * len(actions)  # the largest coefficient sum of an abs_le side
         self.code = _lane_code(self.bound)
         self.width = 8 * array(self.code).itemsize  # bits per lane
         self._n_lanes = len(items)
         self._n_bytes = len(items) * self.width // 8
-        self._sum_codes = {}  # coefficient sum -> its lane code (see sum_code)
-        self._guards = {}  # lane code -> GUARD, each lane's top bit (see le)
         self._actions = actions
         cols = []
         if longest:
@@ -577,31 +572,32 @@ class _Lanes:
         low = (1 << (lane + 1) * self.width) - 1  # lanes 0..lane
         return 1 if x & low > y & low else -1
 
-    def sum_code(self, k):
-        """The narrowest array code holding 2 B + 1, B = k bound: that of
-        sums of packed |C| ints whose coefficients sum to at most k, with
-        every lane's top bit free (see "Lane-wise order" in the module
-        docstring)."""
-        code = self._sum_codes.get(k)
-        if code is None:
-            code = self._sum_codes[k] = _lane_code(2 * k * self.bound + 1)
-        return code
+    @functools.cached_property
+    def le_code(self):
+        """The narrowest array code holding 2 B + 1, B = k_max bound: that
+        of sums of packed |C| ints whose coefficients add up to at most
+        k_max = 2 |G|, with every lane's top bit free (see "Lane-wise
+        order" in the module docstring).  Made on the first read."""
+        return _lane_code(2 * self.k_max * self.bound + 1)
 
-    def le(self, x, y, code):
+    @functools.cached_property
+    def _guard(self):
+        """GUARD, the int with each ``le_code`` lane's top bit set."""
+        top = 1 << (8 * array(self.le_code).itemsize - 1)
+        return _pack(array(self.le_code, [top]) * self._n_lanes)
+
+    def le(self, x, y):
         """Whether every lane of x is <= that of y, for x and y packed in
-        the given array code with every lane's top bit free (see
-        "Lane-wise order" in the module docstring)."""
-        guard = self._guards.get(code)
-        if guard is None:
-            top = 1 << (8 * array(code).itemsize - 1)
-            guard = self._guards[code] = _pack(array(code, [top]) * self._n_lanes)
+        ``le_code`` lanes with every lane's top bit free (see "Lane-wise
+        order" in the module docstring)."""
+        guard = self._guard
         if (x | y) & guard:
             raise InternalInconsistency("a packed sum reached the top bit of its lane")
         return (y + guard - x) & guard == guard
 
-    def widen(self, packed, code):
-        """A packed int of these lanes, repacked in the wider array code."""
-        return _pack(array(code, self.unpack(packed)))
+    def widen(self, packed):
+        """A packed int of these lanes, repacked in ``le_code`` lanes."""
+        return _pack(array(self.le_code, self.unpack(packed)))
 
     def turns_between(self, A, B):
         """Packed sum of Tsym[a][b] over a in A and b in B."""

@@ -172,7 +172,7 @@ def check_crossing_inequalities(m, horizon):
     orbit sizes of alpha and beta, each inequality p |X| + q |Y| <=
     p |alpha| + q |beta| is decided per kind (out, then aut) by
     NormCalculator.abs_le on packed ints, one comparison per part; abs_le
-    sums each side once per part and lane code, so the right-hand side
+    sums each side once per part, so the right-hand side
     that all inequalities of a pair share is summed once.  P, Q and
     Q alpha are found once per pair; each stabilizer is read from the
     graph's memo (stab_set), shared with crossing.  Returns the number of

@@ -222,17 +222,16 @@ class SimplicialComplex:
         return max((x.bit_count() for x in self.faces), default=0) - 1
 
 
-def order_complex(elements, leq) -> SimplicialComplex:
-    """Chains of a finite poset, as a simplicial complex on int masks.
+def order_complex(vertices, sets) -> SimplicialComplex:
+    """Chains of distinct int-mask sets under inclusion (x <= y when not
+    x & ~y), as a simplicial complex on int masks; vertex i is vertices[i].
 
-    below[i] is the mask of the elements strictly below element i.  A chain
+    below[i] is the mask of the vertices strictly below vertex i.  A chain
     is grown from its top element down: a chain whose lowest element is j
     becomes chain | 1 << i for each i below j, so each chain is made once.
     """
-    n = len(elements)
-    below = [sum(1 << j for j in range(n)
-                 if j != i and leq(elements[j], elements[i]))
-             for i in range(n)]
+    below = [sum(1 << j for j, y in enumerate(sets) if j != i and not y & ~x)
+             for i, x in enumerate(sets)]
     faces = []
 
     def chains(chain, under):
@@ -242,9 +241,9 @@ def order_complex(elements, leq) -> SimplicialComplex:
             chains(chain | low, below[low.bit_length() - 1])
             under ^= low
 
-    for i in range(n):
-        chains(1 << i, below[i])
-    return SimplicialComplex(tuple(elements), frozenset(faces))
+    for i, under in enumerate(below):
+        chains(1 << i, under)
+    return SimplicialComplex(tuple(vertices), frozenset(faces))
 
 
 def reduced_homology(K: SimplicialComplex):
@@ -384,8 +383,9 @@ def family(m, which, horizon):
 
 
 def star_complex(m, C) -> SimplicialComplex:
-    """Order complex of the poset of ideal forests with orbits in C."""
-    return order_complex(enumerate_ideal_forests(m, C), IdealForest.__le__)
+    """Order complex of the ideal forests with orbits in C, by mask inclusion."""
+    pool = sorted(set(C), key=lambda a: a.key())
+    return order_complex(enumerate_ideal_forests(m, pool), _forest_masks(m, pool))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +445,7 @@ class _Engine:
     def betti_of(self, forests):
         if not self.homology:
             return None
-        K = order_complex(forests, lambda a, b: not a & ~b)
-        return reduced_homology(K)
+        return reduced_homology(order_complex(forests, forests))
 
     def choose(self, alpha, candidates, mu):
         """The canonical rep of the first candidate edge set at alpha's vertex

@@ -535,6 +535,28 @@ def walk_ideal_forests(m, restrict_to, cap):
     return out
 
 
+def triple_poset_dot(forests):
+    """The DOT Hasse diagram of a forest poset, from the definition: f1 <
+    f2 is drawn unless some third forest lies between them."""
+    lines = ["digraph P {", "  rankdir=BT;"]
+    idx = {f: i for i, f in enumerate(forests)}
+
+    def label(f):
+        return "{" + "; ".join(str(k) for k in f.key()) + "}"
+
+    for f in forests:
+        lines.append(f'  n{idx[f]} [shape=box label="{label(f)}"];')
+    for f1 in forests:
+        for f2 in forests:
+            if f1 == f2 or not (f1 <= f2):
+                continue
+            if any(f1 <= h and h <= f2 and h not in (f1, f2) for h in forests):
+                continue
+            lines.append(f"  n{idx[f1]} -> n{idx[f2]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def all_pairs_verify(m, stage, before, f, g, after):
     """The Poset-Lemma double step S(C) -f-> S(C) -g-> S(C') checked with
     monotonicity on every comparable pair: f on S(C), g on f(S(C)).  The

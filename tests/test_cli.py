@@ -9,15 +9,15 @@ import pytest
 
 import gwhitehead
 from gwhitehead import cli
-from gwhitehead.errors import InternalInconsistency, ParseError
+from gwhitehead.errors import GWError, InternalInconsistency, ParseError, ValidationError
 from gwhitehead.fixtures import all_fixtures, fix_r2w, fix_theta, random_instance
 from gwhitehead.idealedges import d_set, enumerate_ideal_edges
 from gwhitehead.moves import reductivity
 from gwhitehead.starcomplex import family, star_complex
 
 from conftest import FIXTURE_NAMES, HORIZON
-from oracles import verdict
-from test_forest_poset import rose4
+from oracles import triple_poset_dot, verdict
+from test_forest_poset import corpus, rose4
 
 THETA_TEXT = """\
 [graph]
@@ -106,6 +106,43 @@ def test_parse_errors_carry_positions():
         with pytest.raises(ParseError) as e:
             cli.parse(THETA_TEXT.replace(first, first + repeat))
         assert (e.value.line, e.value.message) == (line, message)
+    # a keyword is the line's whole leading word, not a prefix of it
+    for old, new, line in (
+            ("vertex v\n", "vertex v\nvertexes w\n", 5),
+            ("basepoint = *\n", "basepointer = *\n", 2),
+            ("order = 2\n", "order = 2\norders = 1\n", 10)):
+        with pytest.raises(ParseError) as e:
+            cli.parse(THETA_TEXT.replace(old, new))
+        section = "graph" if line < 8 else "group"
+        assert (e.value.line, e.value.message) == (
+            line, f"unrecognized line in [{section}]: {new.splitlines()[-1]!r}")
+    # ... and it ends at `=`
+    tight = THETA_TEXT.replace("basepoint = *", "basepoint=*").replace("order = 2", "order=2")
+    assert _structurally_equal(cli.parse(tight), fix_theta())
+
+
+def test_generator_names_are_distinct():
+    # line 11 repeats the gen line 10
+    gen = "gen t : e2->e3, e3->e2\n"
+    with pytest.raises(ParseError) as e:
+        cli.parse(THETA_TEXT.replace(gen, gen + gen.replace("e2->e3, ", "")))
+    assert (e.value.line, e.value.message) == (11, "duplicate generator t")
+    # the closure names the products of a 3-cycle t as t*t and t*t*t, so a
+    # declared swap `t*t` makes two elements of S_3 share a name
+    s3 = THETA_TEXT.replace("order = 2\n", "").replace(
+        gen, "gen t : e1->e2, e2->e3, e3->e1\ngen t*t : e1->e2, e2->e1\n")
+    with pytest.raises(ValidationError, match=r"^two group elements are named t\*t$"):
+        cli.parse(s3)
+    # the canonical files name their gen lines by the closure, and still
+    # parse (the format holds only faithful actions)
+    faithful = [m for m in map(random_instance, range(20000, 20040))
+                if len(set(m.graph.edge_action)) == m.graph.group.order]
+    texts = [cli.canonical_text(m) for m in faithful]
+    texts += [cli.canonical_text(cli.parse(p.read_text()))
+              for p in sorted(INSTANCES.glob("*.txt"))]
+    assert any(text.count("\ngen ") > 1 for text in texts)
+    for text in texts:
+        assert cli.canonical_text(cli.parse(text)) == text
 
 
 def test_an_unknown_edge_in_a_gen_line_reports_that_line():
@@ -335,6 +372,23 @@ def test_star_command_with_retraction(tmp_path, capsys):
     assert "reduced Betti numbers: [0, 0]" in out
     assert "retraction: done" in out
     assert "digraph P" in open(dot).read()
+
+
+def test_poset_dot_matches_the_triple_loop():
+    # covers read off the order complex against the all-triples reference,
+    # on every family at H = 2 and 3 of the fixtures, the saved instances
+    # and random_instance(20000..20029), made forest-free
+    cases = 0
+    for _, m in corpus()[:-370]:
+        for h in (2, 3):
+            for which in ("R", "C0", "C0p", "C1"):
+                try:
+                    K = star_complex(m, family(m, which, h))
+                except GWError:
+                    continue
+                assert cli.poset_dot(K) == triple_poset_dot(list(K.vertices))
+                cases += 1
+    assert cases > 100
 
 
 def test_star_command_on_a_heavy_rose(tmp_path, capsys):

@@ -14,6 +14,8 @@ change they guard:
   stdout, stderr and, for ``reduce``, the ``--log`` file.  The files are
   the fixtures' canonical_text and ``tests/instances/*.txt``, run from a
   scratch directory under their own names.
+- Poset diagrams.  One sha256 per manifest file over the ``--dot`` file
+  of ``star FILE --family R --horizon 3 --dot``.
 
 A deliberate change to any covered output must update its digest here
 and say so in CHANGES.md.  The mutation tests show that one changed step
@@ -289,3 +291,25 @@ def test_a_changed_printed_byte_fails_the_manifest(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cli, "print", print_once_changed, raising=False)
     assert _run(capsys, argv) != CLI_DIGESTS[name]["ideal-edges"]
     assert printed
+
+
+# ---------------------------------------------------------------------------
+# poset diagrams
+
+DOT_ARGV = ["--family", "R", "--horizon", "3", "--dot", "poset.dot"]
+DOT_DIGESTS = {
+    "FIX-R2-SWAP.txt": "76efbec2b821c0a7a254dad88466ce88c4079c8ed16835e917226853aa08f3bb",
+    "FIX-R2.txt": "76efbec2b821c0a7a254dad88466ce88c4079c8ed16835e917226853aa08f3bb",
+    "FIX-R2W.txt": "32705eb0965643f3954e7e7ee24b7671c3cd3d8802b42f8e44009f6a7f143b83",
+    "FIX-THETA.txt": "76efbec2b821c0a7a254dad88466ce88c4079c8ed16835e917226853aa08f3bb",
+    "random-20026.txt": "6e81ef009b651aab3d87d8795de1ab3ed00552927f8961420c8d8b68de4386e4",
+    "random-20045.txt": "9c425b8830e903a3e1551eb6310437a42e7c4a9e757286129975fc8d213c5ef0",
+}
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_star_dot_frozen(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path(name).write_text(_files()[name])
+    assert cli.main(["star", name] + DOT_ARGV) == 0
+    assert _sha(pathlib.Path("poset.dot").read_text()) == DOT_DIGESTS[name]

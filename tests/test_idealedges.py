@@ -192,7 +192,7 @@ class _SetOnce(dict):
 
 def test_crossing_check_sums_each_side_once(monkeypatch):
     # every inequality of a pair has the right-hand side p|alpha| + q|beta|;
-    # abs_le sums each side once per part and lane code
+    # abs_le sums each side once per part
     calls = []
     abs_le = NormCalculator.abs_le
 

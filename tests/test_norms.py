@@ -7,9 +7,11 @@ and each coordinate is just the cyclic loop length, giving
 (1,1,1,1,2,2,2,2,2,2,2,2).
 """
 
+import functools
 import itertools
 import pathlib
 import random
+import re
 import sys
 from array import array
 
@@ -18,13 +20,14 @@ import pytest
 from gwhitehead import marking, norms
 from gwhitehead.cli import parse
 from gwhitehead.errors import InternalInconsistency, ValidationError
-from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, random_instance
+from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, fix_theta, random_instance
 from gwhitehead.ggraph import GGraph, Group
 from gwhitehead.idealedges import enumerate_ideal_edges
 from gwhitehead.marking import MarkedGGraph, cyclic_canonical, cyclic_reduction
 from gwhitehead.norms import (KINDS, MAX_EDGES, NormCalculator, NormVector, Order,
                               _Lanes, calculator, compare)
-from gwhitehead.selftest import (check_coset_identity,
+from gwhitehead.moves import greedy_reduce
+from gwhitehead.selftest import (check_coset_identity, check_crossing_inequalities,
                                  check_inclusion_exclusion,
                                  check_norm_consistency, coset_cases,
                                  dot_identity_holds)
@@ -180,9 +183,9 @@ def test_packed_kernel_matches_scan_oracle():
             _assert_matches_scan_oracle(m, horizon, draws=30)
 
 
-def _wide_lane_rose():
-    """x2 -> b a^150 on the Z/2 rose."""
-    return MarkedGGraph(fix_r2_swap().graph, ((0,), (2,) + (0,) * 150))
+def _wide_lane_rose(k=150):
+    """x2 -> b a^k on the Z/2 rose."""
+    return MarkedGGraph(fix_r2_swap().graph, ((0,), (2,) + (0,) * k))
 
 
 def test_wide_lanes_match_scan_oracle():
@@ -199,41 +202,46 @@ def _packed_in(code, values):
 def test_lane_order_decides_each_lane():
     # 12 lanes of 8 bits on the rose at horizon 2; le reads every lane
     lanes = NormCalculator(fix_r2(), 2)._lanes["out"]
+    assert lanes.le_code == "B"
     n = len(lanes.unpack(lanes.edge[0]))
     base = [3 * i % 7 for i in range(n)]
     y = _packed_in("B", base)
-    assert lanes.le(y, y, "B")
+    assert lanes.le(y, y)
     for i in (0, n // 2, n - 1):  # the lowest, a middle and the top lane
         above, below = list(base), list(base)
         above[i] += 1
         below[i] -= 1 if base[i] else 0
-        assert not lanes.le(_packed_in("B", above), y, "B"), i
-        assert lanes.le(y, _packed_in("B", above), "B"), i
-        assert lanes.le(_packed_in("B", below), y, "B"), i
+        assert not lanes.le(_packed_in("B", above), y), i
+        assert lanes.le(y, _packed_in("B", above)), i
+        assert lanes.le(_packed_in("B", below), y), i
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 40])
 def test_lane_order_is_exact_at_the_bound(k):
-    # sums whose coefficients add up to k reach at most B = k * bound per lane
-    lanes = NormCalculator(fix_r2_swap(), 2)._lanes["aut"]
+    # x2 -> b a^k on the Z/2 rose: a longer tail, wider lanes (le_code B, B,
+    # H widened from B, H); a side of abs_le reaches at most B = k_max bound
+    # per lane, k_max = 2 |G| = 4
+    lanes = NormCalculator(_wide_lane_rose(k), 2)._lanes["aut"]
     n = len(lanes.unpack(lanes.edge[0]))
-    code = lanes.sum_code(k)
+    code = lanes.le_code
     width = 8 * array(code).itemsize
-    B = k * lanes.bound
+    B = lanes.k_max * lanes.bound
+    assert lanes.k_max == 4
     assert 2 * B + 1 < 1 << width and (code == "B" or 2 * B + 1 >= 1 << width // 2)
     top = _packed_in(code, [B] * n)
-    assert lanes.le(top, top, code) and lanes.le(0, top, code)
-    assert not lanes.le(top, 0, code)
+    assert lanes.le(top, top) and lanes.le(0, top)
+    assert not lanes.le(top, 0)
     for i in (0, n // 2, n - 1):
         short = [B] * n
         short[i] = B - 1
-        assert not lanes.le(top, _packed_in(code, short), code), i
-        assert lanes.le(_packed_in(code, short), top, code), i
+        assert not lanes.le(top, _packed_in(code, short)), i
+        assert lanes.le(_packed_in(code, short), top), i
 
 
 @pytest.mark.parametrize("side", ["lhs", "rhs"])
 def test_a_guard_bit_on_either_side_raises(side):
     lanes = NormCalculator(fix_r2(), 2)._lanes["out"]
+    assert lanes.le_code == "B"
     n = len(lanes.unpack(lanes.edge[0]))
     for i in (0, n - 1):
         values = [0] * n
@@ -241,7 +249,7 @@ def test_a_guard_bit_on_either_side_raises(side):
         bad = _packed_in("B", values)
         x, y = (bad, 0) if side == "lhs" else (0, bad)
         with pytest.raises(InternalInconsistency):
-            lanes.le(x, y, "B")
+            lanes.le(x, y)
 
 
 def _vector_le(calc, kind, lhs, rhs):
@@ -255,24 +263,64 @@ def _vector_le(calc, kind, lhs, rhs):
 
 
 def test_abs_le_widens_narrow_lanes_and_matches_the_vectors():
-    # Z/2 rose at horizon 2: 8-bit lanes of bound 2 |G| L = 8, so sums with
-    # coefficients adding up to 16 or more are compared in 16-bit lanes
-    m = fix_r2_swap()
-    calc = NormCalculator(m, 2)
-    assert [calc._lanes[part].code for part in ("out", "aut")] == ["B", "B"]
-    assert [calc._lanes["out"].sum_code(k) for k in (15, 16)] == ["B", "H"]
-    sets = [frozenset(C) for r in (1, 2, 3) for C in itertools.combinations(range(4), r)]
+    # theta at horizon 4: 8-bit lanes of bound 2 |G| L = 32, so sides whose
+    # coefficients add up to k_max = 2 |G| = 4 are compared in 16-bit lanes
+    calc = NormCalculator(fix_theta(), 4)
+    for part in ("out", "aut"):
+        lanes = calc._lanes[part]
+        assert (lanes.code, lanes.le_code, lanes.k_max) == ("B", "H", 4)
+    sets = [frozenset(C) for r in (1, 2, 3) for C in itertools.combinations(range(6), r)]
+    rng = random.Random(5)
     verdicts = set()
-    for (a, b), (c, d) in itertools.combinations(itertools.combinations(sets, 2), 2):
-        for coefs in ((1, 1), (2, 1), (9, 7), (16, 20)):
+    for _ in range(150):
+        a, b, c, d = rng.sample(sets, 4)
+        for coefs in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 1), (4, 0)):
             lhs, rhs = tuple(zip(coefs, (a, b))), tuple(zip(coefs, (c, d)))
             for kind in KINDS:
                 want = _vector_le(calc, kind, lhs, rhs)
                 assert calc.abs_le(kind, lhs, rhs) == want, (lhs, rhs, kind)
-                verdicts.add((coefs, want))
+                verdicts.add(want)
             assert calc.abs_le("out", lhs, lhs)  # equal sides
-    assert {v for _, v in verdicts} == {True, False}
-    assert {("out", "H"), ("aut", "H")} <= set(calc._lane_abs)
+    assert verdicts == {True, False}
+    # each packed |C| is kept once per part, in le_code lanes
+    assert {part for part, _ in calc._lane_abs} == {"out", "aut"}
+    for (part, C), x in calc._lane_abs.items():
+        assert x == _packed_in("H", calc.set_abs(C, part).coords)
+
+
+def test_abs_le_rejects_coefficients_above_twice_the_group_order():
+    # |G| = 2: orbit sizes p and q add up to at most 4 on a side
+    calc = NormCalculator(fix_r2_swap(), 2)
+    A, B = frozenset({0}), frozenset({2})
+    assert calc.abs_le("tot", ((2, A), (2, B)), ((4, A), (0, B)))
+    for lhs, rhs in ((((3, A), (2, B)), ((1, A),)), (((1, A),), ((5, B),))):
+        for kind in KINDS:
+            with pytest.raises(InternalInconsistency,
+                               match=re.escape("add up to 5 > 2|G| = 4")):
+                calc.abs_le(kind, lhs, rhs)
+
+
+def test_compare_lanes_are_made_once_and_never_by_descent(monkeypatch):
+    made = []
+    make = _Lanes.le_code.func
+
+    def counted(self):
+        made.append(self)
+        return make(self)
+
+    le_code = functools.cached_property(counted)
+    le_code.__set_name__(_Lanes, "le_code")
+    monkeypatch.setattr(_Lanes, "le_code", le_code)
+    instances = list(all_fixtures().values()) + [random_instance(s) for s in range(7000, 7010)]
+    calculator.cache_clear()
+    for m in instances:
+        greedy_reduce(m, 2)
+    assert made == []
+    for m in instances:
+        check_crossing_inequalities(m, 2)
+    calculator.cache_clear()
+    assert made and len({id(lanes) for lanes in made}) == len(made)
+    assert all("_guard" in vars(lanes) for lanes in made)
 
 
 def _first_nonzero_sign(coords):
