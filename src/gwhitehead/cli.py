@@ -32,7 +32,7 @@ from .errors import (HypothesisNotMet, IndeterminateAtHorizon,
 from .ggraph import GGraph, Group, rev
 from .idealedges import (IdealEdge, d_set, enumerate_ideal_edges,
                          is_invertible, translates)
-from .marking import MarkedGGraph, reduce_path, spanning_tree
+from .marking import MarkedGGraph, canonicalize, reduce_path
 from .moves import VERDICTS, greedy_reduce, whitehead
 from .norms import calculator
 from .selftest import run_suites
@@ -98,14 +98,14 @@ def _parse(text):
                 basepoint = parts[1].strip()
             elif word == "vertex":
                 name = line[len("vertex"):].strip()
-                if not name:
+                if not name or name.startswith("="):
                     err(lineno, len("vertex") + 1, "expected `vertex <id>`")
                 if name in vertices:
                     err(lineno, 1, f"duplicate vertex {name}")
                 vertices.append(name)
             elif word == "edge":
                 rest = line[len("edge"):].strip()
-                if ":" not in rest:
+                if ":" not in rest or rest.startswith("="):
                     err(lineno, line.index("edge") + 5, "expected `edge <id> : <from> -> <to>`")
                 name, ends = (s.strip() for s in rest.split(":", 1))
                 if "->" not in ends:
@@ -129,7 +129,7 @@ def _parse(text):
                     err(lineno, len("order") + 1, "expected `order = <k>`")
             elif word == "gen":
                 rest = line[len("gen"):].strip()
-                if ":" not in rest:
+                if ":" not in rest or rest.startswith("="):
                     err(lineno, 1, "expected `gen <id> : <maps>`")
                 name, maps = (s.strip() for s in rest.split(":", 1))
                 if any(gname == name for _, gname, _ in gens):
@@ -266,19 +266,6 @@ def serialize(m: MarkedGGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def canonicalize(m: MarkedGGraph) -> MarkedGGraph:
-    """Renumber vertices in breadth-first order from the basepoint."""
-    g = m.graph
-    vmap = {old: new for new, old in enumerate(spanning_tree(g))}
-    term = tuple(vmap[t] for t in g.term)
-    vnames = [None] * g.n_vertices
-    for old, new in vmap.items():
-        vnames[new] = "*" if old == g.basepoint else f"v{new}"
-    g2 = GGraph(g.n_vertices, 0, term, g.group, g.edge_action,
-                tuple(vnames), g.pair_names)
-    return MarkedGGraph(g2, m.basis_paths)
-
-
 def canonical_text(m: MarkedGGraph) -> str:
     return serialize(canonicalize(m))
 
@@ -368,7 +355,7 @@ def cmd_ideal_edges(args):
         stab = g.group.order // len(translates(g, alpha))
         targets = d_set(m, alpha)
         D = ",".join(sorted(g.edge_name(e) for e in targets))
-        inv = "yes" if is_invertible(g, alpha)[0] else "no"
+        inv = "no" if is_invertible(g, alpha) is None else "yes"
         # [G:stab alpha] > 0 keeps each sign, so the greatest sign is the
         # sign of the lexicographically greatest reductivity
         verdict = "no-collapse-edge"

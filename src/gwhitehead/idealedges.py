@@ -16,12 +16,19 @@ mask of an orbit met is its canonical rep, so the reps come out in key
 order.  enumerate_ideal_edges, is_ideal_edge and d_set are reads of it,
 and moves.reductive_scan takes each rep with D(rep) and [G:stab rep]
 from it (orbit_targets) without making an IdealEdge.
+
+One gate.  Every read of an ideal edge's orbit (translates, orbit_union,
+canonical_rep, translate_at, translate_through, d_set, and through them
+moves.blow_up, whitehead and reductivity) goes through the table's entry
+(_orbit_of), and an edge set that is not an ideal edge has none: it
+raises ValidationError("not an ideal edge").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .ggraph import GGraph, rev
 from .marking import MarkedGGraph
 
@@ -122,8 +129,12 @@ class _OrbitTable:
                                key=lambda x: bytes(_bits(x))):
                 if mask in found or not self.is_ideal(v, mask):
                     continue
-                orbit = self.orbit(v, mask)
-                for w, m in orbit.translates:
+                trans = tuple({(w, _image(bits, mask)) for w, bits in self.maps[v]})
+                union = [0] * len(self.at)
+                for w, m in trans:
+                    union[w] |= m
+                orbit = _Orbit(trans, tuple(union))
+                for w, m in trans:
                     self.ideal[w][m] = orbit
                 self.reps.append((v, mask))
         self.rep_edges = None  # the IdealEdge reps, made by enumerate_ideal_edges
@@ -153,14 +164,6 @@ class _OrbitTable:
         # covered by any translate plus one new edge per translate
         return d - covered.bit_count() + len(images) >= (2 if base else 3)
 
-    def orbit(self, v, mask):
-        """The _Orbit of the mask at v."""
-        trans = {(w, _image(bits, mask)) for w, bits in self.maps[v]}
-        union = [0] * len(self.at)
-        for w, m in trans:
-            union[w] |= m
-        return _Orbit(tuple(trans), tuple(union))
-
     def d(self, v, mask, orbit):
         """D of the ideal edge (v, mask) in orbit, as increasing edges."""
         todo = mask & self.by_stab[v].get(self.order // len(orbit.translates), 0)
@@ -184,8 +187,7 @@ def _table(g: GGraph) -> _OrbitTable:
 def is_ideal_edge(g: GGraph, v, edges) -> bool:
     """Cardinality bounds plus orbit coherence under the vertex stabilizer,
     read off the orbit table (_OrbitTable.is_ideal)."""
-    mask = _mask(g, v, edges)
-    return mask is not None and mask in _table(g).ideal[v]
+    return _mask(g, v, edges) in _table(g).ideal[v]
 
 
 def stab_set(g: GGraph, edges):
@@ -200,11 +202,14 @@ def stab_set(g: GGraph, edges):
 
 
 def _orbit_of(g: GGraph, alpha: IdealEdge):
-    """(mask, _Orbit) of alpha: the table's entry when alpha is ideal, else
-    its orbit found afresh."""
-    t = _table(g)
+    """(mask, _Orbit) of alpha, the table's entry: the one gate of every
+    orbit read, which raises ValidationError when alpha is not an ideal
+    edge (an edge outside E_v included)."""
     mask = _mask(g, alpha.vertex, alpha.edges)
-    return mask, t.ideal[alpha.vertex].get(mask) or t.orbit(alpha.vertex, mask)
+    orbit = _table(g).ideal[alpha.vertex].get(mask)
+    if orbit is None:
+        raise ValidationError("not an ideal edge")
+    return mask, orbit
 
 
 def _memo(g: GGraph, orbit: _Orbit):
@@ -280,32 +285,29 @@ def orbit_targets(g: GGraph):
 def d_set(m: MarkedGGraph, alpha: IdealEdge):
     """D(alpha): collapse candidates with full stabilizer and reverse outside the orbit.
 
-    alpha must be an ideal edge.  Its translates are then equal or
-    disjoint, so stab(a) lies inside stab(alpha) for a in alpha, and the
-    two are equal exactly when |stab a| [G:stab alpha] = |G|.
+    alpha must be an ideal edge (ValidationError otherwise, from the orbit
+    table).  Its translates are then equal or disjoint, so stab(a) lies
+    inside stab(alpha) for a in alpha, and the two are equal exactly when
+    |stab a| [G:stab alpha] = |G|.
     """
     mask, orbit = _orbit_of(m.graph, alpha)
     return frozenset(_table(m.graph).d(alpha.vertex, mask, orbit))
 
 
 def is_invertible(g: GGraph, alpha: IdealEdge):
-    """Whether E_v - alpha is an ideal edge not inside the orbit of alpha.
-
-    Returns (flag, inverse IdealEdge or None).
-    """
+    """The inverse of alpha, E_v - alpha as an IdealEdge, when that is an
+    ideal edge not inside the orbit of alpha; else None."""
     comp = g.edge_set_at(alpha.vertex) - alpha.edges
-    if not is_ideal_edge(g, alpha.vertex, comp):
-        return False, None
-    if comp <= orbit_union(g, alpha):
-        return False, None
-    return True, IdealEdge(alpha.vertex, comp)
+    if not is_ideal_edge(g, alpha.vertex, comp) or comp <= orbit_union(g, alpha):
+        return None
+    return IdealEdge(alpha.vertex, comp)
 
 
 def inverse_orbit(g: GGraph, alpha: IdealEdge):
     """The canonical rep of the inverse orbit of alpha, or None when alpha
-    is not invertible."""
-    inv, ainv = is_invertible(g, alpha)
-    return canonical_rep(g, ainv) if inv else None
+    is not invertible: two reads of the orbit table."""
+    inv = is_invertible(g, alpha)
+    return None if inv is None else canonical_rep(g, inv)
 
 
 def _orbit_contained(g, A, B):

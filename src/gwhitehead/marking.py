@@ -139,6 +139,19 @@ def spanning_tree(g: GGraph):
     return paths
 
 
+def canonicalize(m: MarkedGGraph) -> MarkedGGraph:
+    """Renumber vertices in breadth-first order from the basepoint."""
+    g = m.graph
+    vmap = {old: new for new, old in enumerate(spanning_tree(g))}
+    term = tuple(vmap[t] for t in g.term)
+    vnames = [None] * g.n_vertices
+    for old, new in vmap.items():
+        vnames[new] = "*" if old == g.basepoint else f"v{new}"
+    g2 = GGraph(g.n_vertices, 0, term, g.group, g.edge_action,
+                tuple(vnames), g.pair_names)
+    return MarkedGGraph(g2, m.basis_paths)
+
+
 def path_to_subgroup_word(g: GGraph, tree, steps):
     """Read a loop as a word in the non-tree pair generators."""
     nontree = sorted(p for p in range(g.n_pairs) if p not in tree)

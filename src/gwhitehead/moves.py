@@ -34,11 +34,6 @@ class BlowUpInfo:
 VERDICTS = {1: "reductive", 0: "null-at-horizon", -1: "not-reductive"}
 
 
-def _require_ideal(g, alpha):
-    if not is_ideal_edge(g, alpha.vertex, alpha.edges):
-        raise ValidationError("not an ideal edge")
-
-
 def blow_up(m: MarkedGGraph, alpha: IdealEdge):
     """Pull the edges of each translate of alpha away along a new edge.
 
@@ -52,9 +47,7 @@ def blow_up(m: MarkedGGraph, alpha: IdealEdge):
     if found is not None:
         return found
     g = m.graph
-    _require_ideal(g, alpha)
-
-    trans = translates(g, alpha)
+    trans = translates(g, alpha)  # ValidationError unless alpha is ideal
     sets = [t.edges for t in trans]
     moved = {}
     for i, s in enumerate(sets):
@@ -117,8 +110,7 @@ def whitehead(m: MarkedGGraph, alpha: IdealEdge, a: int):
     Requires a in D(alpha); the collapsed orbit is a forest in the blown-up
     graph by construction.
     """
-    _require_ideal(m.graph, alpha)
-    if a not in d_set(m, alpha):
+    if a not in d_set(m, alpha):  # ValidationError unless alpha is ideal
         raise HypothesisNotMet(
             f"collapse edge {m.graph.edge_name(a)} is not in D(alpha)")
     m2, _ = blow_up(m, alpha)
@@ -133,8 +125,7 @@ def whitehead(m: MarkedGGraph, alpha: IdealEdge, a: int):
 
 def reductivity(m: MarkedGGraph, alpha: IdealEdge, a: int, kind, horizon) -> NormVector:
     """[G:stab(alpha)] * (|a| - |alpha|), truncated at the horizon."""
-    _require_ideal(m.graph, alpha)
-    if a not in d_set(m, alpha):
+    if a not in d_set(m, alpha):  # ValidationError unless alpha is ideal
         raise HypothesisNotMet("collapse edge is not in D(alpha)")
     index = len(translates(m.graph, alpha))  # [G:stab alpha], by orbit-stabilizer
     return next(_reductivities(calculator(m, horizon), alpha, (a,), kind, index))

@@ -32,9 +32,9 @@ from fractions import Fraction
 from .errors import HypothesisNotMet, PropertyViolation, ValidationError
 from .ggraph import is_reduced
 from .idealedges import (IdealEdge, IdealPair, _bits, canonical_rep,
-                         compatible, crossing, inverse_orbit, is_invertible,
-                         orbit_union, pre_compatible, translate_at,
-                         translate_through, translates)
+                         compatible, crossing, inverse_orbit, is_ideal_edge,
+                         is_invertible, orbit_union, pre_compatible,
+                         translate_at, translate_through, translates)
 from .marking import MarkedGGraph
 from .moves import reductive_scan
 
@@ -341,7 +341,7 @@ def gamma_edge(m, R):
             continue
         if len(translates(g, a)) != 1:
             continue
-        if not is_invertible(g, a)[0]:
+        if is_invertible(g, a) is None:
             found.append(a)
     if len(found) > 1:
         raise PropertyViolation(
@@ -449,9 +449,11 @@ class _Engine:
 
     def choose(self, alpha, candidates, mu):
         """The canonical rep of the first candidate edge set at alpha's vertex
-        that differs from alpha, is reductive and is compatible with mu."""
+        that differs from alpha, is reductive and is compatible with mu.  A
+        candidate that is not an ideal edge is skipped: it has no orbit in
+        the table, and so none in R."""
         for cand in candidates:
-            if cand == alpha.edges:
+            if cand == alpha.edges or not is_ideal_edge(self.g, alpha.vertex, cand):
                 continue
             a0 = canonical_rep(self.g, IdealEdge(alpha.vertex, frozenset(cand)))
             if a0 in self.R and compatible(self.g, a0, mu):

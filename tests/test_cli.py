@@ -119,6 +119,15 @@ def test_parse_errors_carry_positions():
     # ... and it ends at `=`
     tight = THETA_TEXT.replace("basepoint = *", "basepoint=*").replace("order = 2", "order=2")
     assert _structurally_equal(cli.parse(tight), fix_theta())
+    # a vertex, edge or generator name does not start with `=`
+    for old, new, line, col, message in (
+            ("vertex v", "vertex=w", 4, 7, "expected `vertex <id>`"),
+            ("edge e3 :", "edge=e3 :", 7, 5, "expected `edge <id> : <from> -> <to>`"),
+            ("gen t :", "gen=t :", 10, 1, "expected `gen <id> : <maps>`"),
+            ("gen t :", "gen =t :", 10, 1, "expected `gen <id> : <maps>`")):
+        with pytest.raises(ParseError) as e:
+            cli.parse(THETA_TEXT.replace(old, new))
+        assert (e.value.line, e.value.column, e.value.message) == (line, col, message)
 
 
 def test_generator_names_are_distinct():
@@ -158,6 +167,15 @@ def test_move_with_an_unknown_edge_is_a_validation_error(tmp_path, capsys):
     assert cli.main(["move", path, "--vertex", "*",
                      "--alpha", "~a,zz", "--collapse", "~a"]) == 1
     assert capsys.readouterr().err == "validation error: unknown edge 'zz'\n"
+
+
+def test_move_with_a_non_ideal_alpha_is_a_validation_error(tmp_path, capsys):
+    path = _write(tmp_path, cli.serialize(fix_r2w()))
+    # one edge, and all four edges at *: neither is an ideal edge
+    for alpha in ("~a", "a,~a,b,~b"):
+        assert cli.main(["move", path, "--vertex", "*",
+                         "--alpha", alpha, "--collapse", "~a"]) == 1
+        assert capsys.readouterr().err == "validation error: not an ideal edge\n"
 
 
 def _file_error(capsys, argv):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from gwhitehead.cli import canonicalize, parse
+from gwhitehead.cli import parse
 from gwhitehead.errors import ValidationError
 from gwhitehead.fixtures import (all_fixtures, fix_r2_swap, fix_theta,
                                  random_instance)
@@ -17,8 +17,8 @@ from gwhitehead.idealedges import (IdealEdge, canonical_rep,
                                    enumerate_ideal_edges, inverse_orbit,
                                    is_invertible, orbit_union, translate_at,
                                    translate_through, translates)
-from gwhitehead.marking import (MarkedGGraph, is_consecutive, reduce_path,
-                                spanning_tree)
+from gwhitehead.marking import (MarkedGGraph, canonicalize, is_consecutive,
+                                reduce_path, spanning_tree)
 from gwhitehead.moves import blow_up
 from gwhitehead.selftest import reduce_to_forest_free
 
@@ -256,6 +256,15 @@ def test_orbit_tables_match_scans():
                 for edges in itertools.combinations(ev, r):
                     want = oracles.scan_translates(g, v, edges)
                     alpha = IdealEdge(v, frozenset(edges))
+                    if not oracles.scan_is_ideal_edge(g, v, edges):
+                        # no orbit outside the table: every read raises
+                        for read in (translates, canonical_rep, orbit_union,
+                                     lambda g, a: translate_at(g, a, v),
+                                     lambda g, a: translate_through(g, a, edges[0])):
+                            with pytest.raises(ValidationError,
+                                               match="^not an ideal edge$"):
+                                read(g, alpha)
+                        continue
                     # the first call fills the memo (or finds it filled by an
                     # earlier translate); the second reads it
                     for _ in range(2):
@@ -276,10 +285,9 @@ def test_orbit_tables_match_scans():
                     assert [translate_through(g, alpha, e)
                             for e in range(g.n_edges)] == [
                         through.get(e) for e in range(g.n_edges)]
-                    inv, ainv = is_invertible(g, alpha)
-                    assert inverse_orbit(g, alpha) == (IdealEdge(
-                        *oracles.scan_translates(g, v, ainv.edges)[0])
-                        if inv else None)
+                    inv = is_invertible(g, alpha)
+                    assert inverse_orbit(g, alpha) == (None if inv is None else IdealEdge(
+                        *oracles.scan_translates(g, v, inv.edges)[0]))
                     assert orbit_union(g, alpha) == frozenset().union(
                         *(s for _, s in want))
 

@@ -26,7 +26,9 @@ must be read as an attribute (`x.field`, loaded, not stored) somewhere in
 the package or the benchmark: a field that is only written is a value
 nobody uses.  The same holds for every attribute a package `__post_init__`
 sets through `object.__setattr__`, the memos and tables a frozen object
-keeps beside its fields included.
+keeps beside its fields included.  The relative imports between package
+modules, function-local ones included, point one way: their graph has no
+cycle.
 """
 
 import ast
@@ -293,3 +295,53 @@ def test_no_unread_post_init_attributes():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path, line, name in set_here if name not in read]
     assert not found, "set in __post_init__ but never read:\n" + "\n".join(found)
+
+
+def relative_imports(source):
+    """The sibling modules a package module imports relatively, at any
+    depth of its source (`from .x import y` and `from . import x`)."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom) and n.level:
+            found.update([n.module] if n.module else (a.name for a in n.names))
+    return found
+
+
+def import_cycle(graph):
+    """A cycle [a, b, ..., a] in the {module: imported modules} graph, or
+    None; modules outside the graph are leaves."""
+    state = {}  # module -> 1 while on the path, 2 once done
+
+    def visit(node, path):
+        state[node] = 1
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == 1:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state and (cycle := visit(nxt, path + [nxt])):
+                return cycle
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if node not in state and (cycle := visit(node, [node])):
+            return cycle
+    return None
+
+
+def test_scanner_finds_import_cycles():
+    sources = {"a": "from .b import x\nfrom . import c\n",
+               "b": "import os\nfrom .errors import E\n",
+               "c": "def f():\n    from .a import y\n"}
+    graph = {name: relative_imports(source) for name, source in sources.items()}
+    assert graph == {"a": {"b", "c"}, "b": {"errors"}, "c": {"a"}}
+    assert import_cycle(graph) == ["a", "c", "a"]
+    del graph["c"]
+    assert import_cycle(graph) is None
+
+
+def test_package_imports_have_no_cycle():
+    graph = {p.stem: relative_imports(p.read_text(encoding="utf-8"))
+             for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"}
+    assert "cli" in graph and graph["cli"]
+    cycle = import_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)

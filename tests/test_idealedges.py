@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from gwhitehead import selftest
-from gwhitehead.errors import PropertyViolation
+from gwhitehead.errors import PropertyViolation, ValidationError
 from gwhitehead.fixtures import (all_fixtures, fix_r2, fix_r2_swap, fix_theta,
                                  random_instance)
 from gwhitehead.ggraph import GGraph, rev
@@ -20,7 +20,9 @@ from gwhitehead.idealedges import (Crossing, IdealEdge, canonical_rep,
                                   compatible, crossing, d_set,
                                   enumerate_ideal_edges, is_ideal_edge,
                                   is_invertible, orbit_union, pre_compatible,
-                                  stab_set, translate_at, translates)
+                                  stab_set, translate_at, translate_through,
+                                  translates)
+from gwhitehead.moves import blow_up, reductivity, whitehead
 from gwhitehead.cli import parse
 from gwhitehead.norms import NormCalculator, calculator
 
@@ -287,10 +289,39 @@ def test_d_set_matches_scan_d_set():
 def test_invertibility_on_the_rose():
     m = fix_r2()
     half = IdealEdge(0, frozenset({0, 1}))
-    flag, inv = is_invertible(m.graph, half)
-    assert flag and inv.edges == frozenset({2, 3})
+    assert is_invertible(m.graph, half) == IdealEdge(0, frozenset({2, 3}))
     big = IdealEdge(0, frozenset({0, 1, 2}))
-    assert not is_invertible(m.graph, big)[0]
+    assert is_invertible(m.graph, big) is None
+
+
+def test_every_orbit_read_rejects_a_non_ideal_set():
+    """The orbit table is the one gate: a set that is not an ideal edge
+    has no orbit, and each read, move and D(alpha) raises."""
+    s3 = s3_theta()
+    cases = [
+        (fix_r2(), IdealEdge(0, frozenset({0}))),           # too small
+        (fix_r2(), IdealEdge(0, frozenset({0, 1, 2, 3}))),  # all of E_*
+        (fix_r2_swap(), IdealEdge(0, frozenset({0, 1, 2}))),  # meets its translate
+        (fix_r2(), IdealEdge(0, frozenset({0, 9}))),        # 9 is not in E_*
+        # in the S_3 theta, {e0, e1} at v meets its translates
+        (s3, IdealEdge(1, frozenset({0, 2}))),
+    ]
+    for m, alpha in cases:
+        g = m.graph
+        assert not is_ideal_edge(g, alpha.vertex, alpha.edges)
+        for read in (lambda: translates(g, alpha),
+                     lambda: orbit_union(g, alpha),
+                     lambda: canonical_rep(g, alpha),
+                     lambda: translate_at(g, alpha, alpha.vertex),
+                     lambda: translate_through(g, alpha, min(alpha.edges)),
+                     lambda: d_set(m, alpha),
+                     lambda: blow_up(m, alpha),
+                     lambda: whitehead(m, alpha, min(alpha.edges)),
+                     lambda: reductivity(m, alpha, min(alpha.edges), "tot", 2)):
+            # twice: a raise leaves no memo entry behind
+            for _ in range(2):
+                with pytest.raises(ValidationError, match="^not an ideal edge$"):
+                    read()
 
 
 def test_inverse_pairs_are_compatible_at_basepoint():

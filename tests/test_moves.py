@@ -52,10 +52,10 @@ def test_blow_up_rejects_non_ideal_edge():
     from gwhitehead.errors import ValidationError
     with pytest.raises(ValidationError):
         blow_up(fix_r2(), IdealEdge(0, frozenset({0})))
-    # whitehead and reductivity reject it before reading D(alpha), which
-    # is defined for ideal edges only.  In the S_3 theta, {e0, e1} at v
-    # meets its translates, and stab e0 differs from stab {e0, e1}
-    # although both have order 2.
+    # whitehead and reductivity reject it when they read D(alpha), which
+    # is defined for ideal edges only and read off the orbit table.  In the
+    # S_3 theta, {e0, e1} at v meets its translates, and stab e0 differs
+    # from stab {e0, e1} although both have order 2.
     m = s3_theta()
     alpha = IdealEdge(1, frozenset({0, 2}))
     for move in (lambda: whitehead(m, alpha, 0),
