@@ -113,6 +113,10 @@ def _parse(text):
                 u, v = (s.strip() for s in ends.split("->", 1))
                 if not name or not u or not v:
                     err(lineno, 1, "incomplete edge declaration")
+                # marking tokens split on whitespace, and `~` marks a reverse
+                if name.startswith("~") or len(name.split()) > 1:
+                    err(lineno, line.index(name, len("edge")) + 1,
+                        f"edge name must not start with `~` or hold whitespace, got {name!r}")
                 if any(e[0] == name for e in edges):
                     err(lineno, 1, f"duplicate edge {name}")
                 edges.append((name, u, v))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from . import freegroup as fg
+from .errors import ValidationError
 from .freegroup import FreeAutomorphism
 from .ggraph import GGraph, Group
 from .marking import MarkedGGraph, path_of_word, reduce_path, spanning_tree
@@ -132,8 +133,12 @@ def random_instance(seed, max_rank=3) -> MarkedGGraph:
 
     Shapes are roses and theta-like graphs with a cyclic group permuting
     edge blocks; the marking is a spanning-tree basis pushed through a
-    random product of Nielsen moves.  Deterministic per seed.
+    random product of Nielsen moves.  Deterministic per seed.  No draw
+    exceeds rank 3, so a max_rank above 3 admits the same instances, and
+    one below 1 admits none: it raises ValidationError.
     """
+    if max_rank < 1:
+        raise ValidationError(f"max_rank must be at least 1, not {max_rank}")
     rng = random.Random(seed)
     while True:
         order = rng.choice((1, 1, 2, 2, 3, 4, 6))

@@ -15,7 +15,7 @@ from .ggraph import GGraph, rev
 from .idealedges import (IdealEdge, IdealPair, canonical_rep, d_set,
                          is_ideal_edge, orbit_targets, translates)
 from .marking import MarkedGGraph, collapse_marked, reduce_path
-from .norms import NormVector, Order, calculator, compare
+from .norms import NormVector, calculator
 from . import ggraph
 
 
@@ -190,7 +190,7 @@ def reductive_scan(m: MarkedGGraph, horizon, kind="tot"):
         alpha = IdealEdge(vertex, edges)
         R.add(alpha)
         for a, r in zip(reductive, _reductivities(calc, alpha, reductive, kind, index)):
-            if best is None or compare(r, best[1]) == Order.GREATER:
+            if best is None or r.coords > best[1].coords:
                 best = (IdealPair(alpha, a), r)
     scan = m._scans[horizon, kind] = (frozenset(R), best)
     return scan
@@ -245,7 +245,7 @@ def greedy_reduce(m: MarkedGGraph, horizon, max_steps=500):
             m = whitehead(m, pair.edge, pair.collapse_target)
         step += 1
         out_v, aut_v, tot_after = norms_of(m)
-        if compare(tot_after, tot_before) != Order.LESS:
+        if not tot_after.coords < tot_before.coords:
             raise PropertyViolation(f"step {step} ({desc}) did not decrease the tot-norm")
         log.append(MoveRecord(step, "collapse" if forest else "whitehead",
                               desc, out_v.coords, aut_v.coords))

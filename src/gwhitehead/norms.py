@@ -1,9 +1,10 @@
-"""The out/aut/tot norms, edge absolute values, dot products, comparison.
+"""The out/aut/tot norms, edge absolute values, dot products.
 
 All vectors are finite prefixes of the infinite lexicographic products:
 coordinates are indexed by the shortlex enumeration of conjugacy classes
 (out) or words (aut), truncated at a horizon.  Identities are exact per
 coordinate; only order comparisons can be indeterminate at the horizon.
+The lexicographic order is Python's order on the ``coords`` tuples.
 
 Items.  Coordinate i of aut is the reduced basepoint path of word i, and
 coordinate j of out the cyclically reduced loop of class representative
@@ -69,9 +70,10 @@ norm, all_norms or edge_abs never counts them.  Edge ids and the
 sentinel must each fit in one byte, so a graph may have at most
 MAX_EDGES directed edges.  edge_abs and dot are then a few big-int sums
 over those ints, and one ``int.to_bytes`` plus ``memoryview.cast``
-unpacks the result into the coordinate tuple.  norm needs no unpacking:
-its cross-check compares packed ints (see NormCalculator.norm).  tot is
-the out coordinates followed by the aut ones.
+unpacks the result into the coordinate tuple.  norm unpacks the sum of
+a kind's edge ints the same way and checks it against twice the direct
+norm (see NormCalculator.norm).  tot is the out coordinates followed by
+the aut ones.
 
 Packed |C|.  A turn joins two edges that end at one vertex, so |C| is the
 sum of |C & E_v| over the vertices v that C's edges end at.  Each term is
@@ -119,12 +121,11 @@ per (part, C) and side sums per (part, side), are kept on it as well, so
 ``calculator.cache_clear()`` drops them all with it, as it drops each
 kind's turn table, or the indicators its build kept until the turns are
 counted.  norm(kind) is deliberately unmemoised: each call
-repeats the direct count and the half edge_abs sum and compares them.
+repeats the direct count and the edge_abs sum and compares them.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import operator
@@ -176,23 +177,6 @@ class NormVector:
     def _check_match(self, other):
         if (self.kind, self.n, self.horizon) != (other.kind, other.n, other.horizon):
             raise ValidationError("norm vectors with mismatched kind/rank/horizon")
-
-
-class Order(enum.Enum):
-    LESS = -1
-    EQUAL_AT_HORIZON = 0
-    GREATER = 1
-
-
-def compare(u: NormVector, v: NormVector) -> Order:
-    """Lexicographic verdict on the truncated coordinates."""
-    u._check_match(v)
-    for a, b in zip(u.coords, v.coords):
-        if a < b:
-            return Order.LESS
-        if a > b:
-            return Order.GREATER
-    return Order.EQUAL_AT_HORIZON
 
 
 class NormCalculator:
@@ -330,36 +314,18 @@ class NormCalculator:
         return table
 
     def norm(self, kind) -> NormVector:
-        """Norm, computed both directly and as half the edge_abs sum.
-
-        The edge_abs sum is one sum of the packed edge ints per part: lane
-        i of it is 2 |G| times the length of item i, which its lane holds
-        (see _pack), so it never carries.  Each part is checked by one
-        comparison of that sum with 2 |G| times each item's length, packed
-        into the same lanes (_Lanes.pack); neither side carries, so equal
-        packed ints mean equal coordinates.  Only on a mismatch is the sum
-        unpacked and halved coordinate by coordinate, which raises with
-        the message that names the fault.
-        """
+        """Norm, |G| times each item's length, checked exactly against the
+        edge_abs sum: the packed edge ints summed per part (no carry, see
+        _pack) and unpacked by _vec must be twice the norm in every
+        coordinate, or InternalInconsistency names both tuples."""
         order = self.m.graph.group.order
-        direct = ()
-        agree = True
-        for part in _parts(kind):
-            lanes = self._lanes[part]
-            part_direct = tuple([order * len(steps) for steps in self.items[part]])
-            direct += part_direct
-            agree = agree and sum(lanes.edge) == lanes.pack(
-                tuple(map(operator.add, part_direct, part_direct)))
-        if not agree:
-            total = self._vec(kind, lambda part: sum(self._lanes[part].edge))
-            halved = []
-            for c in total.coords:
-                if c % 2:
-                    raise InternalInconsistency("edge_abs sum is odd")
-                halved.append(c // 2)
-            if tuple(halved) != direct:
-                raise InternalInconsistency(
-                    f"direct norm {direct} != half edge_abs sum {tuple(halved)} ({kind})")
+        direct = tuple([order * len(steps)
+                        for part in _parts(kind) for steps in self.items[part]])
+        total = self._vec(kind, lambda part: sum(self._lanes[part].edge)).coords
+        twice = tuple(map(operator.add, direct, direct))
+        if total != twice:
+            raise InternalInconsistency(
+                f"edge_abs sum {total} != twice the direct norm {twice} ({kind})")
         return NormVector(kind, self.m.n, self.horizon, direct)
 
     def all_norms(self):
@@ -514,14 +480,6 @@ class _Lanes:
                         row = turns.setdefault(act[u], {})
                         row[act[rw]] = row.get(act[rw], 0) + t
         return turns
-
-    def pack(self, values):
-        """values, one per item, packed into these lanes; None when one does
-        not fit its lane, so that the result equals no packed vector."""
-        try:
-            return _pack(bytes(values) if self.code == "B" else array(self.code, values))
-        except (ValueError, OverflowError):
-            return None
 
     def subset_abs(self, E):
         """Packed |C| for every subset C of the edges E, as a list indexed by

@@ -18,10 +18,10 @@ from .idealedges import (crossing, d_set, enumerate_ideal_edges, is_invertible,
                          orbit_union, stab_set, translate_at, translate_through,
                          translates)
 from .marking import canonicalize, collapse_marked
-from .moves import blow_up, is_reductive_edge, max_reductive_pair, whitehead
+from .moves import blow_up, is_reductive_edge, max_reductive_pair, reductive_scan, whitehead
 from .norms import KINDS, calculator
 from .starcomplex import (gamma_edge, nested_families, reduced_homology,
-                          reductive_orbits, run_retractions, star_complex)
+                          run_retractions, star_complex)
 
 
 @dataclass
@@ -312,7 +312,7 @@ def check_conjugation_edge(m, horizon):
     the corresponding move is out-norm neutral."""
     if not is_reduced(m.graph):
         return 0
-    R = reductive_orbits(m, "tot", horizon)
+    R = reductive_scan(m, horizon)[0]
     gamma = gamma_edge(m, R)  # raises when two exist
     if gamma is None:
         return 0

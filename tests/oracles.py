@@ -21,7 +21,7 @@ from gwhitehead.idealedges import (IdealEdge, IdealPair, compatible, crossing, d
                                    translate_at, translates)
 from gwhitehead.marking import path_of_word, reduce_path
 from gwhitehead.moves import VERDICTS
-from gwhitehead.norms import NormCalculator, Order, compare
+from gwhitehead.norms import NormCalculator
 from gwhitehead.starcomplex import IdealForest, forest_violations
 
 
@@ -218,7 +218,7 @@ def scan_reductive(m, horizon, kind):
             if verdict(value) != "reductive":
                 continue
             R.add(alpha)
-            if best is None or compare(value, best[1]) == Order.GREATER:
+            if best is None or value.coords > best[1].coords:
                 best = (IdealPair(alpha, a), value)
     return frozenset(R), best
 

@@ -124,7 +124,13 @@ def test_parse_errors_carry_positions():
             ("vertex v", "vertex=w", 4, 7, "expected `vertex <id>`"),
             ("edge e3 :", "edge=e3 :", 7, 5, "expected `edge <id> : <from> -> <to>`"),
             ("gen t :", "gen=t :", 10, 1, "expected `gen <id> : <maps>`"),
-            ("gen t :", "gen =t :", 10, 1, "expected `gen <id> : <maps>`")):
+            ("gen t :", "gen =t :", 10, 1, "expected `gen <id> : <maps>`"),
+            # a marking token cannot name an edge that starts with `~`
+            # (the reverse mark) or holds whitespace (the token separator)
+            ("edge e3 :", "edge ~e3 :", 7, 6,
+             "edge name must not start with `~` or hold whitespace, got '~e3'"),
+            ("edge e3 :", "edge e3 c :", 7, 6,
+             "edge name must not start with `~` or hold whitespace, got 'e3 c'")):
         with pytest.raises(ParseError) as e:
             cli.parse(THETA_TEXT.replace(old, new))
         assert (e.value.line, e.value.column, e.value.message) == (line, col, message)

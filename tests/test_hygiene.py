@@ -1,7 +1,7 @@
 """No module imports a name it never uses, no frozen object is written to
 after it is built, no package function but two keeps a module-level
-cache, no package definition goes unnamed outside the tests, and no
-record field goes unread.
+cache, no package definition goes unnamed outside the tests, no record
+field goes unread, and the package divides with `/` only by a Fraction.
 
 A pure-stdlib AST scan (read only) of the package, the tests and the
 benchmark: every name an import binds must be referenced elsewhere in the
@@ -28,7 +28,9 @@ nobody uses.  The same holds for every attribute a package `__post_init__`
 sets through `object.__setattr__`, the memos and tables a frozen object
 keeps beside its fields included.  The relative imports between package
 modules, function-local ones included, point one way: their graph has no
-cycle.
+cycle.  The package computes in exact integers, and in exact rationals
+where homology needs them: every `/` or `/=` in it divides by a
+`Fraction(...)` call, so no float enters (`//` is exempt).
 """
 
 import ast
@@ -345,3 +347,33 @@ def test_package_imports_have_no_cycle():
     assert "cli" in graph and graph["cli"]
     cycle = import_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def inexact_divisions(source):
+    """Lines of the `/` and `/=` whose divisor is not a `Fraction(...)` call."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div):
+            divisor = n.right if isinstance(n, ast.BinOp) else n.value
+            func = getattr(divisor, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "Fraction":
+                found.append(n.lineno)
+    return sorted(found)
+
+
+def test_scanner_finds_inexact_divisions():
+    source = ("a = x / 2\n"
+              "b = v / Fraction(c)\n"
+              "c = v / fractions.Fraction(c, 2)\n"
+              "d = x // 2\n"
+              "x /= len(s)\n"
+              "v /= Fraction(3)\n"
+              "e = f(x) / g(y)\n")
+    assert inexact_divisions(source) == [1, 5, 7]
+
+
+def test_package_divides_only_by_fractions():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in FILES if path.is_relative_to(ROOT / "src")
+             for line in inexact_divisions(path.read_text(encoding="utf-8"))]
+    assert not found, "`/` by something other than a Fraction:\n" + "\n".join(found)

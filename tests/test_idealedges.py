@@ -8,6 +8,7 @@ pair of incoming edges meets its own swap-translate without equaling it.
 import itertools
 import pathlib
 import sys
+from array import array
 
 import pytest
 
@@ -24,7 +25,7 @@ from gwhitehead.idealedges import (Crossing, IdealEdge, canonical_rep,
                                   translates)
 from gwhitehead.moves import blow_up, reductivity, whitehead
 from gwhitehead.cli import parse
-from gwhitehead.norms import NormCalculator, calculator
+from gwhitehead.norms import NormCalculator, _pack, calculator
 
 from oracles import scan_crossing_inequalities, scan_d_set
 from test_ggraph import s3_theta, s3_tripod
@@ -138,7 +139,7 @@ def test_crossing_check_catches_a_raised_left_hand_side(monkeypatch):
             ("aut", {1}, f"component-removal inequality fails (aut): {pair} gamma=[0]")]:
         calc = NormCalculator(m, 2)
         lanes = calc._lanes[part]
-        top = lanes.pack([lanes.bound] * len(calc.items[part]))
+        top = _pack(array(lanes.code, [lanes.bound] * len(calc.items[part])))
         packed_abs = calc._packed_abs
         masks = g.edge_masks(target)
 

@@ -9,7 +9,8 @@ import random
 import pytest
 
 from gwhitehead import freegroup as fg
-from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, fix_theta
+from gwhitehead.errors import ValidationError
+from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2w, fix_theta, random_instance
 from gwhitehead.ggraph import maximal_invariant_forest
 from gwhitehead.marking import (MarkedGGraph, collapse_marked, cyclic_canonical,
                                 cyclic_loop, cyclic_reduction, join_reduced,
@@ -44,6 +45,18 @@ def test_fixtures_validate(name):
     assert m.validate() == []
     if name in CLAIMS:
         assert verify_realization(m, CLAIMS[name]) == []
+
+
+def test_random_instance_ranks_run_from_1_to_3():
+    # no draw has rank below 1, so such a bound used to loop forever
+    for max_rank in (0, -1):
+        with pytest.raises(ValidationError, match="max_rank must be at least 1"):
+            random_instance(0, max_rank=max_rank)
+    # and none above 3, so a larger bound draws the same instances
+    draws = [(random_instance(s, max_rank=3), random_instance(s, max_rank=9))
+             for s in range(100)]
+    assert {m.n for m, _ in draws} == {1, 2, 3}
+    assert all((m.graph, m.basis_paths) == (w.graph, w.basis_paths) for m, w in draws)
 
 
 def test_wrong_rank_marking_is_rejected():

@@ -17,7 +17,7 @@ from gwhitehead.marking import MarkedGGraph
 from gwhitehead.moves import (blow_up, greedy_reduce, is_reductive_edge,
                               max_reductive_pair, reductive_scan, reductivity,
                               whitehead)
-from gwhitehead.norms import Order, calculator, compare
+from gwhitehead.norms import calculator
 from gwhitehead.selftest import (check_blowup_correspondence,
                                  check_blowup_roundtrip, check_norm_change)
 
@@ -124,16 +124,17 @@ def test_max_reductive_pair_frozen():
 def _max_pair_by_key(m, kind, horizon):
     """The maximal reductive pair, equal values resolved by the least
     (vertex, sorted edges, target) key, from the public reductivity and
-    compare; also how many reductive values tied with the best so far."""
+    the order of coordinate tuples; also how many reductive values tied
+    with the best so far."""
     best, ties = None, 0
     for alpha, a in candidate_pairs(m):
         r = reductivity(m, alpha, a, kind, horizon)
         if verdict(r) != "reductive":
             continue
         key = (alpha.vertex, tuple(sorted(alpha.edges)), a)
-        c = Order.GREATER if best is None else compare(r, best[0])
-        ties += c == Order.EQUAL_AT_HORIZON
-        if c == Order.GREATER or (c == Order.EQUAL_AT_HORIZON and key < best[1]):
+        tie = best is not None and r.coords == best[0].coords
+        ties += tie
+        if best is None or r.coords > best[0].coords or (tie and key < best[1]):
             best = (r, key, IdealPair(alpha, a))
     return (None if best is None else best[2]), ties
 

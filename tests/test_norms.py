@@ -24,8 +24,7 @@ from gwhitehead.fixtures import all_fixtures, fix_r2, fix_r2_swap, fix_theta, ra
 from gwhitehead.ggraph import GGraph, Group
 from gwhitehead.idealedges import enumerate_ideal_edges
 from gwhitehead.marking import MarkedGGraph, cyclic_canonical, cyclic_reduction
-from gwhitehead.norms import (KINDS, MAX_EDGES, NormCalculator, NormVector, Order,
-                              _Lanes, calculator, compare)
+from gwhitehead.norms import KINDS, MAX_EDGES, NormCalculator, NormVector, _Lanes, calculator
 from gwhitehead.moves import greedy_reduce
 from gwhitehead.selftest import (check_coset_identity, check_crossing_inequalities,
                                  check_inclusion_exclusion,
@@ -53,7 +52,7 @@ def test_frozen_norm_values(name, kind, h):
 
 
 def test_two_way_norm_agreement(named_instance):
-    # norm() recomputes via the half edge_abs sum and raises on mismatch
+    # norm() recomputes via the edge_abs sum and raises on mismatch
     check_norm_consistency(named_instance, HORIZON)
 
 
@@ -131,14 +130,6 @@ def test_coset_identity_exhaustive(named_instance):
     assert cases > 0
 
 
-def test_compare_semantics():
-    u = NormVector("out", 2, 2, (1, 2, 3))
-    v = NormVector("out", 2, 2, (1, 2, 4))
-    assert compare(u, v) == Order.LESS
-    assert compare(v, u) == Order.GREATER
-    assert compare(u, u) == Order.EQUAL_AT_HORIZON
-
-
 def test_vector_arithmetic_and_mismatch():
     u = NormVector("out", 2, 2, (1, 2))
     v = NormVector("out", 2, 2, (3, 4))
@@ -148,7 +139,7 @@ def test_vector_arithmetic_and_mismatch():
     assert u.scale(1) is u  # frozen, so the vector itself is returned
     w = NormVector("aut", 2, 2, (1, 2))
     with pytest.raises(ValidationError):
-        compare(u, w)
+        u + w
     with pytest.raises(ValidationError):
         NormVector("bogus", 2, 2, (1,))
 
@@ -702,13 +693,17 @@ def test_norm_build_takes_at_most_255_edges():
         NormCalculator(_rose(128), 1)
 
 
+def _mismatch(kind):
+    """The one message of a failed norm cross-check."""
+    return rf"edge_abs sum \(.*\) != twice the direct norm \(.*\) \({kind}\)"
+
+
 @pytest.mark.parametrize("kind", ["out", "aut"])
 def test_norm_cross_check_catches_a_wrong_item(kind):
     calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
     calc.norm(kind)
     calc.items[kind][0] += b"\x00"
-    with pytest.raises(InternalInconsistency,
-                       match=rf"direct norm .* != half edge_abs sum .*\({kind}\)"):
+    with pytest.raises(InternalInconsistency, match=_mismatch(kind)):
         calc.norm(kind)
 
 
@@ -737,8 +732,7 @@ def test_all_norms_memo_keeps_its_cross_check(kind):
     calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
     calc.items[kind][0] += b"\x00"
     for _ in range(2):  # a failed check stores nothing
-        with pytest.raises(InternalInconsistency,
-                           match=rf"direct norm .* != half edge_abs sum .*\({kind}\)"):
+        with pytest.raises(InternalInconsistency, match=_mismatch(kind)):
             calc.all_norms()
 
 
@@ -762,26 +756,29 @@ def test_all_norms_runs_the_cross_checks_once(monkeypatch):
 @pytest.mark.parametrize("kind", ["out", "aut"])
 def test_norm_cross_check_catches_an_odd_edge_sum(kind):
     calc = NormCalculator(all_fixtures()["FIX-R2W"], 2)
+    twice = tuple(2 * c for c in calc.norm(kind).coords)
     calc._lanes[kind].edge[0] += 1  # lane 0 of the sum is now odd
-    with pytest.raises(InternalInconsistency, match="edge_abs sum is odd"):
+    with pytest.raises(InternalInconsistency) as exc:
         calc.norm(kind)
+    # both tuples, in exact integers
+    total = (twice[0] + 1,) + twice[1:]
+    assert str(exc.value) == f"edge_abs sum {total} != twice the direct norm {twice} ({kind})"
 
 
 @pytest.mark.parametrize("kind", ["out", "aut"])
 def test_norm_cross_check_in_wide_lanes(kind):
-    # the packed comparison in lanes wider than a byte: a wrong item, one
-    # too long for its lane, and an odd sum each reach their message
-    direct_message = rf"direct norm .* != half edge_abs sum .*\({kind}\)"
+    # the check in lanes wider than a byte: a wrong item, one too long for
+    # its lane, and an odd sum each raise the one mismatch message
     for extra in (b"\x00", b"\x00" * 20000):
         calc = NormCalculator(_wide_lane_rose(), 2)
         assert calc._lanes[kind].code == "H"
         calc.norm(kind)
         calc.items[kind][0] += extra
-        with pytest.raises(InternalInconsistency, match=direct_message):
+        with pytest.raises(InternalInconsistency, match=_mismatch(kind)):
             calc.norm(kind)
     calc = NormCalculator(_wide_lane_rose(), 2)
     calc._lanes[kind].edge[0] += 1
-    with pytest.raises(InternalInconsistency, match="edge_abs sum is odd"):
+    with pytest.raises(InternalInconsistency, match=_mismatch(kind)):
         calc.norm(kind)
 
 
